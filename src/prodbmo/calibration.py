@@ -18,13 +18,15 @@ import numpy as np
 from .core import (
     DyadicInterval,
     DyadicRect,
-    GridFunction2D,
     HaarSpectrum2D,
+    PrefixTable,
+    dyadic_rect_mean,
     haar_forward_2d,
     haar_inverse_2d,
 )
 from .norms import (
     bmo_d_norm_sq,
+    bmo_norm_of_grid,
     extremal_bmo_function,
     lmo_char_norm,
     lmo_d_norm,
@@ -104,13 +106,70 @@ def delta_operator_ratio(phi: HaarSpectrum2D, probes) -> float:
     """max over the probe set of bmo(Delta_phi b) / bmo(b)."""
     best = 0.0
     for b in probes:
-        denom = math.sqrt(bmo_d_norm_sq(haar_forward_2d(b))[0])
+        denom = bmo_norm_of_grid(b)
         if denom == 0.0:
             continue
-        out = paraproduct(DELTA, phi, b)
-        num = math.sqrt(bmo_d_norm_sq(haar_forward_2d(out))[0])
-        best = max(best, num / denom)
+        best = max(best, bmo_norm_of_grid(paraproduct(DELTA, phi, b)) / denom)
     return best
+
+
+# ---------------------------------------------------------------------------
+# bound ratios, shared by the sweeps and the CLI experiments
+# ---------------------------------------------------------------------------
+
+def pi_bound_ratio(depth, rng) -> float:
+    """bmo(Pi_phi b) / (lmo(phi) bmo(b)) for a fresh (phi, b) draw; 0.0 when
+    the denominator vanishes."""
+    phi = random_hh_symbol(depth, rng)
+    b = haar_inverse_2d(random_hh_symbol(depth, rng))
+    denom = lmo_d_norm(phi) * bmo_norm_of_grid(b)
+    if not denom > 0:
+        return 0.0
+    return bmo_norm_of_grid(paraproduct(PI, phi, b)) / denom
+
+
+def commutator_bound_ratio(depth, rng) -> float:
+    """bmo([S1, [S2, M_phi]] b) / (lmo(phi) bmo(b)) for a fresh (phi, b)
+    draw; 0.0 when the denominator vanishes."""
+    phi = haar_inverse_2d(random_hh_symbol(depth, rng))
+    b = haar_inverse_2d(random_hh_symbol(depth, rng))
+    denom = lmo_d_norm(haar_forward_2d(phi)) * bmo_norm_of_grid(b)
+    if not denom > 0:
+        return 0.0
+    return bmo_norm_of_grid(iterated_commutator_apply(phi, b)) / denom
+
+
+def lmo_ratio(depth, rng) -> float:
+    """lmo_char(phi) / lmo_d(phi)^2 for a fresh symbol draw."""
+    phi = random_hh_symbol(depth, rng)
+    return lmo_char_norm(phi) / lmo_d_norm(phi) ** 2
+
+
+def staircase_growth(rect: DyadicRect, depth):
+    """Growth of the staircase symbol b of ``rect``.
+
+    Returns (bmo(b), ratios, attained): ratios maps each generation
+    (k1, k2) to max_Q |m_Q b| / ((k1+1)(k2+1) bmo(b)) over the rectangles Q
+    of that generation, and attained is the same quotient on ``rect``
+    itself.  A vanishing norm gives (0.0, {}, None).
+    """
+    b = extremal_bmo_function(rect, depth)
+    bnorm = bmo_norm_of_grid(b)
+    if bnorm == 0.0:
+        return bnorm, {}, None
+    pt = PrefixTable(b)
+    ratios = {}
+    for k1 in range(depth[0] + 1):
+        for k2 in range(depth[1] + 1):
+            worst = max(
+                abs(dyadic_rect_mean(pt, DyadicRect.from_levels(k1, p1, k2, p2)))
+                for p1 in range(1 << k1)
+                for p2 in range(1 << k2)
+            )
+            ratios[k1, k2] = worst / ((k1 + 1) * (k2 + 1) * bnorm)
+    j1, j2 = rect.s_interval.level, rect.t_interval.level
+    attained = dyadic_rect_mean(pt, rect) / ((j1 + 1) * (j2 + 1) * bnorm)
+    return bnorm, ratios, attained
 
 
 # ---------------------------------------------------------------------------
@@ -118,43 +177,20 @@ def delta_operator_ratio(phi: HaarSpectrum2D, probes) -> float:
 # ---------------------------------------------------------------------------
 
 def sweep_extremal(max_depth=(4, 4)):
-    from .core import PrefixTable, dyadic_rect_mean
-
     worst_norm = 0.0
     worst_growth = 0.0
     sharpness = None
-    depths = [(d, d) for d in range(2, max_depth[0] + 1)]
-    for depth in depths:
-        for j1 in range(depth[0] + 1):
-            for j2 in range(depth[1] + 1):
+    for d in range(2, max_depth[0] + 1):
+        for j1 in range(d + 1):
+            for j2 in range(d + 1):
                 for i1 in range(1 << j1):
                     for i2 in range(1 << j2):
                         r = DyadicRect.from_levels(j1, i1, j2, i2)
-                        b = extremal_bmo_function(r, depth)
-                        bnorm = math.sqrt(bmo_d_norm_sq(haar_forward_2d(b))[0])
+                        bnorm, ratios, att = staircase_growth(r, (d, d))
                         worst_norm = max(worst_norm, bnorm)
                         if bnorm == 0.0:
                             continue
-                        pt = PrefixTable(b)
-                        for k1 in range(depth[0] + 1):
-                            for k2 in range(depth[1] + 1):
-                                best_here = max(
-                                    abs(
-                                        dyadic_rect_mean(
-                                            pt,
-                                            DyadicRect.from_levels(k1, p1, k2, p2),
-                                        )
-                                    )
-                                    for p1 in range(1 << k1)
-                                    for p2 in range(1 << k2)
-                                )
-                                worst_growth = max(
-                                    worst_growth,
-                                    best_here / ((k1 + 1) * (k2 + 1) * bnorm),
-                                )
-                        att = dyadic_rect_mean(pt, r) / (
-                            (j1 + 1) * (j2 + 1) * bnorm
-                        )
+                        worst_growth = max(worst_growth, *ratios.values())
                         sharpness = att if sharpness is None else min(sharpness, att)
     return {
         "extremal_norm_bound": worst_norm,
@@ -176,12 +212,7 @@ def lmo_ratio_interval(depth: int):
 
 def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
     rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(n):
-        phi = random_hh_symbol(depth, rng)
-        num = lmo_char_norm(phi)
-        den = lmo_d_norm(phi) ** 2
-        ratios.append(num / den)
+    ratios = [lmo_ratio(depth, rng) for _ in range(n)]
     key = depth[0]
     return {
         f"lmo_ratio_lo_depth{key}": min(ratios),
@@ -194,17 +225,7 @@ def sweep_pi_bound(n=100, seed=20240502):
     worst = 0.0
     for depth in [(2, 2), (3, 3), (4, 4)]:
         for _ in range(n):
-            phi = random_hh_symbol(depth, rng)
-            b = haar_inverse_2d(random_hh_symbol(depth, rng))
-            denom = lmo_d_norm(phi) * math.sqrt(
-                bmo_d_norm_sq(haar_forward_2d(b))[0]
-            )
-            if denom == 0.0:
-                continue
-            num = math.sqrt(
-                bmo_d_norm_sq(haar_forward_2d(paraproduct(PI, phi, b)))[0]
-            )
-            worst = max(worst, num / denom)
+            worst = max(worst, pi_bound_ratio(depth, rng))
     return {"pi_bound_constant": worst}
 
 
@@ -227,16 +248,7 @@ def sweep_shift_commutator(n=100, seed=20240504):
     worst = 0.0
     for depth in [(2, 2), (3, 3)]:
         for _ in range(n):
-            phi = haar_inverse_2d(random_hh_symbol(depth, rng))
-            b = haar_inverse_2d(random_hh_symbol(depth, rng))
-            denom = lmo_d_norm(haar_forward_2d(phi)) * math.sqrt(
-                bmo_d_norm_sq(haar_forward_2d(b))[0]
-            )
-            if denom == 0.0:
-                continue
-            out = iterated_commutator_apply(phi, b)
-            num = math.sqrt(bmo_d_norm_sq(haar_forward_2d(out))[0])
-            worst = max(worst, num / denom)
+            worst = max(worst, commutator_bound_ratio(depth, rng))
     return {"shift_commutator_bound": worst}
 
 

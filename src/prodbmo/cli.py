@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -122,9 +121,12 @@ def save_function_file(path: str, depth, values, kind: str = "grid") -> None:
 
 def load_function_file(path: str):
     with open(path) as fh:
-        payload = json.load(fh)
-    depth = tuple(int(v) for v in payload["depth"])
-    values = np.asarray(payload["values"], dtype=float)
+        try:
+            payload = json.load(fh)
+            depth = tuple(int(v) for v in payload["depth"])
+            values = np.asarray(payload["values"], dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed function file {path}: {exc!r}") from exc
     n1, n2 = 1 << depth[0], 1 << depth[1]
     if values.size != n1 * n2:
         raise ValidationError(
@@ -245,11 +247,11 @@ def cmd_opnorm(args) -> int:
         sig = signature_by_name(args.sig)
         phi = load_spectrum(args.symbol)
         op = assemble(lambda f: paraproduct(sig, phi, f), phi.depth, space="grid")
-        norm = operator_norm(op, tol=args.tolerance)
+        norm = operator_norm(op)
         config = {"kind": args.kind, "sig": args.sig, "symbol": args.symbol}
     elif args.kind == "shift":
         depth = parse_pair(args.depth)
-        norm = operator_norm(shift_matrix(depth, args.axis), tol=args.tolerance)
+        norm = operator_norm(shift_matrix(depth, args.axis))
         config = {"kind": args.kind, "axis": args.axis, "depth": args.depth}
     else:  # projection
         depth = parse_pair(args.depth)
@@ -261,7 +263,7 @@ def cmd_opnorm(args) -> int:
             "D": ProjectionSelector.difference,
         }[kind](j1, j2)
         op = assemble(lambda c: apply_projection(c, sel), depth, space="spectrum")
-        norm = operator_norm(op, tol=args.tolerance)
+        norm = operator_norm(op)
         config = {"kind": args.kind, "selector": args.selector, "depth": args.depth}
     emit({"operator_norm": norm, "config": config}, args.output)
     return 0
@@ -302,8 +304,13 @@ def cmd_commutator(args) -> int:
 
 def load_step_function(path: str) -> StepFunction1D:
     with open(path) as fh:
-        payload = json.load(fh)
-    return StepFunction1D(payload["breakpoints"], payload["values"])
+        try:
+            payload = json.load(fh)
+            breakpoints = np.asarray(payload["breakpoints"], dtype=float)
+            values = np.asarray(payload["values"], dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed step-function file {path}: {exc!r}") from exc
+    return StepFunction1D(breakpoints, values)
 
 
 def cmd_hilbert(args) -> int:
@@ -335,27 +342,14 @@ def cmd_hilbert(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _experiment_growth(depth, trials, seed):
-    from .core import PrefixTable, dyadic_rect_mean
-    from .norms import extremal_bmo_function
-
     bound = calibration.CALIBRATED["extremal_growth_bound"]
     rows = []
-    d = (depth, depth)
     for j1 in range(1, depth + 1):
         for j2 in range(1, depth + 1):
             r = DyadicRect.from_levels(j1, 0, j2, 0)
-            b = extremal_bmo_function(r, d)
-            bnorm = math.sqrt(bmo_d_norm_sq(haar_forward_2d(b))[0])
-            pt = PrefixTable(b)
-            for k1 in range(depth + 1):
-                for k2 in range(depth + 1):
-                    worst = max(
-                        abs(dyadic_rect_mean(pt, DyadicRect.from_levels(k1, p1, k2, p2)))
-                        for p1 in range(1 << k1)
-                        for p2 in range(1 << k2)
-                    )
-                    ratio = worst / ((k1 + 1) * (k2 + 1) * bnorm)
-                    rows.append([j1, j2, k1, k2, ratio, bound, int(ratio <= bound)])
+            _, ratios, _ = calibration.staircase_growth(r, (depth, depth))
+            for (k1, k2), ratio in ratios.items():
+                rows.append([j1, j2, k1, k2, ratio, bound, int(ratio <= bound)])
     header = ["rect_j1", "rect_j2", "gen_k1", "gen_k2", "ratio", "bound", "ok"]
     return header, rows
 
@@ -364,13 +358,8 @@ def _experiment_paraproduct_bound(depth, trials, seed):
     bound = calibration.CALIBRATED["pi_bound_constant"]
     rng = np.random.default_rng(seed)
     rows = []
-    d = (depth, depth)
     for t in range(trials):
-        phi = calibration.random_hh_symbol(d, rng)
-        b = haar_inverse_2d(calibration.random_hh_symbol(d, rng))
-        denom = lmo_d_norm(phi) * math.sqrt(bmo_d_norm_sq(haar_forward_2d(b))[0])
-        num = math.sqrt(bmo_d_norm_sq(haar_forward_2d(paraproduct(PI, phi, b)))[0])
-        ratio = num / denom if denom > 0 else 0.0
+        ratio = calibration.pi_bound_ratio((depth, depth), rng)
         rows.append([t, ratio, bound, int(ratio <= bound)])
     return ["trial", "ratio", "bound", "ok"], rows
 
@@ -427,17 +416,9 @@ def _experiment_nine_part(depth, trials, seed):
 def _experiment_commutator_bound(depth, trials, seed):
     bound = calibration.CALIBRATED["shift_commutator_bound"]
     rng = np.random.default_rng(seed)
-    d = (depth, depth)
     rows = []
     for t in range(trials):
-        phi = haar_inverse_2d(calibration.random_hh_symbol(d, rng))
-        b = haar_inverse_2d(calibration.random_hh_symbol(d, rng))
-        denom = lmo_d_norm(haar_forward_2d(phi)) * math.sqrt(
-            bmo_d_norm_sq(haar_forward_2d(b))[0]
-        )
-        out = iterated_commutator_apply(phi, b)
-        num = math.sqrt(bmo_d_norm_sq(haar_forward_2d(out))[0])
-        ratio = num / denom if denom > 0 else 0.0
+        ratio = calibration.commutator_bound_ratio((depth, depth), rng)
         rows.append([t, ratio, bound, int(ratio <= bound)])
     return ["trial", "ratio", "bound", "ok"], rows
 
@@ -448,13 +429,9 @@ def _experiment_lmo_equivalence(depth, trials, seed):
     except ValueError as exc:
         raise ValidationError(str(exc))
     rng = np.random.default_rng(seed)
-    from .norms import lmo_char_norm
-
-    d = (depth, depth)
     rows = []
     for t in range(trials):
-        phi = calibration.random_hh_symbol(d, rng)
-        ratio = lmo_char_norm(phi) / lmo_d_norm(phi) ** 2
+        ratio = calibration.lmo_ratio((depth, depth), rng)
         rows.append([t, ratio, lo, hi, int(lo <= ratio <= hi)])
     return ["trial", "ratio", "c1", "c2", "ok"], rows
 
@@ -468,9 +445,13 @@ def cmd_experiment(args) -> int:
         "commutator-bound": _experiment_commutator_bound,
         "lmo-equivalence": _experiment_lmo_equivalence,
     }[args.name]
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    if args.depth < 1:
+        raise ValidationError(f"--depth must be at least 1, got {args.depth}")
     header, rows = runner(args.depth, args.trials, args.seed)
     write_csv(args.output, header, rows)
-    ok = all(row[-1] == 1 for row in rows)
+    ok = bool(rows) and all(row[-1] == 1 for row in rows)
     emit({
         "config": {"experiment": args.name, "depth": args.depth,
                    "trials": args.trials, "seed": args.seed,
@@ -528,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=1)
     p.add_argument("--selector", default="Q:0,0")
     p.add_argument("--depth", default="2,2")
-    p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--output")
     p.set_defaults(func=cmd_opnorm)
 

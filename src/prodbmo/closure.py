@@ -145,6 +145,35 @@ class ClosureInstance:
             cleaned.append(arr)
         self.rect_cells = tuple(cleaned)
 
+    @classmethod
+    def from_product_blocks(cls, shape, cell_area, blocks):
+        """Instance on a row-major grid of equal cells whose rectangles are
+        products of per-axis cell ranges.
+
+        ``blocks`` yields (row_ranges, col_ranges, coefs): the (lo, hi) cell
+        ranges of each axis and the matrix of coefficients of their
+        products.  A rectangle weighs its coefficient squared; zero weights
+        are dropped.  Rectangles keep the block order, then row-major order
+        within a block.
+        """
+        n_rows, n_cols = shape
+        weights = []
+        rect_cells = []
+        for row_ranges, col_ranges, coefs in blocks:
+            for (r_lo, r_hi), coef_row in zip(row_ranges, coefs):
+                rows = np.arange(r_lo, r_hi)[:, None] * n_cols
+                for (c_lo, c_hi), coef in zip(col_ranges, coef_row):
+                    w = coef ** 2
+                    if w == 0.0:
+                        continue
+                    weights.append(w)
+                    rect_cells.append((rows + np.arange(c_lo, c_hi)).reshape(-1))
+        return cls(
+            cell_areas=np.full(n_rows * n_cols, cell_area),
+            rect_weights=np.array(weights) if weights else np.zeros(0),
+            rect_cells=tuple(rect_cells),
+        )
+
     @property
     def n_cells(self):
         return len(self.cell_areas)

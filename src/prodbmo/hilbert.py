@@ -305,12 +305,13 @@ class _AxisSystem:
         self._fine_base = fine_base
         self._shift = shift
 
-    def fine_range(self, interval):
-        """Local fine-cell index range (lo, hi) spanned by an interval."""
-        j, left, length = interval
-        k = round((left / self.g.r - self._shift) / self._fine_base)
-        width = 1 << (self.fine_level - j)
-        return int(k) - self.fine_k_lo, int(k) - self.fine_k_lo + width
+    def fine_ranges(self):
+        """Local fine-cell index range (lo, hi) spanned by each interval."""
+        out = []
+        for j, left, _ in self.intervals:
+            lo = int(round((left / self.g.r - self._shift) / self._fine_base)) - self.fine_k_lo
+            out.append((lo, lo + (1 << (self.fine_level - j))))
+        return out
 
     def overlap_matrix(self, edges: np.ndarray) -> np.ndarray:
         """A[i, c] = integral of h_{I_i} over the mesh cell [edges[c], edges[c+1])."""
@@ -334,29 +335,6 @@ def _grid_function_coefficients(b: GridFunction2D, sys1: _AxisSystem, sys2: _Axi
     return a1 @ b.values @ a2.T
 
 
-def _closure_from_axis_systems(coefs: np.ndarray, sys1: _AxisSystem, sys2: _AxisSystem):
-    nt = sys2.n_fine
-    weights = []
-    rect_cells = []
-    for i1 in range(len(sys1.intervals)):
-        lo1, hi1 = sys1.fine_range(sys1.intervals[i1])
-        for i2 in range(len(sys2.intervals)):
-            w = coefs[i1, i2] ** 2
-            if w == 0.0:
-                continue
-            lo2, hi2 = sys2.fine_range(sys2.intervals[i2])
-            rows = np.arange(lo1, hi1)
-            cols = np.arange(lo2, hi2)
-            weights.append(w)
-            rect_cells.append((rows[:, None] * nt + cols[None, :]).reshape(-1))
-    area = sys1.fine_length * sys2.fine_length
-    return ClosureInstance(
-        cell_areas=np.full(sys1.n_fine * nt, area),
-        rect_weights=np.array(weights) if weights else np.zeros(0),
-        rect_cells=tuple(rect_cells),
-    )
-
-
 def product_grid_bmo_sq(b: GridFunction2D, g1: RandomDyadicGrid, g2: RandomDyadicGrid) -> float:
     """Squared BMO norm of b computed in the product of two sampled 1-d
     systems, at resolution matched to the grid of b."""
@@ -364,7 +342,10 @@ def product_grid_bmo_sq(b: GridFunction2D, g1: RandomDyadicGrid, g2: RandomDyadi
     sys1 = _AxisSystem(g1, 0, j1d, 0.0, 1.0)
     sys2 = _AxisSystem(g2, 0, j2d, 0.0, 1.0)
     coefs = _grid_function_coefficients(b, sys1, sys2)
-    inst = _closure_from_axis_systems(coefs, sys1, sys2)
+    inst = ClosureInstance.from_product_blocks(
+        (sys1.n_fine, sys2.n_fine), sys1.fine_length * sys2.fine_length,
+        [(sys1.fine_ranges(), sys2.fine_ranges(), coefs)],
+    )
     value, _ = best_ratio(inst)
     return value
 
@@ -472,6 +453,7 @@ def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
     """
     from .norms import bmo_norm_of_grid, lmo_d_norm  # local import, no cycle
     from .core import haar_forward_2d
+    from .shifts import double_commutator
 
     if phi.depth != b.depth:
         raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
@@ -506,10 +488,7 @@ def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
         def S2(m):
             return MeshFunction2D(edges_s, edges_t, s2.apply_axis1(m.values))
 
-        def M(m):
-            return pm.multiply(m)
-
-        out = S1(S2(M(bm))) - S1(M(S2(bm))) - S2(M(S1(bm))) + M(S2(S1(bm)))
+        out = double_commutator(S1, S2, pm.multiply, bm)
         outputs.append(out)
         rows.append({"grid_commutator_output_l2": float(
             ((out.values ** 2)
@@ -527,7 +506,11 @@ def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
             c = a1 @ out.values @ a2.T
             coef_sum = c if coef_sum is None else coef_sum + c
         coefs = coef_sum * (scale / n_grids)
-        inst = _closure_from_axis_systems(coefs, bmo_sys1, bmo_sys2)
+        inst = ClosureInstance.from_product_blocks(
+            (bmo_sys1.n_fine, bmo_sys2.n_fine),
+            bmo_sys1.fine_length * bmo_sys2.fine_length,
+            [(bmo_sys1.fine_ranges(), bmo_sys2.fine_ranges(), coefs)],
+        )
         value, _ = best_ratio(inst)
         best = max(best, value)
 

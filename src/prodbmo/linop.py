@@ -6,8 +6,8 @@ at fixed depth, in the enumeration
     cc,  hc by (level, position),  ch by (level, position),
     hh by (s-level, t-level, s-position, t-position) lexicographic.
 
-Operator norms are largest singular values, computed by power iteration on
-A^T A and cross-checked against a full decomposition at the supported sizes.
+Operator norms are largest singular values, computed by a full singular
+value decomposition (assembly caps the dimension at 256).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
-from .errors import DepthMismatchError, NonConvergenceError, ValidationError
+from .errors import DepthMismatchError, ValidationError
 
 MAX_DENSE_DIM = 256  # depth (4,4)
 
@@ -167,93 +167,18 @@ def assemble(op, depth, space: str = "grid", check_linearity: bool = True) -> De
     return DenseOperator(depth, mat)
 
 
-def operator_norm(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Largest singular value via power iteration on A^T A.
+def operator_norm(a) -> float:
+    """Largest singular value by a full decomposition.
 
-    Accepts a DenseOperator or a plain square matrix.  Runs a deterministic
-    start plus one random restart (ties are broken by the larger Rayleigh
-    quotient) and, for dimensions up to 256, is cross-checked against a
-    full singular value decomposition.
+    Accepts a DenseOperator or a plain square matrix.
     """
     m = a.matrix if isinstance(a, DenseOperator) else np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("operator norm needs a square matrix")
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return 0.0
-    gram = m.T @ m
-
-    def run(v):
-        # Rayleigh quotients increase monotonically; near-tied top values
-        # converge slowly, so the stop rule extrapolates the geometric tail
-        # from the observed contraction rate instead of trusting a single
-        # small step.
-        est = 0.0
-        prev_diff = None
-        for _ in range(max_iter):
-            w = gram @ v
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            new_est = float(np.sqrt(v @ (gram @ v)))
-            diff = new_est - est
-            if est > 0.0 and diff <= tol * new_est:
-                if diff <= 0.0:
-                    return new_est
-                if prev_diff is not None and prev_diff > diff:
-                    rate = diff / prev_diff
-                    remaining = diff * rate / (1.0 - rate)
-                    if remaining <= tol * new_est:
-                        return new_est
-            prev_diff = diff if diff > 0.0 else prev_diff
-            est = new_est
-        raise NonConvergenceError(
-            f"power iteration did not converge within {max_iter} iterations",
-            last_estimate=est,
-        )
-
-    dim = m.shape[0]
-    v0 = np.ones(dim) / np.sqrt(dim)
-    rng = np.random.default_rng(20240117)
-    v1 = rng.standard_normal(dim)
-    v1 /= np.linalg.norm(v1)
-    sigma = max(run(v0), run(v1))
-
-    if dim <= MAX_DENSE_DIM:
-        reference = float(np.linalg.svd(m, compute_uv=False)[0])
-        if abs(sigma - reference) > 1e-9 * max(reference, 1.0):
-            raise NonConvergenceError(
-                "power iteration disagrees with the dense decomposition "
-                f"({sigma} vs {reference})",
-                last_estimate=sigma,
-            )
-        sigma = max(sigma, reference)
-    return sigma
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA."""
     a._check(b)
     return DenseOperator(a.depth, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def verify_against(dense: DenseOperator, op, space: str = "grid",
-                   n_samples: int = 20, tol: float = 1e-11, seed: int = 7) -> float:
-    """Max deviation between the matrix action and the functional form on
-    random inputs; raises if it exceeds ``tol`` (test utility)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        v = rng.standard_normal(dense.dim)
-        spec = vector_to_spectrum(v, dense.depth)
-        if space == "grid":
-            out = spectrum_to_vector(haar_forward_2d(op(haar_inverse_2d(spec))))
-        else:
-            out = spectrum_to_vector(op(spec))
-        worst = max(worst, float(np.abs(dense.matrix @ v - out).max()))
-    if worst > tol:
-        raise ValidationError(
-            f"matrix/functional mismatch {worst} exceeds tolerance {tol}"
-        )
-    return worst

@@ -54,34 +54,25 @@ def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
         t_lo = restrict_to.t_interval.index * wt
         t_hi = t_lo + wt
     ns, nt = s_hi - s_lo, t_hi - t_lo
-    cell_area = 2.0 ** -(j1d + j2d)
-    weights = []
-    rect_cells = []
+    blocks = []
     for j1 in range(j1d):
         w1 = n1 >> j1
+        # positions of the level-j1 intervals inside [s_lo, s_hi)
+        p1 = range(-(-s_lo // w1), s_hi // w1)
+        if not p1:
+            continue
         for j2 in range(j2d):
             w2 = n2 >> j2
-            block = phi.generation_block(j1, j2)
-            for i1 in range(1 << j1):
-                r_lo = i1 * w1
-                if r_lo < s_lo or r_lo + w1 > s_hi:
-                    continue
-                for i2 in range(1 << j2):
-                    c_lo = i2 * w2
-                    if c_lo < t_lo or c_lo + w2 > t_hi:
-                        continue
-                    w = block[i1, i2] ** 2
-                    if w == 0.0:
-                        continue
-                    rows = np.arange(r_lo - s_lo, r_lo - s_lo + w1)
-                    cols = np.arange(c_lo - t_lo, c_lo - t_lo + w2)
-                    cells = (rows[:, None] * nt + cols[None, :]).reshape(-1)
-                    weights.append(w)
-                    rect_cells.append(cells)
-    inst = ClosureInstance(
-        cell_areas=np.full(ns * nt, cell_area),
-        rect_weights=np.array(weights) if weights else np.zeros(0),
-        rect_cells=tuple(rect_cells),
+            p2 = range(-(-t_lo // w2), t_hi // w2)
+            if not p2:
+                continue
+            blocks.append((
+                [(i * w1 - s_lo, (i + 1) * w1 - s_lo) for i in p1],
+                [(i * w2 - t_lo, (i + 1) * w2 - t_lo) for i in p2],
+                phi.generation_block(j1, j2)[p1.start:p1.stop, p2.start:p2.stop],
+            ))
+    inst = ClosureInstance.from_product_blocks(
+        (ns, nt), 2.0 ** -(j1d + j2d), blocks
     )
     return inst, (s_lo, t_lo, ns, nt)
 
@@ -178,6 +169,23 @@ def lmo_beta_char_norm(phi: HaarSpectrum2D, beta) -> float:
     beta == (1,1) reproduces the squared BMO norm; beta == (0,0) is the full
     log-weighted characterisation.
     """
+    return _lmo_char_search(phi, beta)[0]
+
+
+def lmo_char_norm(phi: HaarSpectrum2D) -> float:
+    """max over dyadic R = I x J and Omega inside R of
+    (log(4/|I|))^2 (log(4/|J|))^2 * carleson ratio."""
+    return lmo_beta_char_norm(phi, (0, 0))
+
+
+def lmo_char_details(phi: HaarSpectrum2D):
+    """(value, attaining rectangle) of the log-weighted characterisation."""
+    return _lmo_char_search(phi, (0, 0))
+
+
+def _lmo_char_search(phi: HaarSpectrum2D, beta):
+    """(value, first rectangle attaining it) of the beta characterisation;
+    the unit square when every weighted value is 0."""
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
@@ -194,34 +202,13 @@ def lmo_beta_char_norm(phi: HaarSpectrum2D, beta) -> float:
         return out
 
     best = 0.0
+    best_rect = DyadicRect(DyadicInterval(0, 0), DyadicInterval(0, 0))
     for s_int, ws in axis_candidates(beta[0], j1d):
         for t_int, wt in axis_candidates(beta[1], j2d):
-            val = bmo_d_norm_sq(phi, DyadicRect(s_int, t_int))[0]
-            best = max(best, ws * wt * val)
-    return best
-
-
-def lmo_char_norm(phi: HaarSpectrum2D) -> float:
-    """max over dyadic R = I x J and Omega inside R of
-    (log(4/|I|))^2 (log(4/|J|))^2 * carleson ratio."""
-    return lmo_beta_char_norm(phi, (0, 0))
-
-
-def lmo_char_details(phi: HaarSpectrum2D):
-    """(value, attaining rectangle) of the log-weighted characterisation."""
-    j1d, j2d = phi.depth
-    best = 0.0
-    best_rect = DyadicRect(DyadicInterval(0, 0), DyadicInterval(0, 0))
-    for j1 in range(j1d):
-        ws = ((j1 + 2) * LN2) ** 2
-        for i1 in range(1 << j1):
-            for j2 in range(j2d):
-                wt = ((j2 + 2) * LN2) ** 2
-                for i2 in range(1 << j2):
-                    rect = DyadicRect(DyadicInterval(j1, i1), DyadicInterval(j2, i2))
-                    val = ws * wt * bmo_d_norm_sq(phi, rect)[0]
-                    if val > best:
-                        best, best_rect = val, rect
+            rect = DyadicRect(s_int, t_int)
+            val = ws * wt * bmo_d_norm_sq(phi, rect)[0]
+            if val > best:
+                best, best_rect = val, rect
     return best, best_rect
 
 

@@ -122,6 +122,19 @@ def truncating_shift(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     return shift_apply(HaarSpectrum2D(c.depth, work), axis)
 
 
+def double_commutator(s1, s2, m, x):
+    """[s1, [s2, m]] x for any three linear maps supporting + and -."""
+    return s1(s2(m(x))) - s1(m(s2(x))) - s2(m(s1(x))) + m(s2(s1(x)))
+
+
+def _s1(g):
+    return shift_grid(g, 1)
+
+
+def _s2(g):
+    return shift_grid(g, 2)
+
+
 def shift_matrix(depth, axis: int):
     """Dense matrix of the (truncated) shift over the tensor basis."""
     from .linop import assemble
@@ -143,18 +156,7 @@ def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D,
         raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
     emb = AmbientEmbedding.for_source(phi.depth, headroom)
     p = emb.embed_grid(phi)
-    x = emb.embed_grid(b)
-
-    def s1(g):
-        return shift_grid(g, 1)
-
-    def s2(g):
-        return shift_grid(g, 2)
-
-    def m(g):
-        return p.multiply(g)
-
-    return s1(s2(m(x))) - s1(m(s2(x))) - s2(m(s1(x))) + m(s2(s1(x)))
+    return double_commutator(_s1, _s2, p.multiply, emb.embed_grid(b))
 
 
 def rr_commutator_on_basis(phi: GridFunction2D, rect: DyadicRect) -> HaarSpectrum2D:
@@ -196,14 +198,7 @@ def part_commutator_apply(tag, phi_ambient: HaarSpectrum2D,
     def op(g):
         return nine_part_apply(tag, phi_ambient, g)
 
-    def s1(g):
-        return shift_grid(g, 1)
-
-    def s2(g):
-        return shift_grid(g, 2)
-
-    x = b_ambient
-    return s1(s2(op(x))) - s1(op(s2(x))) - s2(op(s1(x))) + op(s2(s1(x)))
+    return double_commutator(_s1, _s2, op, b_ambient)
 
 
 #: controlling symbol norm predicted for each block's iterated commutator

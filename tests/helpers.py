@@ -94,3 +94,27 @@ def matrix_rr_commutator_image(phi, rect, depth):
     )
     e = HaarSpectrum2D.zeros(depth).with_hh_coef(rect, 1.0)
     return vector_to_spectrum(comm.matrix @ spectrum_to_vector(e), depth)
+
+
+def verify_against(dense, op, space="grid", n_samples=20, tol=1e-11, seed=7):
+    """Max deviation between the matrix action and the functional form on
+    random inputs; raises if it exceeds ``tol``."""
+    from prodbmo.core import haar_forward_2d
+    from prodbmo.errors import ValidationError
+    from prodbmo.linop import spectrum_to_vector, vector_to_spectrum
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        v = rng.standard_normal(dense.dim)
+        spec = vector_to_spectrum(v, dense.depth)
+        if space == "grid":
+            out = spectrum_to_vector(haar_forward_2d(op(haar_inverse_2d(spec))))
+        else:
+            out = spectrum_to_vector(op(spec))
+        worst = max(worst, float(np.abs(dense.matrix @ v - out).max()))
+    if worst > tol:
+        raise ValidationError(
+            f"matrix/functional mismatch {worst} exceeds tolerance {tol}"
+        )
+    return worst

@@ -1,9 +1,14 @@
 """CLI surface: file round-trips, exit codes, deterministic experiment runs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import prodbmo
 
 from prodbmo.cli import (
     cli_dispatch,
@@ -206,3 +211,46 @@ def test_experiments_all_pass(tmp_path, capsys, name, flags):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert all(line.split(",")[-1] == "1" for line in lines[1:])
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("nine-part", ["--trials", "0"]),
+    ("nine-part", ["--trials", "-1"]),
+    ("growth", ["--depth", "0"]),
+    ("growth", ["--depth", "-1"]),
+    ("nine-part", ["--depth", "-1"]),
+    ("paraproduct-bound", ["--depth", "-1"]),
+    ("commutator-bound", ["--depth", "-1"]),
+    ("lemma-core", ["--depth", "-1"]),
+])
+def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags):
+    # an empty table must not be reported as all_ok
+    out = tmp_path / "t.csv"
+    code = cli_dispatch(["experiment", name, *flags, "--seed", "1",
+                         "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "all_ok" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,text", [
+    pytest.param("bmo", json.dumps({"values": [0.0] * 4}), id="no-depth"),
+    pytest.param("bmo", "not json", id="not-json"),
+    pytest.param("bmo", json.dumps({"depth": [1, 1], "values": ["a", "b", "c", "d"]}),
+                 id="string-values"),
+    pytest.param("hilbert", json.dumps({"values": [1.0]}), id="no-breakpoints"),
+])
+def test_malformed_input_file_exit_2(tmp_path, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    if command == "bmo":
+        argv = ["bmo", "--input", str(path)]
+    else:
+        argv = ["hilbert", "--mode", "oracle", "--function", str(path), "--x", "2.0"]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(prodbmo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "prodbmo.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

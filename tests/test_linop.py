@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_hh_spectrum, random_spectrum
+from helpers import random_hh_spectrum, random_spectrum, verify_against
 from prodbmo.core import (
     DyadicRect,
     HaarSpectrum2D,
@@ -21,7 +21,6 @@ from prodbmo.linop import (
     operator_norm,
     spectrum_to_vector,
     vector_to_spectrum,
-    verify_against,
 )
 from prodbmo.paraproducts import PI, paraproduct, sigma_k
 
