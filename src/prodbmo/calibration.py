@@ -20,10 +20,13 @@ from .core import (
     DyadicRect,
     HaarSpectrum2D,
     PrefixTable,
+    ProjectionSelector,
+    apply_projection,
     dyadic_rect_mean,
     haar_forward_2d,
     haar_inverse_2d,
 )
+from .linop import assemble, operator_norm
 from .norms import (
     bmo_d_norm_sq,
     bmo_norm_of_grid,
@@ -31,7 +34,7 @@ from .norms import (
     lmo_char_norm,
     lmo_d_norm,
 )
-from .paraproducts import DELTA, PI, paraproduct
+from .paraproducts import DELTA, PI, paraproduct, sigma_k
 from .shifts import iterated_commutator_apply
 
 LN2 = math.log(2.0)
@@ -143,6 +146,24 @@ def lmo_ratio(depth, rng) -> float:
     """lmo_char(phi) / lmo_d(phi)^2 for a fresh symbol draw."""
     phi = random_hh_symbol(depth, rng)
     return lmo_char_norm(phi) / lmo_d_norm(phi) ** 2
+
+
+def lemma_core_norms(b: HaarSpectrum2D, k):
+    """(||Pi_b E_k||, ||Pi_(sigma_k b) P_hh||) as assembled grid operators,
+    E_k keeping the generations strictly below k and P_hh the whole hh
+    block; the lemma says the two norms agree."""
+    ek = ProjectionSelector.expectation(*k)
+    hh = ProjectionSelector.tail(0, 0)
+    lhs_op = assemble(
+        lambda f: paraproduct(PI, b, haar_inverse_2d(apply_projection(haar_forward_2d(f), ek))),
+        b.depth,
+    )
+    sb = sigma_k(b, k)
+    rhs_op = assemble(
+        lambda f: paraproduct(PI, sb, haar_inverse_2d(apply_projection(haar_forward_2d(f), hh))),
+        b.depth,
+    )
+    return operator_norm(lhs_op), operator_norm(rhs_op)
 
 
 def staircase_growth(rect: DyadicRect, depth):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import calibration
 from .core import (
+    MAX_LEVEL,
     DyadicInterval,
     DyadicRect,
     GridFunction2D,
@@ -48,7 +49,6 @@ from .norms import (
     lmo_directional_norm,
 )
 from .paraproducts import (
-    PI,
     paraproduct,
     nine_part_sum,
     sigma1_k,
@@ -127,6 +127,10 @@ def load_function_file(path: str):
             values = np.asarray(payload["values"], dtype=float)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"malformed function file {path}: {exc!r}") from exc
+    if len(depth) != 2 or not all(1 <= j <= MAX_LEVEL for j in depth):
+        raise ValidationError(
+            f"function file depth {list(depth)} must be two integers in 1..{MAX_LEVEL}"
+        )
     n1, n2 = 1 << depth[0], 1 << depth[1]
     if values.size != n1 * n2:
         raise ValidationError(
@@ -367,29 +371,12 @@ def _experiment_paraproduct_bound(depth, trials, seed):
 def _experiment_lemma_core(depth, trials, seed):
     rng = np.random.default_rng(seed)
     tol = 1e-8
-    d = (depth, depth)
-    hh = ProjectionSelector.tail(0, 0)
     rows = []
     for t in range(trials):
-        b = calibration.random_hh_symbol(d, rng)
+        b = calibration.random_hh_symbol((depth, depth), rng)
         for k1 in range(depth + 1):
             for k2 in range(depth + 1):
-                ek = ProjectionSelector.expectation(k1, k2)
-                lhs_op = assemble(
-                    lambda f: paraproduct(
-                        PI, b, haar_inverse_2d(apply_projection(haar_forward_2d(f), ek))
-                    ),
-                    d,
-                )
-                sb = sigma_k(b, (k1, k2))
-                rhs_op = assemble(
-                    lambda f: paraproduct(
-                        PI, sb, haar_inverse_2d(apply_projection(haar_forward_2d(f), hh))
-                    ),
-                    d,
-                )
-                lhs = operator_norm(lhs_op)
-                rhs = operator_norm(rhs_op)
+                lhs, rhs = calibration.lemma_core_norms(b, (k1, k2))
                 rows.append(
                     [t, k1, k2, lhs, rhs, abs(lhs - rhs), tol,
                      int(abs(lhs - rhs) <= tol)]

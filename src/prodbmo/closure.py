@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 
+#: Dinkelbach rounds before best_ratio gives up
+_MAX_ROUNDS = 1000
+
 
 class _FlowNetwork:
     """Dinic max-flow on real capacities."""
@@ -216,7 +219,7 @@ def _solve_closure(inst: ClosureInstance, lam: float, active):
     return value, cell_mask
 
 
-def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13, max_rounds: int = 1000):
+def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13):
     """Maximise g over non-empty cell unions; returns (ratio, cell mask).
 
     All-zero weights return (0.0, None) as the empty-set sentinel.
@@ -230,7 +233,7 @@ def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13, max_rounds: int = 
     lam = inst.ratio(start)
     best_mask = start
     scale = float(inst.rect_weights[active].sum())
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         value, mask = _solve_closure(inst, lam, active)
         if value <= rel_tol * scale or not mask.any():
             return lam, best_mask

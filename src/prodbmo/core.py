@@ -380,25 +380,6 @@ def dyadic_rect_mean(p: PrefixTable, rect: DyadicRect) -> float:
     return rect_mean(p, (i1 * w1, (i1 + 1) * w1), (i2 * w2, (i2 + 1) * w2))
 
 
-def mean_pyramid(values: np.ndarray):
-    """All block means: out[j1][j2] has shape (2^j1, 2^j2), entry = mean over
-    the dyadic rectangle at generation (j1, j2)."""
-    rows = [values]
-    while rows[-1].shape[0] > 1:
-        a = rows[-1]
-        rows.append(0.5 * (a[0::2] + a[1::2]))
-    rows.reverse()  # rows[j1]: means over s-intervals of level j1, per t-cell
-    out = []
-    for a in rows:
-        cols = [a]
-        while cols[-1].shape[1] > 1:
-            b = cols[-1]
-            cols.append(0.5 * (b[:, 0::2] + b[:, 1::2]))
-        cols.reverse()
-        out.append(cols)
-    return out
-
-
 def block_means_axis0(v: np.ndarray):
     """List over levels j = 0..J of v block-averaged along axis 0 to 2^j rows."""
     rows = [v]
@@ -410,160 +391,170 @@ def block_means_axis0(v: np.ndarray):
 
 
 def block_means_axis1(v: np.ndarray):
-    return [a.T for a in block_means_axis0(v.T)]
+    """List over levels j = 0..J of v block-averaged along axis 1 to 2^j columns."""
+    cols = [v]
+    while cols[-1].shape[1] > 1:
+        b = cols[-1]
+        cols.append(0.5 * (b[:, 0::2] + b[:, 1::2]))
+    cols.reverse()
+    return cols
+
+
+def mean_pyramid(values: np.ndarray):
+    """All block means: out[j1][j2] has shape (2^j1, 2^j2), entry = mean over
+    the dyadic rectangle at generation (j1, j2)."""
+    return [block_means_axis1(a) for a in block_means_axis0(values)]
+
+
+# ---------------------------------------------------------------------------
+# sums over the generations of the rectangle block
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _axis_pattern(n: int, j: int, beta: int) -> np.ndarray:
+    """Per-cell values of the level-j outer factor, same for every position.
+
+    beta == 0: Haar, -2^(j/2) on the left half of each interval, + on the
+    right.  beta == 1: normalised indicator, constant 2^j.
+    """
+    if beta == 1:
+        return np.full(n, float(1 << j))
+    w = n >> j
+    tile = np.empty(w)
+    tile[: w // 2] = -(2.0 ** (j / 2.0))
+    tile[w // 2:] = 2.0 ** (j / 2.0)
+    return np.tile(tile, 1 << j)
+
+
+def _generation_sum(depth, a, b, beta) -> np.ndarray:
+    """Cell values of sum_R a_R b_R b1_I (x) b2_J over the hh rectangles
+    R = I x J, generation by generation.
+
+    a(j1, j2) and b(j1, j2) return the (2^j1, 2^j2) coefficient blocks of
+    generation (j1, j2); beta picks the outer factor per axis (0: Haar,
+    1: normalised indicator).  Generations whose product vanishes are skipped.
+    """
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    out = np.zeros((n1, n2))
+    for j1 in range(depth[0]):
+        for j2 in range(depth[1]):
+            coef = a(j1, j2) * b(j1, j2)
+            if coef.any():
+                expanded = np.repeat(np.repeat(coef, n1 >> j1, axis=0), n2 >> j2, axis=1)
+                p1 = _axis_pattern(n1, j1, beta[0])
+                p2 = _axis_pattern(n2, j2, beta[1])
+                out += expanded * (p1[:, None] * p2[None, :])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # projections on the rectangle block
 # ---------------------------------------------------------------------------
 
+#: upper end of an unbounded level range (no level exceeds MAX_LEVEL)
+_ALL_LEVELS = MAX_LEVEL + 1
+
+
 @dataclass(frozen=True)
 class ProjectionSelector:
-    """Tagged choice of an idempotent diagonal action on the hh block.
+    """Idempotent diagonal action on the hh block, one level range per axis.
 
-    All selectors zero the cc/hc/ch blocks (the martingale calculus acts on
-    the mean-zero-in-each-variable component).  Index arguments beyond the
-    depth act as zero/identity through the generation masks.
+    Keeps the hh coefficients of the generations (j1, j2) with j1 in the
+    half-open range ``s_levels`` = (lo, hi) and j2 in ``t_levels``; an
+    open-set selector further keeps only the rectangles whose cells all
+    lie in ``mask`` (rows of bools).  All selectors zero the cc/hc/ch
+    blocks (the martingale calculus acts on the mean-zero-in-each-variable
+    component).  Index arguments beyond the depth act as zero/identity.
     """
 
-    kind: str
-    j1: int = 0
-    j2: int = 0
-    mask: tuple = None  # open-set selector: flattened bool cell mask
+    s_levels: tuple
+    t_levels: tuple
+    mask: tuple = None
 
     @classmethod
     def expectation(cls, j1, j2):
         """Keep generations strictly below (j1, j2) in both coordinates."""
-        return cls("E", j1, j2)
+        return cls((0, j1), (0, j2))
 
     @classmethod
     def tail(cls, j1, j2):
         """Keep generations >= (j1, j2) in both coordinates."""
-        return cls("Q", j1, j2)
+        return cls((j1, _ALL_LEVELS), (j2, _ALL_LEVELS))
 
     @classmethod
     def difference(cls, j1, j2):
         """Keep exactly generation (j1, j2)."""
-        return cls("D", j1, j2)
+        return cls((j1, j1 + 1), (j2, j2 + 1))
 
     @classmethod
     def e1(cls, i):
-        return cls("E1", i, 0)
+        return cls((0, i), (0, _ALL_LEVELS))
 
     @classmethod
     def q1(cls, i):
-        return cls("Q1", i, 0)
+        return cls((i, _ALL_LEVELS), (0, _ALL_LEVELS))
 
     @classmethod
     def e2(cls, j):
-        return cls("E2", 0, j)
+        return cls((0, _ALL_LEVELS), (0, j))
 
     @classmethod
     def q2(cls, j):
-        return cls("Q2", 0, j)
+        return cls((0, _ALL_LEVELS), (j, _ALL_LEVELS))
 
     @classmethod
     def band(cls, n, k):
         """Keep generations with j1 in [2^n - 1, 2^(n+1) - 2] and likewise j2."""
-        return cls("band", n, k)
+        return cls(((1 << n) - 1, (2 << n) - 1), ((1 << k) - 1, (2 << k) - 1))
 
     @classmethod
     def tail_band(cls, n, k):
         """Keep generations with j1 >= 2^n - 1 and j2 >= 2^k - 1."""
-        return cls("tailband", n, k)
+        return cls(((1 << n) - 1, _ALL_LEVELS), ((1 << k) - 1, _ALL_LEVELS))
 
     @classmethod
     def open_set(cls, cell_mask: np.ndarray):
         """Keep hh coefficients of rectangles whose cells all lie in the mask."""
-        m = np.asarray(cell_mask, dtype=bool)
-        return cls("openset", m.shape[0], m.shape[1], tuple(m.reshape(-1).tolist()))
+        rows = np.asarray(cell_mask, dtype=bool).tolist()
+        return cls((0, _ALL_LEVELS), (0, _ALL_LEVELS), tuple(map(tuple, rows)))
 
-    def open_set_mask(self) -> np.ndarray:
-        if self.kind != "openset":
-            raise ValidationError("not an open-set selector")
-        return np.array(self.mask, dtype=bool).reshape(self.j1, self.j2)
+
+def _level_range_mask(n: int, levels) -> np.ndarray:
+    """Which of the n 1-d basis indices are intervals with level in [lo, hi)."""
+    lo, hi = levels
+    lv = level_of_basis_index(n)
+    return (lv >= max(lo, 0)) & (lv < hi)
 
 
 def apply_projection(c: HaarSpectrum2D, sel: ProjectionSelector) -> HaarSpectrum2D:
     """Apply a projection selector; output keeps only the selected hh part."""
     n1, n2 = c.coeffs.shape
-    k = sel.kind
-    if k == "openset":
-        return _apply_open_set(c, sel.open_set_mask())
-    lv1 = level_of_basis_index(n1)
-    lv2 = level_of_basis_index(n2)
-    if k == "E":
-        m1, m2 = lv1 < sel.j1, lv2 < sel.j2
-    elif k == "Q":
-        m1, m2 = lv1 >= sel.j1, lv2 >= sel.j2
-    elif k == "D":
-        m1, m2 = lv1 == sel.j1, lv2 == sel.j2
-    elif k == "E1":
-        m1, m2 = lv1 < sel.j1, np.ones(n2, bool)
-    elif k == "Q1":
-        m1, m2 = lv1 >= sel.j1, np.ones(n2, bool)
-    elif k == "E2":
-        m1, m2 = np.ones(n1, bool), lv2 < sel.j2
-    elif k == "Q2":
-        m1, m2 = np.ones(n1, bool), lv2 >= sel.j2
-    elif k == "band":
-        lo1, hi1 = (1 << sel.j1) - 1, (1 << (sel.j1 + 1)) - 2
-        lo2, hi2 = (1 << sel.j2) - 1, (1 << (sel.j2 + 1)) - 2
-        m1 = (lv1 >= lo1) & (lv1 <= hi1)
-        m2 = (lv2 >= lo2) & (lv2 <= hi2)
-    elif k == "tailband":
-        m1 = lv1 >= (1 << sel.j1) - 1
-        m2 = lv2 >= (1 << sel.j2) - 1
-    else:
-        raise ValidationError(f"unknown selector kind {k!r}")
-    m1 = m1 & (lv1 >= 0)
-    m2 = m2 & (lv2 >= 0)
-    out = np.zeros_like(c.coeffs)
-    sel2d = np.outer(m1, m2)
-    out[sel2d] = c.coeffs[sel2d]
-    return HaarSpectrum2D(c.depth, out)
+    keep = np.outer(_level_range_mask(n1, sel.s_levels), _level_range_mask(n2, sel.t_levels))
+    if sel.mask is not None:
+        keep &= _open_set_keep(c.depth, np.array(sel.mask, dtype=bool))
+    return HaarSpectrum2D(c.depth, np.where(keep, c.coeffs, 0.0))
 
 
-def _apply_open_set(c: HaarSpectrum2D, mask: np.ndarray) -> HaarSpectrum2D:
-    j1d, j2d = c.depth
-    if mask.shape != (1 << j1d, 1 << j2d):
+def _open_set_keep(depth, mask: np.ndarray) -> np.ndarray:
+    """keep[b1, b2]: the rectangle with basis indices (b1, b2) has all its
+    cells in the mask."""
+    j1d, j2d = depth
+    n1, n2 = 1 << j1d, 1 << j2d
+    if mask.shape != (n1, n2):
         raise ValidationError("open-set mask shape does not match depth")
-    counts = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1))
-    counts[1:, 1:] = mask.astype(float).cumsum(axis=0).cumsum(axis=1)
-    out = np.zeros_like(c.coeffs)
+    keep = np.zeros((n1, n2), dtype=bool)
     for j1 in range(j1d):
-        w1 = 1 << (j1d - j1)
         for j2 in range(j2d):
-            w2 = 1 << (j2d - j2)
-            block = c.generation_block(j1, j2)
-            s_lo = np.arange(1 << j1) * w1
-            t_lo = np.arange(1 << j2) * w2
-            full = (
-                counts[np.ix_(s_lo + w1, t_lo + w2)]
-                - counts[np.ix_(s_lo, t_lo + w2)]
-                - counts[np.ix_(s_lo + w1, t_lo)]
-                + counts[np.ix_(s_lo, t_lo)]
-            ) == w1 * w2
-            tgt = out[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]
-            tgt[full] = block[full]
-    return HaarSpectrum2D(c.depth, out)
+            keep[(1 << j1):(2 << j1), (1 << j2):(2 << j2)] = mask.reshape(
+                1 << j1, n1 >> j1, 1 << j2, n2 >> j2
+            ).all(axis=(1, 3))
+    return keep
 
 
 def square_function(c: HaarSpectrum2D) -> GridFunction2D:
     """S[f] = (sum_R chi_R / |R| * |f_R|^2)^(1/2) over the hh block."""
-    j1d, j2d = c.depth
-    n1, n2 = 1 << j1d, 1 << j2d
-    s2 = np.zeros((n1, n2))
-    for j1 in range(j1d):
-        for j2 in range(j2d):
-            block = c.generation_block(j1, j2)
-            if not block.any():
-                continue
-            contrib = (block ** 2) * (2.0 ** (j1 + j2))
-            s2 += np.repeat(
-                np.repeat(contrib, n1 >> j1, axis=0), n2 >> j2, axis=1
-            )
-    return GridFunction2D(c.depth, np.sqrt(s2))
+    block = c.generation_block
+    return GridFunction2D(c.depth, np.sqrt(_generation_sum(c.depth, block, block, (1, 1))))
 
 
 def conditional_expectation_grid(f: GridFunction2D, j1: int, j2: int) -> GridFunction2D:

@@ -157,19 +157,19 @@ class RandomDyadicGrid:
         return out
 
 
-def _sample_from(rng, k_coarse: int, k_fine: int, r_sampling: bool) -> RandomDyadicGrid:
+def _sample_from(rng, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     bits = rng.integers(0, 2, size=k_coarse + k_fine)
-    r = float(2.0 ** rng.random()) if r_sampling else 1.0
+    r = float(2.0 ** rng.random())
     if r >= 2.0:  # guard the half-open interval against rounding
         r = 1.0
     return RandomDyadicGrid(k_coarse, k_fine, r, bits)
 
 
-def sample_grid(seed, k_coarse: int, k_fine: int, r_sampling: bool = True) -> RandomDyadicGrid:
+def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     """Draw a grid: fair shift bits per level, dilation with density
     1/(r ln 2) on [1,2) (i.e. r = 2^u with u uniform).  Deterministic in
-    the seed."""
-    return _sample_from(np.random.default_rng(seed), k_coarse, k_fine, r_sampling)
+    the seed; :func:`standard_grid` is the undilated, unshifted grid."""
+    return _sample_from(np.random.default_rng(seed), k_coarse, k_fine)
 
 
 def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
@@ -267,7 +267,7 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     samples = np.empty((n_samples, len(xs)))
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        g = _sample_from(rng, k_coarse, k_fine, r_sampling=True)
+        g = _sample_from(rng, k_coarse, k_fine)
         for jx, x in enumerate(xs):
             samples[i, jx] = shift_evaluate(f, g, x)
     scaled = AVERAGING_FACTOR * LN2 * samples
@@ -360,8 +360,8 @@ def sampled_continuous_bmo(b: GridFunction2D, n_grids: int, seed) -> float:
     grids = [(standard_grid(2, j_max), standard_grid(2, j_max))]
     children = np.random.SeedSequence(seed).spawn(2 * (n_grids - 1))
     for i in range(n_grids - 1):
-        g1 = _sample_from(np.random.default_rng(children[2 * i]), 2, j_max, True)
-        g2 = _sample_from(np.random.default_rng(children[2 * i + 1]), 2, j_max, True)
+        g1 = _sample_from(np.random.default_rng(children[2 * i]), 2, j_max)
+        g2 = _sample_from(np.random.default_rng(children[2 * i + 1]), 2, j_max)
         grids.append((g1, g2))
     return max(product_grid_bmo_sq(b, g1, g2) for g1, g2 in grids)
 
@@ -461,8 +461,8 @@ def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
     children = np.random.SeedSequence(seed).spawn(2 * n_grids)
     grids = []
     for i in range(n_grids):
-        g1 = _sample_from(np.random.default_rng(children[2 * i]), max(2, -j_lo + 1), j_hi + 2, True)
-        g2 = _sample_from(np.random.default_rng(children[2 * i + 1]), max(2, -j_lo + 1), j_hi + 2, True)
+        g1 = _sample_from(np.random.default_rng(children[2 * i]), max(2, -j_lo + 1), j_hi + 2)
+        g2 = _sample_from(np.random.default_rng(children[2 * i + 1]), max(2, -j_lo + 1), j_hi + 2)
         grids.append((g1, g2))
 
     shift_systems = []

@@ -7,14 +7,15 @@ The general form pairs a symbol spectrum phi with an argument f through
 
 where each factor d/b is either the Haar function h or the normalised
 indicator chi/|.| of the same interval.  The four supported signatures take
-the inner factor to be the complement of the outer one in each axis.
+the inner factor to be the complement of the outer one in each axis.  The
+nine blocks of multiplication by phi also pair phi with a mean in the axes
+where input and output intervals are equal; each block is one (phi, f,
+output) factor choice per axis, see ``_AXIS_FACTORS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .core import (
@@ -22,11 +23,10 @@ from .core import (
     GridFunction2D,
     HaarSpectrum2D,
     _analysis_axis0,
+    _generation_sum,
     block_means_axis0,
     block_means_axis1,
-    haar_forward_2d,
     haar_inverse_2d,
-    mean_pyramid,
 )
 from .errors import DepthMismatchError, UnsupportedSignatureError
 
@@ -82,63 +82,45 @@ def signature_by_name(name: str) -> Signature:
         raise UnsupportedSignatureError(f"unknown signature name {name!r}")
 
 
-@lru_cache(maxsize=256)
-def _axis_pattern(n: int, j: int, beta: int) -> np.ndarray:
-    """Per-cell values of the level-j outer factor, same for every position.
+def _levels(v: np.ndarray, kind: int, axis: int):
+    """Per-level views of v along ``axis``: the block means at levels 0..J
+    (kind 1) or the Haar coefficient slices of levels 0..J-1 (kind 0)."""
+    if kind:
+        return block_means_axis1(v) if axis else block_means_axis0(v)
+    levels = range(v.shape[axis].bit_length() - 1)
+    return [v[:, (1 << j):(2 << j)] if axis else v[(1 << j):(2 << j)] for j in levels]
 
-    beta == 0: Haar, -2^(j/2) on the left half of each interval, + on the
-    right.  beta == 1: normalised indicator, constant 2^j.
+
+def _factor_blocks(x, kind):
+    """Per-generation blocks of <x, d1_I (x) d2_J>, as a function of (j1, j2).
+
+    x is a grid function or a spectrum; kind = (k1, k2) picks d per axis,
+    0 for the Haar function and 1 for the normalised indicator.  A spectrum
+    of kind (0, 0) is read directly.  The Haar axes are analysed before any
+    block means are taken; that order fixes the last-bit rounding.
     """
-    if beta == 1:
-        return np.full(n, float(1 << j))
-    w = n >> j
-    tile = np.empty(w)
-    tile[: w // 2] = -(2.0 ** (j / 2.0))
-    tile[w // 2:] = 2.0 ** (j / 2.0)
-    return np.tile(tile, 1 << j)
+    if isinstance(x, HaarSpectrum2D):
+        if kind == (0, 0):
+            return x.generation_block
+        x = haar_inverse_2d(x)
+    v = x.values
+    if not kind[1]:
+        v = _analysis_axis0(v.T).T
+    if not kind[0]:
+        v = _analysis_axis0(v)
+    table = [_levels(row, kind[1], 1) for row in _levels(v, kind[0], 0)]
+    return lambda j1, j2: table[j1][j2]
 
 
-def _accumulate_generation(out: np.ndarray, coef: np.ndarray, j1: int, j2: int, beta) -> None:
-    """out += sum over generation-(j1,j2) rectangles of coef * b1_I (x) b2_J."""
-    if not coef.any():
-        return
-    n1, n2 = out.shape
-    expanded = np.repeat(np.repeat(coef, n1 >> j1, axis=0), n2 >> j2, axis=1)
-    p1 = _axis_pattern(n1, j1, beta[0])
-    p2 = _axis_pattern(n2, j2, beta[1])
-    out += expanded * (p1[:, None] * p2[None, :])
-
-
-def _haar_t_then_mean_s(values: np.ndarray):
-    """out[j1][i1, b2] = mean over the level-j1 s-interval i1 of the
-    t-Haar coefficient b2 of the slice f(s, .)."""
-    t_coeffs = _analysis_axis0(values.T).T
-    return block_means_axis0(t_coeffs)
-
-
-def _haar_s_then_mean_t(values: np.ndarray):
-    """out[j2][b1, i2] = mean over the level-j2 t-interval i2 of the
-    s-Haar coefficient b1 of the slice f(., t)."""
-    s_coeffs = _analysis_axis0(values)
-    return block_means_axis1(s_coeffs)
-
-
-def _inner_coefficient_blocks(delta, f: GridFunction2D):
-    """Per-generation arrays of <f, d1_I (x) d2_J> for the inner factor."""
-    j1d, j2d = f.depth
-    if delta == (1, 1):  # rectangle means
-        pyr = mean_pyramid(f.values)
-        return lambda j1, j2: pyr[j1][j2]
-    if delta == (0, 0):  # plain Haar coefficients
-        spec = haar_forward_2d(f)
-        return lambda j1, j2: spec.generation_block(j1, j2)
-    if delta == (1, 0):  # s-mean of the t-Haar slice coefficient
-        tbl = _haar_t_then_mean_s(f.values)
-        return lambda j1, j2: tbl[j1][:, (1 << j2):(2 << j2)]
-    if delta == (0, 1):  # t-mean of the s-Haar slice coefficient
-        tbl = _haar_s_then_mean_t(f.values)
-        return lambda j1, j2: tbl[j2][(1 << j1):(2 << j1), :]
-    raise UnsupportedSignatureError(f"unsupported delta {delta}")
+def _bilinear(phi: HaarSpectrum2D, phi_kind, f: GridFunction2D, f_kind, beta) -> GridFunction2D:
+    """sum_R <phi, a1_I (x) a2_J> <f, d1_I (x) d2_J> b1_I(s) b2_J(t) over the
+    hh rectangles, each factor picked per axis by its kind (see
+    :func:`_factor_blocks`); exact at the common depth."""
+    if phi.depth != f.depth:
+        raise DepthMismatchError(f"depth mismatch: {phi.depth} vs {f.depth}")
+    a, b = _factor_blocks(phi, phi_kind), _factor_blocks(f, f_kind)
+    out = _generation_sum(f.depth, a, b, beta)
+    return GridFunction2D(f.depth, out)
 
 
 def paraproduct(sig: Signature, phi: HaarSpectrum2D, f: GridFunction2D) -> GridFunction2D:
@@ -147,19 +129,7 @@ def paraproduct(sig: Signature, phi: HaarSpectrum2D, f: GridFunction2D) -> GridF
     The sum runs over all hh rectangles of the symbol; the result is exact
     (piecewise constant at the common depth).
     """
-    if phi.depth != f.depth:
-        raise DepthMismatchError(f"depth mismatch: {phi.depth} vs {f.depth}")
-    j1d, j2d = phi.depth
-    inner = _inner_coefficient_blocks(tuple(sig.delta), f)
-    out = np.zeros((1 << j1d, 1 << j2d))
-    beta = tuple(sig.beta)
-    for j1 in range(j1d):
-        for j2 in range(j2d):
-            sym = phi.generation_block(j1, j2)
-            if not sym.any():
-                continue
-            _accumulate_generation(out, sym * inner(j1, j2), j1, j2, beta)
-    return GridFunction2D(f.depth, out)
+    return _bilinear(phi, (0, 0), f, tuple(sig.delta), sig.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +139,11 @@ def paraproduct(sig: Signature, phi: HaarSpectrum2D, f: GridFunction2D) -> GridF
 def sigma_k(b: HaarSpectrum2D, k) -> HaarSpectrum2D:
     """Aggregate fine-scale hh mass onto the boundary generations of k.
 
-    Coefficients strictly coarser than k in both axes are kept; mass at or
-    beyond the boundary level in an axis is l2-aggregated onto the level-k
-    ancestor in that axis; everything else lands in the corner aggregate.
-    Non-hh blocks are zeroed.  Preserves the l2 norm of the hh block.
+    Coefficients strictly coarser than k in both axes are kept; every other
+    generation (j1, j2) is l2-aggregated onto its ancestors at generation
+    (min(j1, k1), min(j2, k2)).  Non-hh blocks are zeroed.  Preserves the l2 norm of the hh block.
     """
-    if isinstance(k, GenerationIndex):
-        k1, k2 = k.j1, k.j2
-    else:
-        k1, k2 = k
+    k1, k2 = k.as_tuple() if isinstance(k, GenerationIndex) else k
     if k1 < 0 or k2 < 0:
         raise ValueError("generation indices must be >= 0")
     j1d, j2d = b.depth
@@ -190,23 +156,10 @@ def sigma_k(b: HaarSpectrum2D, k) -> HaarSpectrum2D:
                 continue
             if j1 < k1 and j2 < k2:
                 out[(1 << j1):(2 << j1), (1 << j2):(2 << j2)] = block
-            elif j1 < k1:  # j2 >= k2: aggregate along t onto level k2
-                agg = (block ** 2).reshape(1 << j1, 1 << k2, -1).sum(axis=2)
-                acc[(1 << j1):(2 << j1), (1 << k2):(2 << k2)] += agg
-            elif j2 < k2:  # j1 >= k1: aggregate along s onto level k1
-                agg = (
-                    (block ** 2)
-                    .reshape(1 << k1, -1, 1 << j2)
-                    .sum(axis=1)
-                )
-                acc[(1 << k1):(2 << k1), (1 << j2):(2 << j2)] += agg
-            else:  # both at or beyond the boundary
-                agg = (
-                    (block ** 2)
-                    .reshape(1 << k1, 1 << (j1 - k1), 1 << k2, 1 << (j2 - k2))
-                    .sum(axis=(1, 3))
-                )
-                acc[(1 << k1):(2 << k1), (1 << k2):(2 << k2)] += agg
+                continue
+            m1, m2 = min(j1, k1), min(j2, k2)
+            agg = (block ** 2).reshape(1 << m1, 1 << (j1 - m1), 1 << m2, 1 << (j2 - m2))
+            acc[(1 << m1):(2 << m1), (1 << m2):(2 << m2)] += agg.sum(axis=(1, 3))
     out += np.sqrt(acc)
     return HaarSpectrum2D(b.depth, out)
 
@@ -214,25 +167,12 @@ def sigma_k(b: HaarSpectrum2D, k) -> HaarSpectrum2D:
 def sigma1_k(b: HaarSpectrum2D, k: int) -> HaarSpectrum2D:
     """One-axis analogue of :func:`sigma_k`, aggregating the s-variable only.
 
-    The t-structure is untouched; non-hh blocks are zeroed.
+    The t-structure is untouched (the t-boundary sits at the depth);
+    non-hh blocks are zeroed.
     """
     if k < 0:
         raise ValueError("level must be >= 0")
-    j1d, j2d = b.depth
-    out = np.zeros_like(b.coeffs)
-    acc = np.zeros_like(b.coeffs)
-    for j1 in range(j1d):
-        rows = slice(1 << j1, 2 << j1)
-        block = b.coeffs[rows, 1:]
-        if not block.any():
-            continue
-        if j1 < k:
-            out[rows, 1:] = block
-        else:
-            agg = (block ** 2).reshape(1 << k, -1, block.shape[1]).sum(axis=1)
-            acc[(1 << k):(2 << k), 1:] += agg
-    out += np.sqrt(acc)
-    return HaarSpectrum2D(b.depth, out)
+    return sigma_k(b, (k, b.depth[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,75 +222,27 @@ NINE_PART_NAMES = {
 }
 
 
+#: per-axis relation -> (phi factor, f factor, output factor) kinds, with
+#: 0 the Haar function and 1 the normalised indicator of the interval
+_AXIS_FACTORS = {
+    FINER: (0, 1, 0),
+    EQUAL: (1, 0, 0),
+    COARSER: (0, 0, 1),
+}
+
+
 def nine_part_apply(tag: NinePartTag, phi: HaarSpectrum2D, f: GridFunction2D) -> GridFunction2D:
     """Apply one block of the multiplication-by-phi operator to f.
 
-    The blocks partition the matrix of pointwise multiplication over inputs
-    in the hh span, so summing all nine applications reproduces phi * f on
-    the grid whenever both phi and f lie in the hh span.
+    Each block is the bilinear form whose (phi, f, output) factors are
+    picked per axis from the relation of that axis; the four corners are
+    the paraproducts PI, DELTA, PI_01 and PI_10.  The blocks partition the
+    matrix of pointwise multiplication over inputs in the hh span, so
+    summing all nine applications reproduces phi * f on the grid whenever
+    both phi and f lie in the hh span.
     """
-    if phi.depth != f.depth:
-        raise DepthMismatchError(f"depth mismatch: {phi.depth} vs {f.depth}")
-    s_rel, t_rel = tag.s_relation, tag.t_relation
-    if s_rel != EQUAL and t_rel != EQUAL:
-        corner = {
-            (FINER, FINER): PI,
-            (COARSER, COARSER): DELTA,
-            (FINER, COARSER): PI_01,
-            (COARSER, FINER): PI_10,
-        }[(s_rel, t_rel)]
-        return paraproduct(corner, phi, f)
-
-    j1d, j2d = phi.depth
-    out = np.zeros((1 << j1d, 1 << j2d))
-    phi_grid = haar_inverse_2d(phi)
-
-    if (s_rel, t_rel) == (EQUAL, EQUAL):
-        # diagonal block: sum_R f_R m_R(phi) h_R
-        f_spec = haar_forward_2d(f)
-        pyr = mean_pyramid(phi_grid.values)
-        for j1 in range(j1d):
-            for j2 in range(j2d):
-                coef = f_spec.generation_block(j1, j2) * pyr[j1][j2]
-                _accumulate_generation(out, coef, j1, j2, (0, 0))
-        return GridFunction2D(f.depth, out)
-
-    if t_rel == EQUAL:
-        # phi enters through the t-mean of its s-Haar slice coefficient
-        phi_tbl = _haar_s_then_mean_t(phi_grid.values)  # [j2][b1, i2]
-        if s_rel == FINER:
-            f_tbl = _haar_t_then_mean_s(f.values)  # [j1][i1, b2]
-            for j1 in range(j1d):
-                for j2 in range(j2d):
-                    a = phi_tbl[j2][(1 << j1):(2 << j1), :]
-                    bb = f_tbl[j1][:, (1 << j2):(2 << j2)]
-                    _accumulate_generation(out, a * bb, j1, j2, (0, 0))
-        else:  # COARSER in s: indicator output in s
-            f_spec = haar_forward_2d(f)
-            for j1 in range(j1d):
-                for j2 in range(j2d):
-                    a = phi_tbl[j2][(1 << j1):(2 << j1), :]
-                    coef = a * f_spec.generation_block(j1, j2)
-                    _accumulate_generation(out, coef, j1, j2, (1, 0))
-        return GridFunction2D(f.depth, out)
-
-    # s_rel == EQUAL: phi enters through the s-mean of its t-Haar coefficient
-    phi_tbl = _haar_t_then_mean_s(phi_grid.values)  # [j1][i1, b2]
-    if t_rel == FINER:
-        f_tbl = _haar_s_then_mean_t(f.values)  # [j2][b1, i2]
-        for j1 in range(j1d):
-            for j2 in range(j2d):
-                a = phi_tbl[j1][:, (1 << j2):(2 << j2)]
-                bb = f_tbl[j2][(1 << j1):(2 << j1), :]
-                _accumulate_generation(out, a * bb, j1, j2, (0, 0))
-    else:  # COARSER in t: indicator output in t
-        f_spec = haar_forward_2d(f)
-        for j1 in range(j1d):
-            for j2 in range(j2d):
-                a = phi_tbl[j1][:, (1 << j2):(2 << j2)]
-                coef = a * f_spec.generation_block(j1, j2)
-                _accumulate_generation(out, coef, j1, j2, (0, 1))
-    return GridFunction2D(f.depth, out)
+    (p1, f1, o1), (p2, f2, o2) = _AXIS_FACTORS[tag.s_relation], _AXIS_FACTORS[tag.t_relation]
+    return _bilinear(phi, (p1, p2), f, (f1, f2), (o1, o2))
 
 
 def nine_part_sum(phi: HaarSpectrum2D, f: GridFunction2D) -> GridFunction2D:

@@ -145,16 +145,15 @@ def shift_matrix(depth, axis: int):
     )
 
 
-def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D,
-                              headroom=(2, 2)) -> GridFunction2D:
+def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D) -> GridFunction2D:
     """[S1, [S2, M_phi]] b computed on the ambient grid.
 
     phi and b share the source depth; the result lives at the ambient
-    depth (source + headroom).
+    depth, two levels deeper in each axis (the double commutator's reach).
     """
     if phi.depth != b.depth:
         raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
-    emb = AmbientEmbedding.for_source(phi.depth, headroom)
+    emb = AmbientEmbedding.for_source(phi.depth)
     p = emb.embed_grid(phi)
     return double_commutator(_s1, _s2, p.multiply, emb.embed_grid(b))
 
@@ -215,15 +214,14 @@ PART_CONTROL = {
 }
 
 
-def commutator_part_norm_report(phi: GridFunction2D, b: GridFunction2D,
-                                headroom=(2, 2)):
+def commutator_part_norm_report(phi: GridFunction2D, b: GridFunction2D):
     """BMO norm of [S1, [S2, P]] b for each of the nine blocks P of the
     multiplication by phi, with the predicted controlling symbol norm."""
     if phi.depth != b.depth:
         raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
     if phi.depth[0] > 3 or phi.depth[1] > 3:
         raise ValidationError("report supports source depth up to (3,3)")
-    emb = AmbientEmbedding.for_source(phi.depth, headroom)
+    emb = AmbientEmbedding.for_source(phi.depth)
     phi_amb = haar_forward_2d(emb.embed_grid(phi))
     b_amb = emb.embed_grid(b)
 

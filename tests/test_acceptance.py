@@ -16,7 +16,10 @@ from prodbmo.calibration import (
     NECESSITY_CHAIN_CONSTANT_SQ,
     delta_operator_ratio,
     delta_probe_set,
+    lemma_core_norms,
+    lmo_ratio,
     lmo_ratio_interval,
+    pi_bound_ratio,
     random_hh_symbol,
 )
 from prodbmo.core import (
@@ -32,14 +35,11 @@ from prodbmo.core import (
     square_function,
 )
 from prodbmo.hilbert import StepFunction1D, analytic_hilbert_step, mc_hilbert
-from prodbmo.linop import assemble, operator_norm
 from prodbmo.norms import (
     bmo_d_norm_sq,
     bmo_d_norm_sq_bruteforce,
     extremal_bmo_function,
     lmo_char_details,
-    lmo_char_norm,
-    lmo_d_norm,
 )
 from prodbmo.paraproducts import PI, nine_part_sum, paraproduct, sigma_k
 from prodbmo.shifts import rr_commutator_on_basis
@@ -104,7 +104,6 @@ def test_criterion_2_four_way_splitting():
 def test_criterion_3_truncated_paraproduct_identity():
     rng = np.random.default_rng(1003)
     depth = (3, 3)
-    hh = ProjectionSelector.tail(0, 0)
     t0 = time.monotonic()
     worst_norm = 0.0
     worst_iso = 0.0
@@ -114,22 +113,8 @@ def test_criterion_3_truncated_paraproduct_identity():
         s2_b = GridFunction2D(depth, square_function(b.hh_only()).values ** 2)
         for k1 in range(4):
             for k2 in range(4):
-                ek = ProjectionSelector.expectation(k1, k2)
-                lhs = operator_norm(assemble(
-                    lambda f: paraproduct(
-                        PI, b,
-                        haar_inverse_2d(apply_projection(haar_forward_2d(f), ek)),
-                    ),
-                    depth,
-                ))
+                lhs, rhs = lemma_core_norms(b, (k1, k2))
                 sb = sigma_k(b, (k1, k2))
-                rhs = operator_norm(assemble(
-                    lambda f: paraproduct(
-                        PI, sb,
-                        haar_inverse_2d(apply_projection(haar_forward_2d(f), hh)),
-                    ),
-                    depth,
-                ))
                 worst_norm = max(worst_norm, abs(lhs - rhs))
                 worst_iso = max(
                     worst_iso,
@@ -292,18 +277,7 @@ def test_criterion_8_main_boundedness_directions():
     bound = CALIBRATED["pi_bound_constant"]
     worst = {}
     for depth in [(2, 2), (3, 3), (4, 4)]:
-        w = 0.0
-        for _ in range(100):
-            phi = random_hh_symbol(depth, rng)
-            b = haar_inverse_2d(random_hh_symbol(depth, rng))
-            denom = lmo_d_norm(phi) * math.sqrt(
-                bmo_d_norm_sq(haar_forward_2d(b))[0]
-            )
-            num = math.sqrt(
-                bmo_d_norm_sq(haar_forward_2d(paraproduct(PI, phi, b)))[0]
-            )
-            w = max(w, num / denom)
-        worst[depth] = w
+        worst[depth] = max(pi_bound_ratio(depth, rng) for _ in range(100))
     ok_b = all(w <= bound for w in worst.values())
     report(
         "8b", ok_b,
@@ -365,10 +339,7 @@ def test_criterion_10_monte_carlo_hilbert():
 def test_criterion_11_lmo_equivalence_interval():
     lo, hi = lmo_ratio_interval(3)
     rng = np.random.default_rng(1011)  # fresh seed
-    ratios = []
-    for _ in range(200):
-        phi = random_hh_symbol((3, 3), rng)
-        ratios.append(lmo_char_norm(phi) / lmo_d_norm(phi) ** 2)
+    ratios = [lmo_ratio((3, 3), rng) for _ in range(200)]
     violations = sum(1 for r in ratios if not (lo <= r <= hi))
     assert report(
         11, violations == 0,

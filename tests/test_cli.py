@@ -239,6 +239,11 @@ def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags
     pytest.param("bmo", json.dumps({"depth": [1, 1], "values": ["a", "b", "c", "d"]}),
                  id="string-values"),
     pytest.param("hilbert", json.dumps({"values": [1.0]}), id="no-breakpoints"),
+    pytest.param("bmo", json.dumps({"depth": [-1, 2], "values": [1.0]}),
+                 id="negative-depth"),
+    pytest.param("bmo", json.dumps({"depth": [2], "values": [0.0] * 4}), id="one-depth"),
+    pytest.param("bmo", json.dumps({"depth": [2, 2, 2], "values": [0.0] * 16}),
+                 id="three-depths"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, command, text):
     path = tmp_path / "in.json"

@@ -261,6 +261,79 @@ def test_band_projections():
             assert block.any() == (j1 >= 1 and j2 >= 1)
 
 
+def _selector_cases(depth):
+    """(selector, rule) for every constructor over arguments -1..depth+1
+    (0..depth+1 for the bands); rule(l1, l2) says whether the generation
+    (l1, l2) is kept, written from the constructor docstrings."""
+    j1d, j2d = depth
+    cases = []
+    for a in range(-1, j1d + 2):
+        cases += [
+            (ProjectionSelector.e1(a), lambda l1, l2, a=a: l1 < a),
+            (ProjectionSelector.q1(a), lambda l1, l2, a=a: l1 >= a),
+        ]
+        for b in range(-1, j2d + 2):
+            cases += [
+                (ProjectionSelector.expectation(a, b),
+                 lambda l1, l2, a=a, b=b: l1 < a and l2 < b),
+                (ProjectionSelector.tail(a, b),
+                 lambda l1, l2, a=a, b=b: l1 >= a and l2 >= b),
+                (ProjectionSelector.difference(a, b),
+                 lambda l1, l2, a=a, b=b: l1 == a and l2 == b),
+            ]
+            if a >= 0 and b >= 0:
+                cases += [
+                    (ProjectionSelector.band(a, b),
+                     lambda l1, l2, a=a, b=b: 2 ** a - 1 <= l1 <= 2 ** (a + 1) - 2
+                     and 2 ** b - 1 <= l2 <= 2 ** (b + 1) - 2),
+                    (ProjectionSelector.tail_band(a, b),
+                     lambda l1, l2, a=a, b=b: l1 >= 2 ** a - 1 and l2 >= 2 ** b - 1),
+                ]
+    for b in range(-1, j2d + 2):
+        cases += [
+            (ProjectionSelector.e2(b), lambda l1, l2, b=b: l2 < b),
+            (ProjectionSelector.q2(b), lambda l1, l2, b=b: l2 >= b),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("depth", [(3, 2), (1, 4)])
+def test_selectors_keep_exactly_their_generations(depth):
+    """Every selector keeps the hh entries of the generations its docstring
+    names, unchanged, and zeroes everything else (the cc/hc/ch blocks too)."""
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    c = HaarSpectrum2D(depth, 1.0 + np.arange(n1 * n2, dtype=float).reshape(n1, n2))
+    for sel, rule in _selector_cases(depth):
+        out = apply_projection(c, sel).coeffs
+        for b1 in range(n1):
+            for b2 in range(n2):
+                kept = b1 >= 1 and b2 >= 1 and rule(
+                    b1.bit_length() - 1, b2.bit_length() - 1
+                )
+                assert out[b1, b2] == (c.coeffs[b1, b2] if kept else 0.0), (sel, b1, b2)
+
+
+def test_open_set_selector_matches_containment_loop():
+    rng = np.random.default_rng(23)
+    depth = (3, 3)
+    c = HaarSpectrum2D(depth, 1.0 + np.arange(64, dtype=float).reshape(8, 8))
+    for p in (0.5, 0.8, 0.9, 0.95, 1.0):
+        for _ in range(4):
+            mask = rng.random((8, 8)) < p
+            out = apply_projection(c, ProjectionSelector.open_set(mask)).coeffs
+            expect = np.zeros((8, 8))
+            for j1 in range(3):
+                for i1 in range(1 << j1):
+                    for j2 in range(3):
+                        for i2 in range(1 << j2):
+                            w1, w2 = 8 >> j1, 8 >> j2
+                            cells = mask[i1 * w1:(i1 + 1) * w1, i2 * w2:(i2 + 1) * w2]
+                            b1, b2 = (1 << j1) + i1, (1 << j2) + i2
+                            if cells.all():
+                                expect[b1, b2] = c.coeffs[b1, b2]
+            assert np.array_equal(out, expect)
+
+
 def test_open_set_projection_contraction():
     rng = np.random.default_rng(19)
     c = HaarSpectrum2D((2, 2), rng.standard_normal((4, 4)))

@@ -259,6 +259,28 @@ def test_rr_block_zero_mean_symbol():
     assert np.abs(out.values).max() < 1e-14
 
 
+@pytest.mark.parametrize("depth", [(2, 2), (2, 3), (3, 2)])
+def test_equal_equal_block_is_diagonal_in_the_haar_basis(depth):
+    """(equal, equal) realises sum_R f_R m_R(phi) h_R."""
+    rng = np.random.default_rng(71)
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    for _ in range(3):
+        phi = random_spectrum(depth, rng)
+        f = random_grid(depth, rng)
+        pt = PrefixTable(haar_inverse_2d(phi))
+        f_spec = haar_forward_2d(f)
+        direct = np.zeros((n1, n2))
+        for rect in all_hh_rects(depth):
+            direct += (
+                f_spec.hh_coef(rect)
+                * dyadic_rect_mean(pt, rect)
+                * np.outer(haar_values_1d(rect.s_interval, n1),
+                           haar_values_1d(rect.t_interval, n2))
+            )
+        out = nine_part_apply(NinePartTag(EQUAL, EQUAL), phi, f).values
+        assert np.abs(out - direct).max() <= 1e-12
+
+
 def test_pi_r_block_vanishes_on_unit_haar():
     phi = unit_haar_spectrum((1, 1))
     f = haar_inverse_2d(phi)
