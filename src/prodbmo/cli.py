@@ -154,11 +154,15 @@ def load_spectrum(path: str) -> HaarSpectrum2D:
     return haar_forward_2d(GridFunction2D(depth, values))
 
 
-def parse_pair(text: str):
-    parts = [int(p) for p in text.replace(" ", "").split(",")]
-    if len(parts) != 2:
-        raise ValidationError(f"expected two comma-separated integers, got {text!r}")
-    return tuple(parts)
+def parse_ints(text: str, n: int = 2):
+    """Exactly n comma-separated integers, as a tuple."""
+    try:
+        parts = tuple(int(p) for p in text.replace(" ", "").split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != n:
+        raise ValidationError(f"expected {n} comma-separated integers, got {text!r}")
+    return parts
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -196,7 +200,7 @@ def cmd_bmo(args) -> int:
     phi = load_spectrum(args.input)
     restrict = None
     if args.restrict:
-        j1, i1, j2, i2 = (int(v) for v in args.restrict.split(","))
+        j1, i1, j2, i2 = parse_ints(args.restrict, 4)
         restrict = DyadicRect(DyadicInterval(j1, i1), DyadicInterval(j2, i2))
     if args.method == "exact":
         value, mask = bmo_d_norm_sq(phi, restrict, rel_tol=args.tolerance)
@@ -226,7 +230,7 @@ def cmd_lmo(args) -> int:
     elif args.method == "dir":
         result = {"norm": lmo_directional_norm(phi, args.axis)}
     else:
-        beta = parse_pair(args.beta)
+        beta = parse_ints(args.beta)
         result = {"norm_sq_weighted": lmo_beta_char_norm(phi, beta)}
     result["config"] = {"input": args.input, "method": args.method,
                         "axis": args.axis, "beta": args.beta}
@@ -254,18 +258,22 @@ def cmd_opnorm(args) -> int:
         norm = operator_norm(op)
         config = {"kind": args.kind, "sig": args.sig, "symbol": args.symbol}
     elif args.kind == "shift":
-        depth = parse_pair(args.depth)
+        depth = parse_ints(args.depth)
         norm = operator_norm(shift_matrix(depth, args.axis))
         config = {"kind": args.kind, "axis": args.axis, "depth": args.depth}
     else:  # projection
-        depth = parse_pair(args.depth)
-        kind, idx = args.selector.split(":")
-        j1, j2 = parse_pair(idx)
-        sel = {
+        depth = parse_ints(args.depth)
+        kind, _, idx = args.selector.partition(":")
+        selectors = {
             "E": ProjectionSelector.expectation,
             "Q": ProjectionSelector.tail,
             "D": ProjectionSelector.difference,
-        }[kind](j1, j2)
+        }
+        if kind not in selectors:
+            raise ValidationError(
+                f"selector must be E:j1,j2, Q:j1,j2 or D:j1,j2, got {args.selector!r}"
+            )
+        sel = selectors[kind](*parse_ints(idx))
         op = assemble(lambda c: apply_projection(c, sel), depth, space="spectrum")
         norm = operator_norm(op)
         config = {"kind": args.kind, "selector": args.selector, "depth": args.depth}
@@ -276,12 +284,12 @@ def cmd_opnorm(args) -> int:
 def cmd_sigma(args) -> int:
     b = load_spectrum(args.input)
     if args.axis is None:
-        k = parse_pair(args.k)
+        k = parse_ints(args.k)
         out = sigma_k(b, k)
     else:
         if args.axis != 1:
             raise ValidationError("the one-axis rearrangement aggregates axis 1")
-        out = sigma1_k(b, int(args.k))
+        out = sigma1_k(b, parse_ints(args.k, 1)[0])
     save_function_file(args.output, out.depth, out.coeffs, kind="spectrum")
     emit({"config": {"input": args.input, "k": args.k, "axis": args.axis,
                      "output": args.output},
@@ -319,7 +327,10 @@ def load_step_function(path: str) -> StepFunction1D:
 
 def cmd_hilbert(args) -> int:
     f = load_step_function(args.function)
-    xs = [float(v) for v in args.x.replace(" ", "").split(",")]
+    try:
+        xs = [float(v) for v in args.x.replace(" ", "").split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--x must be comma-separated numbers, got {args.x!r}") from exc
     if args.mode == "oracle":
         result = {"points": xs, "values": [analytic_hilbert_step(f, x) for x in xs]}
     else:

@@ -282,8 +282,9 @@ class HaarSpectrum2D:
 # fast 1-d pyramid transforms (vectorised over the other axis)
 # ---------------------------------------------------------------------------
 
-def _analysis_axis0(v: np.ndarray) -> np.ndarray:
-    """Orthonormal Haar analysis along axis 0 of a cell-value array."""
+def _analysis(v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Orthonormal Haar analysis along one axis of a cell-value array."""
+    v = v.swapaxes(0, axis)
     n = v.shape[0]
     depth = n.bit_length() - 1
     out = np.empty_like(v)
@@ -294,11 +295,12 @@ def _analysis_axis0(v: np.ndarray) -> np.ndarray:
         out[(1 << j):(2 << j)] = (2.0 ** (j / 2.0)) * (right - left)
         integ = left + right
     out[0] = integ[0]
-    return out
+    return out.swapaxes(0, axis)
 
 
-def _synthesis_axis0(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_analysis_axis0`."""
+def _synthesis(c: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Inverse of :func:`_analysis` along the same axis."""
+    c = c.swapaxes(0, axis)
     n = c.shape[0]
     depth = n.bit_length() - 1
     means = c[0:1].copy()
@@ -309,18 +311,18 @@ def _synthesis_axis0(c: np.ndarray) -> np.ndarray:
         nxt[0::2] = means - step
         nxt[1::2] = means + step
         means = nxt
-    return means
+    return means.swapaxes(0, axis)
 
 
 def haar_forward_2d(f: GridFunction2D) -> HaarSpectrum2D:
     """Full tensor Haar analysis of a grid function."""
-    c = _analysis_axis0(_analysis_axis0(f.values.T).T)
+    c = _analysis(_analysis(f.values, 1), 0)
     return HaarSpectrum2D(f.depth, c)
 
 
 def haar_inverse_2d(c: HaarSpectrum2D) -> GridFunction2D:
     """Synthesis back to cell values; exact inverse of :func:`haar_forward_2d`."""
-    v = _synthesis_axis0(_synthesis_axis0(c.coeffs.T).T)
+    v = _synthesis(_synthesis(c.coeffs, 1), 0)
     return GridFunction2D(c.depth, v)
 
 
@@ -380,30 +382,21 @@ def dyadic_rect_mean(p: PrefixTable, rect: DyadicRect) -> float:
     return rect_mean(p, (i1 * w1, (i1 + 1) * w1), (i2 * w2, (i2 + 1) * w2))
 
 
-def block_means_axis0(v: np.ndarray):
-    """List over levels j = 0..J of v block-averaged along axis 0 to 2^j rows."""
-    rows = [v]
-    while rows[-1].shape[0] > 1:
-        a = rows[-1]
-        rows.append(0.5 * (a[0::2] + a[1::2]))
-    rows.reverse()
-    return rows
-
-
-def block_means_axis1(v: np.ndarray):
-    """List over levels j = 0..J of v block-averaged along axis 1 to 2^j columns."""
-    cols = [v]
-    while cols[-1].shape[1] > 1:
-        b = cols[-1]
-        cols.append(0.5 * (b[:, 0::2] + b[:, 1::2]))
-    cols.reverse()
-    return cols
+def block_means(v: np.ndarray, axis: int):
+    """List over levels j = 0..J of v block-averaged along ``axis`` to 2^j entries."""
+    even = (slice(None),) * axis + (slice(0, None, 2),)
+    odd = (slice(None),) * axis + (slice(1, None, 2),)
+    means = [v]
+    while means[-1].shape[axis] > 1:
+        a = means[-1]
+        means.append(0.5 * (a[even] + a[odd]))
+    return means[::-1]
 
 
 def mean_pyramid(values: np.ndarray):
     """All block means: out[j1][j2] has shape (2^j1, 2^j2), entry = mean over
     the dyadic rectangle at generation (j1, j2)."""
-    return [block_means_axis1(a) for a in block_means_axis0(values)]
+    return [block_means(a, 1) for a in block_means(values, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +545,18 @@ def _open_set_keep(depth, mask: np.ndarray) -> np.ndarray:
 
 
 def square_function(c: HaarSpectrum2D) -> GridFunction2D:
-    """S[f] = (sum_R chi_R / |R| * |f_R|^2)^(1/2) over the hh block."""
-    block = c.generation_block
-    return GridFunction2D(c.depth, np.sqrt(_generation_sum(c.depth, block, block, (1, 1))))
+    """S[f] = (sum_R chi_R / |R| * |f_R|^2)^(1/2) over the hh block.
+
+    The coefficients are scaled by an exact power of two near their max-abs
+    before squaring, so the squares stay finite at any representable amplitude.
+    """
+    _, e = np.frexp(np.abs(c.hh_block()).max())
+
+    def block(j1, j2):
+        return np.ldexp(c.generation_block(j1, j2), -e)
+
+    squares = _generation_sum(c.depth, block, block, (1, 1))
+    return GridFunction2D(c.depth, np.ldexp(np.sqrt(squares), e))
 
 
 def conditional_expectation_grid(f: GridFunction2D, j1: int, j2: int) -> GridFunction2D:

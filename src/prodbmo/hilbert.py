@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .closure import ClosureInstance, best_ratio
-from .core import GridFunction2D
+from .core import GridFunction2D, haar_forward_2d
 from .errors import (
     EvaluationAtJumpError,
     ValidationError,
@@ -176,6 +176,13 @@ def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     return RandomDyadicGrid(k_coarse, k_fine, 1.0, np.zeros(k_coarse + k_fine, dtype=int))
 
 
+def _sampled_grids(seed, n: int, k_coarse: int, k_fine: int):
+    """One grid per child of ``SeedSequence(seed).spawn(n)``, in spawn
+    order, each drawn from its own stream."""
+    return [_sample_from(np.random.default_rng(child), k_coarse, k_fine)
+            for child in np.random.SeedSequence(seed).spawn(n)]
+
+
 def _check_window(f: StepFunction1D, g: RandomDyadicGrid):
     lo, hi = f.support
     radius = 2.0 ** g.k_coarse
@@ -263,11 +270,8 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     for x in xs:
         if np.any(f.breakpoints == x):
             raise EvaluationAtJumpError("evaluation at jump")
-    children = np.random.SeedSequence(seed).spawn(n_samples)
     samples = np.empty((n_samples, len(xs)))
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        g = _sample_from(rng, k_coarse, k_fine)
+    for i, g in enumerate(_sampled_grids(seed, n_samples, k_coarse, k_fine)):
         for jx, x in enumerate(xs):
             samples[i, jx] = shift_evaluate(f, g, x)
     scaled = AVERAGING_FACTOR * LN2 * samples
@@ -281,73 +285,68 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
 # ---------------------------------------------------------------------------
 
 class _AxisSystem:
-    """Intervals of one 1-d system at levels [j_lo, j_hi] overlapping a
-    span, with contiguous fine cells one level deeper covering all of them."""
+    """Intervals of one 1-d system at levels [0, j_hi] overlapping [0, 1),
+    held as arrays, with contiguous fine cells one level deeper covering
+    all of them."""
 
-    def __init__(self, g: RandomDyadicGrid, j_lo: int, j_hi: int, lo: float, hi: float):
-        if j_lo < -g.k_coarse or j_hi + 1 > g.k_fine:
+    def __init__(self, g: RandomDyadicGrid, j_hi: int):
+        if j_hi + 1 > g.k_fine:
             raise ValidationError("levels outside the grid's range")
         self.g = g
-        self.intervals = []  # (level, left, length)
-        for j in range(j_lo, j_hi + 1):
-            for left, length in g.intervals_overlapping(j, lo, hi):
-                self.intervals.append((j, left, length))
+        intervals = [(j, left, length) for j in range(j_hi + 1)
+                     for left, length in g.intervals_overlapping(j, 0.0, 1.0)]
+        self.levels, self.lefts, self.lengths = (np.array(col) for col in zip(*intervals))
         self.fine_level = j_hi + 1
         fine_base = 2.0 ** (-self.fine_level)
         self.fine_length = g.r * fine_base
-        span_lo = min(a for (_, a, _) in self.intervals)
-        span_hi = max(a + ln for (_, a, ln) in self.intervals)
         shift = g.level_shift(self.fine_level)
-        k_lo = round((span_lo / g.r - shift) / fine_base)
-        k_hi = round((span_hi / g.r - shift) / fine_base)
+        k_lo = round((self.lefts.min() / g.r - shift) / fine_base)
+        k_hi = round(((self.lefts + self.lengths).max() / g.r - shift) / fine_base)
         self.fine_k_lo = int(k_lo)
         self.n_fine = int(k_hi - k_lo)
         self._fine_base = fine_base
         self._shift = shift
 
-    def fine_ranges(self):
+    def fine_ranges(self) -> np.ndarray:
         """Local fine-cell index range (lo, hi) spanned by each interval."""
-        out = []
-        for j, left, _ in self.intervals:
-            lo = int(round((left / self.g.r - self._shift) / self._fine_base)) - self.fine_k_lo
-            out.append((lo, lo + (1 << (self.fine_level - j))))
-        return out
+        lo = np.rint((self.lefts / self.g.r - self._shift) / self._fine_base).astype(int)
+        lo = lo - self.fine_k_lo
+        return np.column_stack((lo, lo + (1 << (self.fine_level - self.levels))))
 
     def overlap_matrix(self, edges: np.ndarray) -> np.ndarray:
         """A[i, c] = integral of h_{I_i} over the mesh cell [edges[c], edges[c+1])."""
-        e0 = edges[:-1]
-        e1 = edges[1:]
-        out = np.zeros((len(self.intervals), len(e0)))
-        for i, (j, a, ln) in enumerate(self.intervals):
-            mid = a + ln / 2.0
-            low = np.clip(np.minimum(e1, mid) - np.maximum(e0, a), 0.0, None)
-            high = np.clip(np.minimum(e1, a + ln) - np.maximum(e0, mid), 0.0, None)
-            out[i] = (high - low) / math.sqrt(ln)
-        return out
+        e0, e1 = edges[:-1], edges[1:]
+        a, ln = self.lefts[:, None], self.lengths[:, None]
+        mid = a + ln / 2.0
+        low = np.clip(np.minimum(e1, mid) - np.maximum(e0, a), 0.0, None)
+        high = np.clip(np.minimum(e1, a + ln) - np.maximum(e0, mid), 0.0, None)
+        return (high - low) / np.sqrt(ln)
 
 
-def _grid_function_coefficients(b: GridFunction2D, sys1: _AxisSystem, sys2: _AxisSystem):
-    n1, n2 = b.values.shape
-    edges1 = np.linspace(0.0, 1.0, n1 + 1)
-    edges2 = np.linspace(0.0, 1.0, n2 + 1)
-    a1 = sys1.overlap_matrix(edges1)
-    a2 = sys2.overlap_matrix(edges2)
-    return a1 @ b.values @ a2.T
+def _mesh_coefficients(sys1: _AxisSystem, sys2: _AxisSystem, values, edges_s, edges_t):
+    """Coefficients on the product system of a function piecewise constant
+    on the mesh edges_s x edges_t."""
+    return sys1.overlap_matrix(edges_s) @ values @ sys2.overlap_matrix(edges_t).T
+
+
+def _system_bmo_sq(sys1: _AxisSystem, sys2: _AxisSystem, coefs) -> float:
+    """Squared BMO norm of the coefficients in the product system."""
+    inst = ClosureInstance.from_product_blocks(
+        (sys1.n_fine, sys2.n_fine), sys1.fine_length * sys2.fine_length,
+        [(sys1.fine_ranges(), sys2.fine_ranges(), coefs)],
+    )
+    return best_ratio(inst)[0]
 
 
 def product_grid_bmo_sq(b: GridFunction2D, g1: RandomDyadicGrid, g2: RandomDyadicGrid) -> float:
     """Squared BMO norm of b computed in the product of two sampled 1-d
     systems, at resolution matched to the grid of b."""
-    j1d, j2d = b.depth
-    sys1 = _AxisSystem(g1, 0, j1d, 0.0, 1.0)
-    sys2 = _AxisSystem(g2, 0, j2d, 0.0, 1.0)
-    coefs = _grid_function_coefficients(b, sys1, sys2)
-    inst = ClosureInstance.from_product_blocks(
-        (sys1.n_fine, sys2.n_fine), sys1.fine_length * sys2.fine_length,
-        [(sys1.fine_ranges(), sys2.fine_ranges(), coefs)],
-    )
-    value, _ = best_ratio(inst)
-    return value
+    sys1 = _AxisSystem(g1, b.depth[0])
+    sys2 = _AxisSystem(g2, b.depth[1])
+    n1, n2 = b.values.shape
+    coefs = _mesh_coefficients(sys1, sys2, b.values,
+                               np.linspace(0.0, 1.0, n1 + 1), np.linspace(0.0, 1.0, n2 + 1))
+    return _system_bmo_sq(sys1, sys2, coefs)
 
 
 def sampled_continuous_bmo(b: GridFunction2D, n_grids: int, seed) -> float:
@@ -357,12 +356,9 @@ def sampled_continuous_bmo(b: GridFunction2D, n_grids: int, seed) -> float:
     if n_grids < 1:
         raise ValidationError("need at least one grid")
     j_max = max(b.depth) + 2
+    drawn = _sampled_grids(seed, 2 * (n_grids - 1), 2, j_max)
     grids = [(standard_grid(2, j_max), standard_grid(2, j_max))]
-    children = np.random.SeedSequence(seed).spawn(2 * (n_grids - 1))
-    for i in range(n_grids - 1):
-        g1 = _sample_from(np.random.default_rng(children[2 * i]), 2, j_max)
-        g2 = _sample_from(np.random.default_rng(children[2 * i + 1]), 2, j_max)
-        grids.append((g1, g2))
+    grids += zip(drawn[0::2], drawn[1::2])
     return max(product_grid_bmo_sq(b, g1, g2) for g1, g2 in grids)
 
 
@@ -370,39 +366,19 @@ def sampled_continuous_bmo(b: GridFunction2D, n_grids: int, seed) -> float:
 # mesh functions: exact commutators with sampled-grid shifts
 # ---------------------------------------------------------------------------
 
-class MeshFunction2D:
-    """Piecewise-constant function on a product of non-uniform 1-d meshes."""
-
-    __slots__ = ("edges_s", "edges_t", "values")
-
-    def __init__(self, edges_s, edges_t, values):
-        self.edges_s = np.asarray(edges_s, dtype=float)
-        self.edges_t = np.asarray(edges_t, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (len(self.edges_s) - 1, len(self.edges_t) - 1):
-            raise ValidationError("mesh value shape mismatch")
-
-    def multiply(self, other: "MeshFunction2D") -> "MeshFunction2D":
-        return MeshFunction2D(self.edges_s, self.edges_t, self.values * other.values)
-
-    def __sub__(self, other):
-        return MeshFunction2D(self.edges_s, self.edges_t, self.values - other.values)
-
-    def __add__(self, other):
-        return MeshFunction2D(self.edges_s, self.edges_t, self.values + other.values)
-
-
 def _mesh_for_axis(sys_shift: _AxisSystem, unit_edges: np.ndarray) -> np.ndarray:
     """Mesh refining the unit grid and the quarter structure of every
     interval of the shift system (children's halves included)."""
     pts = set(np.round(unit_edges, 15).tolist())
-    for (j, a, ln) in sys_shift.intervals:
+    # iterate the float64 arrays: numpy's round(x, 15) differs from Python's
+    for a, ln in zip(sys_shift.lefts, sys_shift.lengths):
         for q in range(5):
             pts.add(round(a + q * ln / 4.0, 15))
     return np.array(sorted(pts))
 
 
-def _embed_grid_on_mesh(b: GridFunction2D, edges_s, edges_t) -> MeshFunction2D:
+def _embed_grid_on_mesh(b: GridFunction2D, edges_s, edges_t) -> np.ndarray:
+    """Cell values of b on the mesh edges_s x edges_t (zero outside [0,1)^2)."""
     n1, n2 = b.values.shape
     mid_s = 0.5 * (edges_s[:-1] + edges_s[1:])
     mid_t = 0.5 * (edges_t[:-1] + edges_t[1:])
@@ -414,105 +390,76 @@ def _embed_grid_on_mesh(b: GridFunction2D, edges_s, edges_t) -> MeshFunction2D:
     sel_s = np.where(ok_s)[0]
     sel_t = np.where(ok_t)[0]
     vals[np.ix_(sel_s, sel_t)] = b.values[np.ix_(idx_s[sel_s], idx_t[sel_t])]
-    return MeshFunction2D(edges_s, edges_t, vals)
+    return vals
 
 
 class _MeshShift:
-    """One-axis shift of mesh functions in a fixed sampled system."""
+    """One-axis shift of mesh cell values in a fixed sampled system."""
 
     def __init__(self, sys_shift: _AxisSystem, edges: np.ndarray):
         self.analysis = sys_shift.overlap_matrix(edges)  # <., h_I> per mesh cell
         mids = 0.5 * (edges[:-1] + edges[1:])
-        pat = np.zeros((len(sys_shift.intervals), len(mids)))
-        for i, (j, a, ln) in enumerate(sys_shift.intervals):
-            pos = (mids - a) / ln
-            inside = (pos >= 0.0) & (pos < 1.0)
-            sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
-            pat[i] = inside * sign * math.sqrt(2.0 / ln)
-        self.pattern = pat
+        a, ln = sys_shift.lefts[:, None], sys_shift.lengths[:, None]
+        pos = (mids - a) / ln
+        inside = (pos >= 0.0) & (pos < 1.0)
+        sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
+        self.pattern = inside * sign * np.sqrt(2.0 / ln)
 
     def apply_axis0(self, w: np.ndarray) -> np.ndarray:
-        coefs = self.analysis @ w
-        return self.pattern.T @ coefs
+        return self.pattern.T @ (self.analysis @ w)
 
     def apply_axis1(self, w: np.ndarray) -> np.ndarray:
-        coefs = w @ self.analysis.T
-        return coefs @ self.pattern
+        return (w @ self.analysis.T) @ self.pattern
 
 
 def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
-                                   n_grids: int, seed, j_lo: int = 0):
+                                   n_grids: int, seed):
     """Empirical table for the averaged-shift iterated commutator.
 
     The commutator [S1, [S2, M_phi]] b is computed exactly for each sampled
-    product grid (levels [j_lo, depth+2] per axis); the Monte-Carlo average,
+    product grid (levels [0, depth+2] per axis); the Monte-Carlo average,
     scaled by (AVERAGING_FACTOR * ln 2)^2, estimates the continuous
     iterated commutator.  Its BMO is then sampled over the same grids.
-    Returns (rows, sampled_bmo_sq_of_average):  rows carry the per-grid
-    commutator BMO values.
+    Returns (rows, best, control): one row per grid holding the squared
+    L2 norm of that grid's commutator output (``grid_commutator_output_l2``),
+    the largest squared BMO norm of the scaled average over the sampled
+    product systems, and lmo_d(phi) * ||b||_BMO.
     """
     from .norms import bmo_norm_of_grid, lmo_d_norm  # local import, no cycle
-    from .core import haar_forward_2d
     from .shifts import double_commutator
 
     if phi.depth != b.depth:
         raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
     j_hi = max(phi.depth) + 2
-    children = np.random.SeedSequence(seed).spawn(2 * n_grids)
-    grids = []
-    for i in range(n_grids):
-        g1 = _sample_from(np.random.default_rng(children[2 * i]), max(2, -j_lo + 1), j_hi + 2)
-        g2 = _sample_from(np.random.default_rng(children[2 * i + 1]), max(2, -j_lo + 1), j_hi + 2)
-        grids.append((g1, g2))
+    drawn = _sampled_grids(seed, 2 * n_grids, 2, j_hi + 2)
+    grids = list(zip(drawn[0::2], drawn[1::2]))
 
-    shift_systems = []
     outputs = []
     rows = []
     scale = (AVERAGING_FACTOR * LN2) ** 2
     unit1 = np.linspace(0.0, 1.0, (1 << phi.depth[0]) + 1)
     unit2 = np.linspace(0.0, 1.0, (1 << phi.depth[1]) + 1)
     for g1, g2 in grids:
-        s_sys = _AxisSystem(g1, j_lo, j_hi, 0.0, 1.0)
-        t_sys = _AxisSystem(g2, j_lo, j_hi, 0.0, 1.0)
-        shift_systems.append((s_sys, t_sys))
+        s_sys = _AxisSystem(g1, j_hi)
+        t_sys = _AxisSystem(g2, j_hi)
         edges_s = _mesh_for_axis(s_sys, unit1)
         edges_t = _mesh_for_axis(t_sys, unit2)
         pm = _embed_grid_on_mesh(phi, edges_s, edges_t)
         bm = _embed_grid_on_mesh(b, edges_s, edges_t)
         s1 = _MeshShift(s_sys, edges_s)
         s2 = _MeshShift(t_sys, edges_t)
-
-        def S1(m):
-            return MeshFunction2D(edges_s, edges_t, s1.apply_axis0(m.values))
-
-        def S2(m):
-            return MeshFunction2D(edges_s, edges_t, s2.apply_axis1(m.values))
-
-        out = double_commutator(S1, S2, pm.multiply, bm)
-        outputs.append(out)
+        out = double_commutator(s1.apply_axis0, s2.apply_axis1, pm.__mul__, bm)
+        outputs.append((out, edges_s, edges_t))
         rows.append({"grid_commutator_output_l2": float(
-            ((out.values ** 2)
-             * np.outer(np.diff(edges_s), np.diff(edges_t))).sum())})
+            ((out ** 2) * np.outer(np.diff(edges_s), np.diff(edges_t))).sum())})
 
     # sampled BMO of the scaled MC average, evaluated in each sampled grid
     best = 0.0
-    for (s_sys, t_sys) in shift_systems:
-        bmo_sys1 = _AxisSystem(s_sys.g, 0, phi.depth[0], 0.0, 1.0)
-        bmo_sys2 = _AxisSystem(t_sys.g, 0, phi.depth[1], 0.0, 1.0)
-        coef_sum = None
-        for out in outputs:
-            a1 = bmo_sys1.overlap_matrix(out.edges_s)
-            a2 = bmo_sys2.overlap_matrix(out.edges_t)
-            c = a1 @ out.values @ a2.T
-            coef_sum = c if coef_sum is None else coef_sum + c
-        coefs = coef_sum * (scale / n_grids)
-        inst = ClosureInstance.from_product_blocks(
-            (bmo_sys1.n_fine, bmo_sys2.n_fine),
-            bmo_sys1.fine_length * bmo_sys2.fine_length,
-            [(bmo_sys1.fine_ranges(), bmo_sys2.fine_ranges(), coefs)],
-        )
-        value, _ = best_ratio(inst)
-        best = max(best, value)
+    for g1, g2 in grids:
+        sys1 = _AxisSystem(g1, phi.depth[0])
+        sys2 = _AxisSystem(g2, phi.depth[1])
+        coef_sum = sum(_mesh_coefficients(sys1, sys2, *out) for out in outputs)
+        best = max(best, _system_bmo_sq(sys1, sys2, coef_sum * (scale / n_grids)))
 
     control = lmo_d_norm(haar_forward_2d(phi)) * bmo_norm_of_grid(b)
     return rows, best, control

@@ -30,18 +30,10 @@ def basis_enumeration(depth):
     order = [(0, 0)]
     order += [(b1, 0) for b1 in range(1, n1)]
     order += [(0, b2) for b2 in range(1, n2)]
-    hh = []
-    for j1 in range(j1d):
-        for j2 in range(j2d):
-            for i1 in range(1 << j1):
-                for i2 in range(1 << j2):
-                    hh.append(((1 << j1) + i1, (1 << j2) + i2))
-    # (generation, index) lexicographic: sort by (j1, j2, i1, i2)
-    hh.sort(key=lambda p: (
-        p[0].bit_length() - 1, p[1].bit_length() - 1,
-        p[0] - (1 << (p[0].bit_length() - 1)), p[1] - (1 << (p[1].bit_length() - 1)),
-    ))
-    order += hh
+    # (generation, index) lexicographic: (j1, j2, i1, i2)
+    order += [((1 << j1) + i1, (1 << j2) + i2)
+              for j1 in range(j1d) for j2 in range(j2d)
+              for i1 in range(1 << j1) for i2 in range(1 << j2)]
     return tuple(order)
 
 
@@ -86,16 +78,10 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply_vector(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
     def apply(self, c: HaarSpectrum2D) -> HaarSpectrum2D:
         if c.depth != self.depth:
             raise DepthMismatchError(f"depth mismatch: {c.depth} vs {self.depth}")
         return vector_to_spectrum(self.matrix @ spectrum_to_vector(c), self.depth)
-
-    def transpose(self) -> "DenseOperator":
-        return DenseOperator(self.depth, self.matrix.T)
 
     def compose(self, other: "DenseOperator") -> "DenseOperator":
         self._check(other)

@@ -23,7 +23,7 @@ from .core import (
     GridFunction2D,
     HaarSpectrum2D,
     ProjectionSelector,
-    _analysis_axis0,
+    _analysis,
     apply_projection,
     haar_forward_2d,
     square_function,
@@ -135,30 +135,28 @@ def bmo_norm_of_grid(f: GridFunction2D) -> float:
 
 def lmo_d_norm(phi: HaarSpectrum2D) -> float:
     """max over generations j of (j1+1)(j2+1) * ||Q_j phi||_BMO."""
-    j1d, j2d = phi.depth
-    best = 0.0
-    for j1 in range(j1d):
-        for j2 in range(j2d):
-            tail = apply_projection(phi, ProjectionSelector.tail(j1, j2))
-            if not tail.coeffs.any():
-                continue
-            val = math.sqrt(bmo_d_norm_sq(tail)[0])
-            best = max(best, (j1 + 1) * (j2 + 1) * val)
-    return best
+    return _lmo_tail_search(phi, (False, False))
 
 
 def lmo_directional_norm(phi: HaarSpectrum2D, axis: int) -> float:
     """max over i of (i+1) * ||Q^(axis)_i phi||_BMO for one axis."""
     if axis not in (1, 2):
         raise ValidationError("axis must be 1 or 2")
-    levels = phi.depth[axis - 1]
+    return _lmo_tail_search(phi, (axis == 2, axis == 1))
+
+
+def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
+    """max over tail generations (j1, j2) of (j1+1)(j2+1) * ||Q_(j1,j2) phi||_BMO;
+    a pinned axis stays at level 0 (weight 1, no projection in that axis)."""
+    j1d, j2d = phi.depth
     best = 0.0
-    for i in range(levels):
-        sel = ProjectionSelector.q1(i) if axis == 1 else ProjectionSelector.q2(i)
-        tail = apply_projection(phi, sel)
-        if not tail.coeffs.any():
-            continue
-        best = max(best, (i + 1) * math.sqrt(bmo_d_norm_sq(tail)[0]))
+    for j1 in range(1 if pinned[0] else j1d):
+        for j2 in range(1 if pinned[1] else j2d):
+            tail = apply_projection(phi, ProjectionSelector.tail(j1, j2))
+            if not tail.coeffs.any():
+                continue
+            val = math.sqrt(bmo_d_norm_sq(tail)[0])
+            best = max(best, (j1 + 1) * (j2 + 1) * val)
     return best
 
 
@@ -264,21 +262,13 @@ def growth_s(length: float) -> float:
     return math.log(1.0 / length) + 1.0 if length <= 1.0 else 1.0
 
 
-def growth_s_rect(s_length: float, t_length: float) -> float:
-    return growth_s(s_length) * growth_s(t_length)
-
-
-def _haar_coeffs_1d(values: np.ndarray) -> np.ndarray:
-    return _analysis_axis0(values.reshape(-1, 1)).reshape(-1)
-
-
 def dyadic_bmo_1d_sq(values: np.ndarray) -> float:
     """1-d dyadic BMO square of a cell-value array: max over dyadic
     intervals of the contained coefficient mass over the interval length.
     (In one parameter the open-set supremum is attained on intervals.)"""
     n = len(values)
     depth = n.bit_length() - 1
-    c = _haar_coeffs_1d(np.asarray(values, dtype=float))
+    c = _analysis(np.asarray(values, dtype=float))
     best = 0.0
     for g in range(depth):
         acc = np.zeros(1 << g)

@@ -22,10 +22,9 @@ from .core import (
     GenerationIndex,
     GridFunction2D,
     HaarSpectrum2D,
-    _analysis_axis0,
+    _analysis,
     _generation_sum,
-    block_means_axis0,
-    block_means_axis1,
+    block_means,
     haar_inverse_2d,
 )
 from .errors import DepthMismatchError, UnsupportedSignatureError
@@ -86,7 +85,7 @@ def _levels(v: np.ndarray, kind: int, axis: int):
     """Per-level views of v along ``axis``: the block means at levels 0..J
     (kind 1) or the Haar coefficient slices of levels 0..J-1 (kind 0)."""
     if kind:
-        return block_means_axis1(v) if axis else block_means_axis0(v)
+        return block_means(v, axis)
     levels = range(v.shape[axis].bit_length() - 1)
     return [v[:, (1 << j):(2 << j)] if axis else v[(1 << j):(2 << j)] for j in levels]
 
@@ -104,10 +103,9 @@ def _factor_blocks(x, kind):
             return x.generation_block
         x = haar_inverse_2d(x)
     v = x.values
-    if not kind[1]:
-        v = _analysis_axis0(v.T).T
-    if not kind[0]:
-        v = _analysis_axis0(v)
+    for axis in (1, 0):
+        if not kind[axis]:
+            v = _analysis(v, axis)
     table = [_levels(row, kind[1], 1) for row in _levels(v, kind[0], 0)]
     return lambda j1, j2: table[j1][j2]
 

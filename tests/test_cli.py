@@ -30,6 +30,15 @@ def write_step_function(path):
     path.write_text(json.dumps({"breakpoints": [0.0, 1.0], "values": [1.0]}))
 
 
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback shows on stderr."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(prodbmo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "prodbmo.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_unknown_subcommand_exit_64(capsys):
     assert cli_dispatch(["frobnicate"]) == 64
 
@@ -252,10 +261,30 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
         argv = ["bmo", "--input", str(path)]
     else:
         argv = ["hilbert", "--mode", "oracle", "--function", str(path), "--x", "2.0"]
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(prodbmo.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "prodbmo.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = run_cli_process(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["opnorm", "--kind", "projection", "--selector", "X:1,2"], id="selector-letter"),
+    pytest.param(["opnorm", "--kind", "projection", "--selector", "E1,2"], id="selector-colon"),
+    pytest.param(["opnorm", "--kind", "projection", "--selector", "E:a,b"], id="selector-index"),
+    pytest.param(["opnorm", "--kind", "shift", "--depth", "a,b"], id="depth"),
+    pytest.param(["bmo", "--input", "{grid}", "--restrict", "1,2"], id="restrict-count"),
+    pytest.param(["bmo", "--input", "{grid}", "--restrict", "a,b,c,d"], id="restrict-int"),
+    pytest.param(["lmo", "--input", "{grid}", "--method", "beta", "--beta", "x"], id="beta"),
+    pytest.param(["sigma", "--input", "{grid}", "--axis", "1", "--k", "a",
+                  "--output", "{out}"], id="sigma-k"),
+    pytest.param(["hilbert", "--mode", "oracle", "--function", "{step}", "--x", "abc"], id="x"),
+])
+def test_malformed_argument_exit_2(tmp_path, argv):
+    write_quarter_haar_grid(tmp_path / "grid.json")
+    write_step_function(tmp_path / "step.json")
+    paths = {"grid": tmp_path / "grid.json", "step": tmp_path / "step.json",
+             "out": tmp_path / "out.json"}
+    argv = [a.format(**paths) for a in argv]
+    proc = run_cli_process(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()

@@ -17,6 +17,9 @@ from prodbmo.hilbert import (
     LN2,
     RandomDyadicGrid,
     StepFunction1D,
+    _AxisSystem,
+    _MeshShift,
+    _mesh_for_axis,
     analytic_hilbert_step,
     averaged_commutator_bmo_report,
     grid_shift_apply,
@@ -314,6 +317,34 @@ def test_sampled_bmo_shifted_grid_exactness():
     assert np.isfinite(val) and val >= 0.0
 
 
+def test_axis_system_arrays_match_per_interval_loops():
+    """The interval arrays of a sampled system against per-interval loops
+    written from the docstrings: fine-cell ranges, the Haar overlap
+    integrals over mesh cells, and the shift's quarter pattern."""
+    for seed in (3, 4):
+        g = sample_grid(seed, 2, 5)
+        axis_sys = _AxisSystem(g, 3)
+        edges = _mesh_for_axis(axis_sys, np.linspace(0.0, 1.0, 9))
+        e0, e1 = edges[:-1], edges[1:]
+        mids = 0.5 * (e0 + e1)
+        overlap = axis_sys.overlap_matrix(edges)
+        pattern = _MeshShift(axis_sys, edges).pattern
+        fine = axis_sys.fine_ranges()
+        jf = axis_sys.fine_level
+        rows = zip(axis_sys.levels, axis_sys.lefts, axis_sys.lengths)
+        for i, (j, a, ln) in enumerate(rows):
+            lo = round((a / g.r - g.level_shift(jf)) / 2.0 ** -jf) - axis_sys.fine_k_lo
+            assert tuple(fine[i]) == (lo, lo + (1 << (jf - j)))
+            mid = a + ln / 2.0
+            low = np.clip(np.minimum(e1, mid) - np.maximum(e0, a), 0.0, None)
+            high = np.clip(np.minimum(e1, a + ln) - np.maximum(e0, mid), 0.0, None)
+            assert np.array_equal(overlap[i], (high - low) / math.sqrt(ln))
+            pos = (mids - a) / ln
+            sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
+            inside = (pos >= 0.0) & (pos < 1.0)
+            assert np.array_equal(pattern[i], inside * sign * math.sqrt(2.0 / ln))
+
+
 def test_averaged_commutator_report_smoke():
     rng = np.random.default_rng(53)
     phi = haar_inverse_2d(random_hh_symbol((2, 2), rng))
@@ -323,6 +354,23 @@ def test_averaged_commutator_report_smoke():
     assert all(np.isfinite(r["grid_commutator_output_l2"]) for r in rows)
     assert np.isfinite(avg_bmo) and avg_bmo >= 0.0
     assert control > 0.0
+
+
+def test_seeded_sampled_outputs_are_pinned():
+    """Pinned seeded outputs: a change in how the grids are drawn from the
+    seed (stream per sample, draw order, pairing) moves them.  mc_hilbert
+    does no matrix products and is compared exactly; the BMO values go
+    through BLAS products and are compared to 1e-12."""
+    pairs = mc_hilbert(StepFunction1D.indicator(0, 1), [2.0, -0.5], 64, 9,
+                       k_coarse=6, k_fine=6)
+    assert pairs == [(0.15336484837856001, 0.05433697432993126),
+                     (-0.19875218437964604, 0.07283469889740851)]
+    rng = np.random.default_rng(61)
+    phi = haar_inverse_2d(random_hh_symbol((2, 2), rng))
+    b = haar_inverse_2d(random_hh_symbol((2, 2), rng))
+    assert sampled_continuous_bmo(b, 3, 17) == pytest.approx(14.409850098780263, rel=1e-12)
+    _, best, _ = averaged_commutator_bmo_report(phi, b, 2, 99)
+    assert best == pytest.approx(67.61496240099629, rel=1e-12)
 
 
 def test_averaged_commutator_ratio_table():

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_hh_spectrum
+from helpers import random_grid, random_hh_spectrum
 from prodbmo.closure import ClosureInstance, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
+    ProjectionSelector,
+    apply_projection,
     haar_forward_2d,
+    square_function,
 )
 from prodbmo.errors import DegenerateRectangleError, ValidationError
 from prodbmo.norms import (
@@ -212,6 +215,21 @@ def test_lmo_directional_examples():
     assert lmo_directional_norm(HaarSpectrum2D.zeros((2, 2)), 2) == 0.0
 
 
+@pytest.mark.parametrize("depth", [(3, 2), (2, 3)])
+def test_lmo_directional_matches_tail_projection_loop(depth):
+    """The docstring's definition, max over i of (i+1) * ||Q^(axis)_i phi||_BMO,
+    written with the one-axis tail selectors q1/q2."""
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        phi = random_hh_spectrum(depth, rng)
+        for axis, q in ((1, ProjectionSelector.q1), (2, ProjectionSelector.q2)):
+            expected = max(
+                (i + 1) * math.sqrt(bmo_d_norm_sq(apply_projection(phi, q(i)))[0])
+                for i in range(depth[axis - 1])
+            )
+            assert lmo_directional_norm(phi, axis) == expected
+
+
 def test_lmo_beta_reductions():
     rng = np.random.default_rng(131)
     phi = random_hh_spectrum((2, 2), rng)
@@ -228,6 +246,22 @@ def test_h1_norm_examples():
     # so the square function is constant 1/4
     g = GridFunction2D((1, 1), np.outer([0.5, -0.5], [0.5, -0.5]))
     assert h1_norm(g) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (3, 3), (4, 2), (5, 5)])
+def test_square_function_and_h1_scale_exactly_by_powers_of_two(depth):
+    """Scaling by 2^k is exact in floating point, so S[2^k f] == 2^k S[f]
+    bit for bit, also where the squared coefficients leave the float range
+    (about 2^±1022) while S[f] itself does not."""
+    rng = np.random.default_rng(sum(depth))
+    spec = HaarSpectrum2D(depth, rng.standard_normal((1 << depth[0], 1 << depth[1])))
+    f = random_grid(depth, rng)
+    base, h1 = square_function(spec).values, h1_norm(f)
+    for k in (-520, -3, 0, 7, 520):
+        scale = 2.0 ** k
+        scaled = square_function(HaarSpectrum2D(depth, spec.coeffs * scale)).values
+        assert np.array_equal(scaled, base * scale)
+        assert h1_norm(f * scale) == h1 * scale
 
 
 # ---------------------------------------------------------------------------
