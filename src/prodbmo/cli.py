@@ -165,6 +165,14 @@ def parse_ints(text: str, n: int = 2):
     return parts
 
 
+def non_negative_int(text: str) -> int:
+    """Argument type of the seeds: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def write_csv(path: str, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -331,6 +339,8 @@ def cmd_hilbert(args) -> int:
         xs = [float(v) for v in args.x.replace(" ", "").split(",")]
     except ValueError as exc:
         raise ValidationError(f"--x must be comma-separated numbers, got {args.x!r}") from exc
+    if not np.isfinite(xs).all():
+        raise ValidationError(f"--x must be finite, got {args.x!r}")
     if args.mode == "oracle":
         result = {"points": xs, "values": [analytic_hilbert_step(f, x) for x in xs]}
     else:
@@ -529,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=non_negative_int)
     p.add_argument("--k-coarse", type=int, default=12)
     p.add_argument("--k-fine", type=int, default=12)
     p.add_argument("--output")
@@ -539,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_experiment)
 

@@ -27,21 +27,16 @@ _MAX_ROUNDS = 1000
 
 
 class _FlowNetwork:
-    """Dinic max-flow on real capacities."""
+    """Dinic max-flow on real capacities ``cap``, set before each solve, over
+    fixed arcs: arc 2k runs tails[k] -> heads[k] and arc 2k + 1 is its
+    reverse; every node lists the arcs leaving it in id order."""
 
-    def __init__(self, n_nodes):
+    def __init__(self, n_nodes, tails, heads):
         self.n = n_nodes
-        self.head = [[] for _ in range(n_nodes)]
-        self.to = []
-        self.cap = []
-
-    def add_edge(self, u, v, c):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(float(c))
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
+        starts = np.column_stack((tails, heads)).ravel()  # the node each arc leaves
+        bounds = np.cumsum(np.bincount(starts, minlength=n_nodes))[:-1]
+        self.head = [arcs.tolist() for arcs in np.split(np.argsort(starts, kind="stable"), bounds)]
+        self.to = np.column_stack((heads, tails)).ravel().tolist()
 
     def max_flow(self, s, t, eps):
         flow = 0.0
@@ -193,30 +188,17 @@ class ClosureInstance:
         return total / area
 
 
-def _solve_closure(inst: ClosureInstance, lam: float, active):
-    """Max of sum(selected w) - lam * area(selected cells); returns
-    (value, cell mask) with the closure property enforced by the cut."""
-    nr = len(active)
-    nc = inst.n_cells
-    total_w = float(inst.rect_weights[active].sum())
-    inf_cap = total_w + 1.0
-    net = _FlowNetwork(2 + nr + nc)
-    src, snk = 0, 1 + nr + nc
-    for ridx, r in enumerate(active):
-        net.add_edge(src, 1 + ridx, inst.rect_weights[r])
-        for c in inst.rect_cells[r]:
-            net.add_edge(1 + ridx, 1 + nr + c, inf_cap)
-    for c in range(nc):
-        net.add_edge(1 + nr + c, snk, lam * inst.cell_areas[c])
-    eps = 1e-15 * inf_cap
-    flow = net.max_flow(src, snk, eps)
-    value = total_w - flow
-    seen = net.residual_reachable(src, eps)
-    cell_mask = np.zeros(nc, dtype=bool)
-    for c in range(nc):
-        if seen[1 + nr + c]:
-            cell_mask[c] = True
-    return value, cell_mask
+def _solve_closure(net, base_cap, lam, cell_areas, total_w):
+    """Max of sum(selected w) - lam * area(selected cells) on the network of
+    :func:`best_ratio`, whose last arcs, cell -> sink, are the only ones that
+    depend on lam; returns (value, cell mask), closed by the cut."""
+    nc = len(cell_areas)
+    net.cap = list(base_cap)
+    net.cap[-2 * nc::2] = (lam * cell_areas).tolist()
+    eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
+    flow = net.max_flow(0, net.n - 1, eps)
+    cell_mask = np.array(net.residual_reachable(0, eps)[-1 - nc:-1])
+    return total_w - flow, cell_mask
 
 
 def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13):
@@ -227,15 +209,30 @@ def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13):
     active = np.flatnonzero(inst.rect_weights > 0.0)
     if active.size == 0:
         return 0.0, None
-    start = np.zeros(inst.n_cells, dtype=bool)
-    for r in active:
-        start[inst.rect_cells[r]] = True
+    nr, nc = active.size, inst.n_cells
+    cells = [inst.rect_cells[r] for r in active]
+    required = np.concatenate(cells)
+    total_w = float(inst.rect_weights[active].sum())
+    # nodes: source 0, rectangles 1..nr, cells nr+1..nr+nc, sink nr+nc+1;
+    # arcs: every source -> rect, then every rect -> cell, then every cell -> sink
+    rect_nodes, cell_nodes = np.arange(1, 1 + nr), np.arange(1 + nr, 1 + nr + nc)
+    net = _FlowNetwork(
+        2 + nr + nc,
+        np.concatenate((np.zeros(nr, dtype=np.int64),
+                        np.repeat(rect_nodes, [len(c) for c in cells]), cell_nodes)),
+        np.concatenate((rect_nodes, 1 + nr + required, np.full(nc, 1 + nr + nc))),
+    )
+    # cutting every source arc costs total_w, so no min cut uses a rect -> cell arc
+    base_cap = [0.0] * (2 * (nr + required.size + nc))
+    base_cap[0:2 * nr:2] = inst.rect_weights[active].tolist()
+    base_cap[2 * nr:-2 * nc:2] = [2.0 * total_w] * required.size
+    start = np.zeros(nc, dtype=bool)
+    start[required] = True
     lam = inst.ratio(start)
     best_mask = start
-    scale = float(inst.rect_weights[active].sum())
     for _ in range(_MAX_ROUNDS):
-        value, mask = _solve_closure(inst, lam, active)
-        if value <= rel_tol * scale or not mask.any():
+        value, mask = _solve_closure(net, base_cap, lam, inst.cell_areas, total_w)
+        if value <= rel_tol * total_w or not mask.any():
             return lam, best_mask
         new_lam = inst.ratio(mask)
         if new_lam <= lam * (1.0 + rel_tol):

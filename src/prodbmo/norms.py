@@ -37,44 +37,43 @@ LN2 = math.log(2.0)
 # closure instances from spectra
 # ---------------------------------------------------------------------------
 
-def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
-    """Cells and weighted rectangles of the hh block, optionally restricted
-    to a dyadic rectangle.  Returns (instance, (s_lo, t_lo, ns, nt))."""
+def grid_closure_instance(phi: HaarSpectrum2D):
+    """Cells and weighted rectangles of the hh block."""
     j1d, j2d = phi.depth
     n1, n2 = 1 << j1d, 1 << j2d
-    if restrict_to is None:
-        s_lo, s_hi, t_lo, t_hi = 0, n1, 0, n2
-    else:
-        js, jt = restrict_to.s_interval.level, restrict_to.t_interval.level
-        if js > j1d or jt > j2d:
-            raise ValidationError("restriction rectangle finer than the grid")
-        ws, wt = n1 >> js, n2 >> jt
-        s_lo = restrict_to.s_interval.index * ws
-        s_hi = s_lo + ws
-        t_lo = restrict_to.t_interval.index * wt
-        t_hi = t_lo + wt
-    ns, nt = s_hi - s_lo, t_hi - t_lo
-    blocks = []
-    for j1 in range(j1d):
-        w1 = n1 >> j1
-        # positions of the level-j1 intervals inside [s_lo, s_hi)
-        p1 = range(-(-s_lo // w1), s_hi // w1)
-        if not p1:
-            continue
-        for j2 in range(j2d):
-            w2 = n2 >> j2
-            p2 = range(-(-t_lo // w2), t_hi // w2)
-            if not p2:
-                continue
-            blocks.append((
-                [(i * w1 - s_lo, (i + 1) * w1 - s_lo) for i in p1],
-                [(i * w2 - t_lo, (i + 1) * w2 - t_lo) for i in p2],
-                phi.generation_block(j1, j2)[p1.start:p1.stop, p2.start:p2.stop],
-            ))
-    inst = ClosureInstance.from_product_blocks(
-        (ns, nt), 2.0 ** -(j1d + j2d), blocks
-    )
-    return inst, (s_lo, t_lo, ns, nt)
+    blocks = [
+        ([(i * (n1 >> j1), (i + 1) * (n1 >> j1)) for i in range(1 << j1)],
+         [(i * (n2 >> j2), (i + 1) * (n2 >> j2)) for i in range(1 << j2)],
+         phi.generation_block(j1, j2))
+        for j1 in range(j1d) for j2 in range(j2d)
+    ]
+    return ClosureInstance.from_product_blocks((n1, n2), 2.0 ** -(j1d + j2d), blocks)
+
+
+def _zoom(phi: HaarSpectrum2D, rect: DyadicRect):
+    """(spectrum, k, cells): the hh rectangles of phi inside the dyadic
+    rectangle I x J as a spectrum of their own, at depth q = (J1 - level I,
+    J2 - level J), and the cell slices of I x J.
+
+    The descendants l levels below basis index b are (b << l) + p for
+    p < 2^l.  Only the cell area changes: it is 2^k times larger in the
+    spectrum, k = level I + level J, so every ratio inside I x J is 2^k
+    times the spectrum's.  A one cell thick I x J holds no hh rectangle and
+    gives the spectrum None.
+    """
+    if rect is None:
+        return phi, 0, (slice(None), slice(None))
+    sides = (rect.s_interval, rect.t_interval)
+    q = tuple(depth - side.level for side, depth in zip(sides, phi.depth))
+    if min(q) < 0:
+        raise ValidationError("restriction rectangle finer than the grid")
+    cells = tuple(slice(side.index << qa, (side.index + 1) << qa) for side, qa in zip(sides, q))
+    k = sides[0].level + sides[1].level
+    if min(q) == 0:
+        return None, k, cells
+    idx = [np.concatenate([[0]] + [np.arange(side.basis_index << l, (side.basis_index + 1) << l)
+                                   for l in range(qa)]) for side, qa in zip(sides, q)]
+    return HaarSpectrum2D(q, phi.coeffs[np.ix_(*idx)]), k, cells
 
 
 def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None,
@@ -82,25 +81,25 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None,
     """Exact squared product BMO norm and an attaining cell mask.
 
     The mask is a boolean array over the full grid; an all-zero hh block
-    yields (0.0, all-False).
+    yields (0.0, all-False).  Restricted to a dyadic rectangle, the norm is
+    that of the rectangle's own sub-spectrum, rescaled to its area.
     """
-    inst, (s_lo, t_lo, ns, nt) = grid_closure_instance(phi, restrict_to)
-    value, local_mask = best_ratio(inst, rel_tol=rel_tol)
-    n1, n2 = 1 << phi.depth[0], 1 << phi.depth[1]
-    grid_mask = np.zeros((n1, n2), dtype=bool)
+    sub, k, cells = _zoom(phi, restrict_to)
+    grid_mask = np.zeros((1 << phi.depth[0], 1 << phi.depth[1]), dtype=bool)
+    if sub is None:
+        return 0.0, grid_mask
+    value, local_mask = best_ratio(grid_closure_instance(sub), rel_tol=rel_tol)
     if local_mask is not None:
-        grid_mask[s_lo:s_lo + ns, t_lo:t_lo + nt] = local_mask.reshape(ns, nt)
-    return value, grid_mask
+        grid_mask[cells] = local_mask.reshape(grid_mask[cells].shape)
+    return value * 2.0 ** k, grid_mask
 
 
 def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None) -> float:
     """Exhaustive maximum over all non-empty cell subsets (oracle)."""
-    inst, _ = grid_closure_instance(phi, restrict_to)
-    if inst.n_cells > 16:
-        raise ValidationError("brute-force oracle supports at most 16 cells")
-    if len(inst.rect_weights) == 0:
+    sub, k, _ = _zoom(phi, restrict_to)
+    if sub is None:
         return 0.0
-    return best_ratio_bruteforce(inst)
+    return best_ratio_bruteforce(grid_closure_instance(sub)) * 2.0 ** k
 
 
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:

@@ -27,7 +27,7 @@ from .core import (
     block_means,
     haar_inverse_2d,
 )
-from .errors import DepthMismatchError, UnsupportedSignatureError
+from .errors import DepthMismatchError, UnsupportedSignatureError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def sigma_k(b: HaarSpectrum2D, k) -> HaarSpectrum2D:
     """
     k1, k2 = k.as_tuple() if isinstance(k, GenerationIndex) else k
     if k1 < 0 or k2 < 0:
-        raise ValueError("generation indices must be >= 0")
+        raise ValidationError("generation indices must be >= 0")
     j1d, j2d = b.depth
     out = np.zeros_like(b.coeffs)
     acc = np.zeros_like(b.coeffs)  # squared mass routed to boundary slots
@@ -169,7 +169,7 @@ def sigma1_k(b: HaarSpectrum2D, k: int) -> HaarSpectrum2D:
     non-hh blocks are zeroed.
     """
     if k < 0:
-        raise ValueError("level must be >= 0")
+        raise ValidationError("level must be >= 0")
     return sigma_k(b, (k, b.depth[1]))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .core import (
     dyadic_rect_mean,
     haar_forward_2d,
     haar_inverse_2d,
-    level_of_basis_index,
 )
 from .errors import InsufficientHeadroomError, ValidationError
 from .norms import (
@@ -64,23 +62,6 @@ class AmbientEmbedding:
         return HaarSpectrum2D(self.ambient_depth, out)
 
 
-@lru_cache(maxsize=64)
-def _child_indices(n: int):
-    """(left, right) basis indices of the children of every index b >= 1
-    with a representable child level; -1 where children overflow."""
-    left = np.full(n, -1, dtype=np.int64)
-    right = np.full(n, -1, dtype=np.int64)
-    top = n.bit_length() - 2  # deepest representable level
-    for b in range(1, n):
-        j = b.bit_length() - 1
-        if j + 1 > top:  # children would overflow the depth
-            continue
-        i = b - (1 << j)
-        left[b] = (1 << (j + 1)) + 2 * i
-        right[b] = left[b] + 1
-    return left, right
-
-
 def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     """Move every Haar coefficient in the chosen axis to (right child) -
     (left child); the constant in that axis is annihilated.
@@ -88,21 +69,11 @@ def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     Requires one level of free headroom: coefficients at the deepest level
     of the shifted axis must vanish.
     """
-    if axis not in (1, 2):
-        raise ValidationError("axis must be 1 or 2")
-    work = c.coeffs if axis == 1 else c.coeffs.T
-    n = work.shape[0]
-    lv = level_of_basis_index(n)
-    top_level = n.bit_length() - 2
-    occupied = work[lv == top_level]
-    if occupied.size and np.abs(occupied).max() != 0.0:
+    out = truncating_shift(c, axis)  # checks the axis
+    w = c.coeffs.swapaxes(0, axis - 1)
+    if w[w.shape[0] // 2:].any():
         raise InsufficientHeadroomError("insufficient depth headroom")
-    left, right = _child_indices(n)
-    out = np.zeros_like(work)
-    src = np.nonzero(left >= 0)[0]
-    np.add.at(out, right[src], work[src])
-    np.subtract.at(out, left[src], work[src])
-    return HaarSpectrum2D(c.depth, out if axis == 1 else out.T)
+    return out
 
 
 def shift_grid(f: GridFunction2D, axis: int) -> GridFunction2D:
@@ -113,13 +84,19 @@ def shift_grid(f: GridFunction2D, axis: int) -> GridFunction2D:
 def truncating_shift(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     """Shift with the deepest level of the axis mapped to zero instead of
     raising; exact on inputs whose action chain never occupies that level
-    (used when assembling the shift as a dense matrix)."""
-    work = c.coeffs.copy()
-    view = work if axis == 1 else work.T
-    n = view.shape[0]
-    lv = level_of_basis_index(n)
-    view[lv == n.bit_length() - 2] = 0.0
-    return shift_apply(HaarSpectrum2D(c.depth, work), axis)
+    (used when assembling the shift as a dense matrix).
+
+    Basis index b has the children 2b (left, -) and 2b + 1 (right, +), which
+    fit for 1 <= b < n/2; the slice drops the constant and the deepest level.
+    """
+    if axis not in (1, 2):
+        raise ValidationError("axis must be 1 or 2")
+    w = c.coeffs.swapaxes(0, axis - 1)
+    parents = w[1:w.shape[0] // 2]
+    out = np.zeros_like(w)
+    out[3::2] += parents
+    out[2::2] -= parents
+    return HaarSpectrum2D(c.depth, out.swapaxes(0, axis - 1))
 
 
 def double_commutator(s1, s2, m, x):

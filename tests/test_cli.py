@@ -277,6 +277,20 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
     pytest.param(["sigma", "--input", "{grid}", "--axis", "1", "--k", "a",
                   "--output", "{out}"], id="sigma-k"),
     pytest.param(["hilbert", "--mode", "oracle", "--function", "{step}", "--x", "abc"], id="x"),
+    pytest.param(["sigma", "--input", "{grid}", "--axis", "1", "--k", "-2",
+                  "--output", "{out}"], id="sigma-negative-level"),
+    pytest.param(["sigma", "--input", "{grid}", "--k=-1,0", "--output", "{out}"],
+                 id="sigma-negative-generation"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "nan",
+                  "--samples", "4", "--seed", "1", "--output", "{out}"], id="mc-x-nan"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "inf",
+                  "--samples", "4", "--seed", "1", "--output", "{out}"], id="mc-x-inf"),
+    pytest.param(["hilbert", "--mode", "oracle", "--function", "{step}", "--x", "nan",
+                  "--output", "{out}"], id="oracle-x-nan"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
+                  "--samples", "4", "--seed", "-1", "--output", "{out}"], id="mc-negative-seed"),
+    pytest.param(["experiment", "nine-part", "--depth", "2", "--trials", "1", "--seed", "-3",
+                  "--output", "{out}"], id="experiment-negative-seed"),
 ])
 def test_malformed_argument_exit_2(tmp_path, argv):
     write_quarter_haar_grid(tmp_path / "grid.json")

@@ -182,6 +182,64 @@ def test_bmo_quadratic_scaling():
     assert bmo_d_norm_sq(scaled)[0] == pytest.approx(9.0 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("depth", [(2, 2), (3, 3), (4, 2)])
+def test_bmo_and_lmo_scale_exactly_by_powers_of_two(depth):
+    # the closure's cut threshold and its effectively infinite capacity both
+    # follow the weights, so a power-of-two amplitude changes no rounding
+    rng = np.random.default_rng(131)
+    phi = random_hh_spectrum(depth, rng)
+    value, mask = bmo_d_norm_sq(phi)
+    lmo_d, lmo_char = lmo_d_norm(phi), lmo_char_norm(phi)
+    for k in (-480, -33, -3, 0, 7, 480):
+        scaled = HaarSpectrum2D(depth, phi.coeffs * 2.0 ** k)
+        v, m = bmo_d_norm_sq(scaled)
+        assert v == math.ldexp(value, 2 * k)
+        assert np.array_equal(m, mask)
+        assert lmo_d_norm(scaled) == math.ldexp(lmo_d, k)
+        assert lmo_char_norm(scaled) == math.ldexp(lmo_char, 2 * k)
+    for c in (1e-10, 1e150):
+        scaled = HaarSpectrum2D(depth, phi.coeffs * c)
+        assert bmo_d_norm_sq(scaled)[0] == pytest.approx(value * c * c, rel=1e-12)
+        assert lmo_d_norm(scaled) == pytest.approx(lmo_d * c, rel=1e-12)
+        assert lmo_char_norm(scaled) == pytest.approx(lmo_char * c * c, rel=1e-12)
+
+
+def test_bmo_invariant_under_dilation_into_a_rectangle():
+    # carrying psi into a dyadic R of a deeper grid, h_Q -> h_(R's copy of Q)
+    # with coefficient psi_Q sqrt(|R|), keeps every Carleson ratio; so open-set
+    # values certified by brute force at (2,2) hold at any depth
+    rng = np.random.default_rng(137)
+    symbols = []
+    while len(symbols) < 3:
+        c = np.zeros((4, 4))
+        c[1:, 1:] = rng.standard_normal((3, 3)) * (rng.random((3, 3)) < 0.5)
+        psi = HaarSpectrum2D((2, 2), c)
+        brute = bmo_d_norm_sq_bruteforce(psi)
+        if brute > bmo_rect_norm_sq(psi) * (1.0 + 1e-9):
+            symbols.append((psi, brute))
+    for (psi, brute), depth, (k1, k2) in zip(
+        symbols, [(5, 5), (6, 6), (6, 5)], [(2, 3), (4, 3), (1, 0)]
+    ):
+        i1, i2 = int(rng.integers(1 << k1)), int(rng.integers(1 << k2))
+        r = DyadicRect.from_levels(k1, i1, k2, i2)
+        phi = HaarSpectrum2D.zeros(depth)
+        for b1 in range(1, 4):
+            for b2 in range(1, 4):
+                s, t = DyadicInterval.from_basis_index(b1), DyadicInterval.from_basis_index(b2)
+                image = DyadicRect.from_levels(k1 + s.level, (i1 << s.level) + s.index,
+                                               k2 + t.level, (i2 << t.level) + t.index)
+                phi = phi.with_hh_coef(image, psi.coeffs[b1, b2] * math.sqrt(r.area))
+        assert bmo_d_norm_sq(phi)[0] == pytest.approx(brute, rel=1e-12)
+        val, mask = bmo_d_norm_sq(phi, restrict_to=r)
+        assert val == pytest.approx(brute, rel=1e-12)
+        w1, w2 = 1 << (depth[0] - k1), 1 << (depth[1] - k2)
+        outside = mask.copy()
+        outside[i1 * w1:(i1 + 1) * w1, i2 * w2:(i2 + 1) * w2] = False
+        assert mask.any() and not outside.any()
+        sibling = DyadicRect.from_levels(k1, i1 ^ 1, k2, i2)
+        assert bmo_d_norm_sq(phi, restrict_to=sibling)[0] == 0.0
+
+
 def test_rect_norm_below_open_norm():
     rng = np.random.default_rng(127)
     for _ in range(20):

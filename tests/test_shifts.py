@@ -29,6 +29,7 @@ from prodbmo.shifts import (
     shift_apply,
     shift_grid,
     shift_matrix,
+    truncating_shift,
 )
 
 UNIT_SQUARE = DyadicRect.from_levels(0, 0, 0, 0)
@@ -86,6 +87,30 @@ def test_shift_headroom_error():
         shift_apply(c, 1)
     # the same content is fine in the other axis
     shift_apply(c, 2)
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_shift_matches_child_loop(depth, axis):
+    rng = np.random.default_rng(17)
+    c = rng.standard_normal((1 << depth[0], 1 << depth[1]))
+    n = c.shape[axis - 1]
+
+    def at(b):
+        return (b, slice(None)) if axis == 1 else (slice(None), b)
+
+    expected = np.zeros_like(c)
+    for b in range(1, n):
+        interval = DyadicInterval.from_basis_index(b)
+        plus, minus = interval.half_plus().basis_index, interval.half_minus().basis_index
+        if plus < n:
+            expected[at(plus)] += c[at(b)]
+            expected[at(minus)] -= c[at(b)]
+    assert np.array_equal(truncating_shift(HaarSpectrum2D(depth, c), axis).coeffs, expected)
+    with pytest.raises(InsufficientHeadroomError):
+        shift_apply(HaarSpectrum2D(depth, c), axis)
+    c[at(slice(n // 2, n))] = 0.0  # the deepest level of the axis
+    assert np.array_equal(shift_apply(HaarSpectrum2D(depth, c), axis).coeffs, expected)
 
 
 def test_shift_matrix_columns_are_signed_units():
