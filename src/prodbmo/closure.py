@@ -24,6 +24,8 @@ from .errors import NonConvergenceError, ValidationError
 
 #: Dinkelbach rounds before best_ratio gives up
 _MAX_ROUNDS = 1000
+#: relative improvement below which a Dinkelbach round settles the ratio
+_REL_TOL = 1e-13
 
 
 class _FlowNetwork:
@@ -201,7 +203,7 @@ def _solve_closure(net, base_cap, lam, cell_areas, total_w):
     return total_w - flow, cell_mask
 
 
-def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13):
+def best_ratio(inst: ClosureInstance):
     """Maximise g over non-empty cell unions; returns (ratio, cell mask).
 
     All-zero weights return (0.0, None) as the empty-set sentinel.
@@ -232,10 +234,10 @@ def best_ratio(inst: ClosureInstance, rel_tol: float = 1e-13):
     best_mask = start
     for _ in range(_MAX_ROUNDS):
         value, mask = _solve_closure(net, base_cap, lam, inst.cell_areas, total_w)
-        if value <= rel_tol * total_w or not mask.any():
+        if value <= _REL_TOL * total_w or not mask.any():
             return lam, best_mask
         new_lam = inst.ratio(mask)
-        if new_lam <= lam * (1.0 + rel_tol):
+        if new_lam <= lam * (1.0 + _REL_TOL):
             return max(lam, new_lam), (mask if new_lam > lam else best_mask)
         lam = new_lam
         best_mask = mask

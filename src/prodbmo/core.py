@@ -137,7 +137,7 @@ def _check_grid_shape(values, depth):
     j1, j2 = depth
     if not (1 <= j1 <= MAX_LEVEL and 1 <= j2 <= MAX_LEVEL):
         raise ValidationError(f"depth {depth} out of supported range")
-    if values.shape != (1 << j1, 1 << j2):
+    if values.shape[-2:] != (1 << j1, 1 << j2):
         raise ValidationError(
             f"values shape {values.shape} does not match depth {depth}"
         )
@@ -149,7 +149,9 @@ class GridFunction2D:
     """Piecewise-constant function on the 2^J1 x 2^J2 dyadic grid over [0,1)^2.
 
     Rows index s-cells, columns index t-cells; cell widths are 2^-J1 and
-    2^-J2.  Treated as an immutable value: operations return new objects.
+    2^-J2.  ``values`` may carry leading batch axes; ``integral`` and
+    ``norm_l2_sq`` need a single function.  Treated as an immutable value:
+    operations return new objects.
     """
 
     __slots__ = ("depth", "values")
@@ -210,7 +212,9 @@ class HaarSpectrum2D:
 
     The dense array ``coeffs`` is indexed by the two 1-d basis indices
     (see module docstring); Parseval holds exactly:
-    ||f||_2^2 == (coeffs ** 2).sum().
+    ||f||_2^2 == (coeffs ** 2).sum().  ``coeffs`` may carry leading batch
+    axes; ``cc``, the ``*_coef`` methods and the energies need a single
+    spectrum.
     """
 
     __slots__ = ("depth", "coeffs")
@@ -246,7 +250,7 @@ class HaarSpectrum2D:
 
     def hh_block(self) -> np.ndarray:
         """View of the rectangle block (valid indices b1, b2 >= 1)."""
-        return self.coeffs[1:, 1:]
+        return self.coeffs[..., 1:, 1:]
 
     def hh_energy(self) -> float:
         return float((self.coeffs[1:, 1:] ** 2).sum())
@@ -256,12 +260,12 @@ class HaarSpectrum2D:
 
     def hh_only(self) -> "HaarSpectrum2D":
         out = np.zeros_like(self.coeffs)
-        out[1:, 1:] = self.coeffs[1:, 1:]
+        out[..., 1:, 1:] = self.coeffs[..., 1:, 1:]
         return HaarSpectrum2D(self.depth, out)
 
     def generation_block(self, j1: int, j2: int) -> np.ndarray:
         """View of the hh coefficients of generation (j1, j2), shape (2^j1, 2^j2)."""
-        return self.coeffs[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]
+        return self.coeffs[..., (1 << j1):(2 << j1), (1 << j2):(2 << j2)]
 
     def with_hh_coef(self, rect: DyadicRect, value: float) -> "HaarSpectrum2D":
         out = self.coeffs.copy()
@@ -279,7 +283,7 @@ class HaarSpectrum2D:
 
 
 # ---------------------------------------------------------------------------
-# fast 1-d pyramid transforms (vectorised over the other axis)
+# fast 1-d pyramid transforms (vectorised over the other axes)
 # ---------------------------------------------------------------------------
 
 def _analysis(v: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -316,13 +320,13 @@ def _synthesis(c: np.ndarray, axis: int = 0) -> np.ndarray:
 
 def haar_forward_2d(f: GridFunction2D) -> HaarSpectrum2D:
     """Full tensor Haar analysis of a grid function."""
-    c = _analysis(_analysis(f.values, 1), 0)
+    c = _analysis(_analysis(f.values, -1), -2)
     return HaarSpectrum2D(f.depth, c)
 
 
 def haar_inverse_2d(c: HaarSpectrum2D) -> GridFunction2D:
     """Synthesis back to cell values; exact inverse of :func:`haar_forward_2d`."""
-    v = _synthesis(_synthesis(c.coeffs, 1), 0)
+    v = _synthesis(_synthesis(c.coeffs, -1), -2)
     return GridFunction2D(c.depth, v)
 
 
@@ -384,19 +388,17 @@ def dyadic_rect_mean(p: PrefixTable, rect: DyadicRect) -> float:
 
 def block_means(v: np.ndarray, axis: int):
     """List over levels j = 0..J of v block-averaged along ``axis`` to 2^j entries."""
-    even = (slice(None),) * axis + (slice(0, None, 2),)
-    odd = (slice(None),) * axis + (slice(1, None, 2),)
-    means = [v]
-    while means[-1].shape[axis] > 1:
+    means = [v.swapaxes(0, axis)]
+    while len(means[-1]) > 1:
         a = means[-1]
-        means.append(0.5 * (a[even] + a[odd]))
-    return means[::-1]
+        means.append(0.5 * (a[0::2] + a[1::2]))
+    return [m.swapaxes(0, axis) for m in means[::-1]]
 
 
 def mean_pyramid(values: np.ndarray):
     """All block means: out[j1][j2] has shape (2^j1, 2^j2), entry = mean over
     the dyadic rectangle at generation (j1, j2)."""
-    return [block_means(a, 1) for a in block_means(values, 0)]
+    return [block_means(a, -1) for a in block_means(values, -2)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +421,21 @@ def _axis_pattern(n: int, j: int, beta: int) -> np.ndarray:
     return np.tile(tile, 1 << j)
 
 
-def _generation_sum(depth, a, b, beta) -> np.ndarray:
+def _generation_sum(shape, a, b, beta) -> np.ndarray:
     """Cell values of sum_R a_R b_R b1_I (x) b2_J over the hh rectangles
-    R = I x J, generation by generation.
+    R = I x J, generation by generation, as an array of ``shape``.
 
-    a(j1, j2) and b(j1, j2) return the (2^j1, 2^j2) coefficient blocks of
-    generation (j1, j2); beta picks the outer factor per axis (0: Haar,
+    a(j1, j2) and b(j1, j2) return the (..., 2^j1, 2^j2) coefficient blocks
+    of generation (j1, j2); beta picks the outer factor per axis (0: Haar,
     1: normalised indicator).  Generations whose product vanishes are skipped.
     """
-    n1, n2 = 1 << depth[0], 1 << depth[1]
-    out = np.zeros((n1, n2))
-    for j1 in range(depth[0]):
-        for j2 in range(depth[1]):
+    out = np.zeros(shape)
+    n1, n2 = shape[-2:]
+    for j1 in range(n1.bit_length() - 1):
+        for j2 in range(n2.bit_length() - 1):
             coef = a(j1, j2) * b(j1, j2)
             if coef.any():
-                expanded = np.repeat(np.repeat(coef, n1 >> j1, axis=0), n2 >> j2, axis=1)
+                expanded = np.repeat(np.repeat(coef, n1 >> j1, axis=-2), n2 >> j2, axis=-1)
                 p1 = _axis_pattern(n1, j1, beta[0])
                 p2 = _axis_pattern(n2, j2, beta[1])
                 out += expanded * (p1[:, None] * p2[None, :])
@@ -521,7 +523,7 @@ def _level_range_mask(n: int, levels) -> np.ndarray:
 
 def apply_projection(c: HaarSpectrum2D, sel: ProjectionSelector) -> HaarSpectrum2D:
     """Apply a projection selector; output keeps only the selected hh part."""
-    n1, n2 = c.coeffs.shape
+    n1, n2 = c.coeffs.shape[-2:]
     keep = np.outer(_level_range_mask(n1, sel.s_levels), _level_range_mask(n2, sel.t_levels))
     if sel.mask is not None:
         keep &= _open_set_keep(c.depth, np.array(sel.mask, dtype=bool))
@@ -555,7 +557,7 @@ def square_function(c: HaarSpectrum2D) -> GridFunction2D:
     def block(j1, j2):
         return np.ldexp(c.generation_block(j1, j2), -e)
 
-    squares = _generation_sum(c.depth, block, block, (1, 1))
+    squares = _generation_sum(c.coeffs.shape, block, block, (1, 1))
     return GridFunction2D(c.depth, np.ldexp(np.sqrt(squares), e))
 
 

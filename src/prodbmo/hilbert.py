@@ -88,16 +88,15 @@ class StepFunction1D:
     def l2_norm_sq(self) -> float:
         return float((self.values ** 2 * np.diff(self.breakpoints)).sum())
 
-    def haar_coefficient(self, left: float, mid: float, right: float) -> float:
-        """<f, h_I> for I = [left, right) split at mid."""
+    def haar_coefficient(self, left, mid, right):
+        """<f, h_I> for I = [left, right) split at mid; elementwise on arrays."""
         f = self.cdf
-        return (f(right) - 2.0 * f(mid) + f(left)) / math.sqrt(right - left)
+        return (f(right) - 2.0 * f(mid) + f(left)) / np.sqrt(right - left)
 
-    def has_breakpoint_inside(self, left: float, right: float) -> bool:
+    def has_breakpoint_inside(self, left, right):
+        """Whether a breakpoint lies in (left, right); elementwise on arrays."""
         bp = self.breakpoints
-        lo = int(np.searchsorted(bp, left, side="right"))
-        hi = int(np.searchsorted(bp, right, side="left"))
-        return hi > lo
+        return np.searchsorted(bp, right, side="left") > np.searchsorted(bp, left, side="right")
 
 
 class RandomDyadicGrid:
@@ -227,21 +226,33 @@ def grid_shift_apply(f: StepFunction1D, g: RandomDyadicGrid) -> StepFunction1D:
     return StepFunction1D(points, values)
 
 
-def shift_evaluate(f: StepFunction1D, g: RandomDyadicGrid, x: float) -> float:
-    """(S f)(x) evaluated directly; quarters follow the half-open layout."""
-    _check_window(f, g)
-    total = 0.0
-    for j in g.levels():
-        left, length = g.interval_containing(x, j)
-        if not f.has_breakpoint_inside(left, left + length):
-            continue
+def _shift_sums(f: StepFunction1D, grids, xs) -> np.ndarray:
+    """(S f)(x) for each grid (rows) and point (columns) of grids sharing
+    their levels, one level at a time; quarters follow the half-open layout,
+    and intervals with no breakpoint inside or a zero coefficient add +0.0."""
+    _check_window(f, grids[0])
+    levels = grids[0].levels()
+    r = np.array([[g.r] for g in grids])
+    shifts = np.array([[g.level_shift(j) for j in levels] for g in grids])
+    x = np.asarray(xs, dtype=float)[None, :]
+    if not np.isfinite(x).all():
+        raise ValidationError("evaluation points must be finite")
+    total = np.zeros((len(grids), x.shape[1]))
+    for j, shift in zip(levels, shifts.T[:, :, None]):
+        base = 2.0 ** (-j)
+        left = r * (base * np.floor((x / r - shift) / base) + shift)
+        length = r * base
         coef = f.haar_coefficient(left, left + length / 2.0, left + length)
-        if coef == 0.0:
-            continue
         pos = (x - left) / length
-        sign = 1.0 if (pos < 0.25 or pos >= 0.75) else -1.0
-        total += coef * sign * math.sqrt(2.0 / length)
+        sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
+        keep = f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
+        total += np.where(keep, coef * sign * np.sqrt(2.0 / length), 0.0)
     return total
+
+
+def shift_evaluate(f: StepFunction1D, g: RandomDyadicGrid, x: float) -> float:
+    """(S f)(x) evaluated directly at one point of one grid."""
+    return float(_shift_sums(f, [g], [x])[0, 0])
 
 
 def analytic_hilbert_step(f: StepFunction1D, x: float) -> float:
@@ -267,13 +278,9 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     if n_samples < 2:
         raise ValidationError("need at least two samples for a standard error")
     xs = [float(x) for x in xs]
-    for x in xs:
-        if np.any(f.breakpoints == x):
-            raise EvaluationAtJumpError("evaluation at jump")
-    samples = np.empty((n_samples, len(xs)))
-    for i, g in enumerate(_sampled_grids(seed, n_samples, k_coarse, k_fine)):
-        for jx, x in enumerate(xs):
-            samples[i, jx] = shift_evaluate(f, g, x)
+    if np.isin(xs, f.breakpoints).any():
+        raise EvaluationAtJumpError("evaluation at jump")
+    samples = _shift_sums(f, _sampled_grids(seed, n_samples, k_coarse, k_fine), xs)
     scaled = AVERAGING_FACTOR * LN2 * samples
     est = scaled.mean(axis=0)
     err = scaled.std(axis=0, ddof=1) / math.sqrt(n_samples)

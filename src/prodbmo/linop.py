@@ -6,8 +6,10 @@ at fixed depth, in the enumeration
     cc,  hc by (level, position),  ch by (level, position),
     hh by (s-level, t-level, s-position, t-position) lexicographic.
 
-Operator norms are largest singular values, computed by a full singular
-value decomposition (assembly caps the dimension at 256).
+Assembly calls the operator once, on the stacked basis vectors: the value
+types carry leading batch axes, and an operator acts on each leading index
+on its own.  Operator norms are largest singular values, computed by a full
+singular value decomposition (assembly caps the dimension at 256).
 """
 
 from __future__ import annotations
@@ -46,15 +48,17 @@ def _enumeration_arrays(depth):
 
 
 def spectrum_to_vector(c: HaarSpectrum2D) -> np.ndarray:
+    """Coefficients in the enumeration order, along the last axis."""
     rows, cols = _enumeration_arrays(c.depth)
-    return c.coeffs[rows, cols].copy()
+    return c.coeffs[..., rows, cols]
 
 
 def vector_to_spectrum(v: np.ndarray, depth) -> HaarSpectrum2D:
+    """Inverse of :func:`spectrum_to_vector`; leading axes of v are kept."""
     rows, cols = _enumeration_arrays(tuple(depth))
     j1d, j2d = depth
-    coeffs = np.zeros((1 << j1d, 1 << j2d))
-    coeffs[rows, cols] = v
+    coeffs = np.zeros(np.shape(v)[:-1] + (1 << j1d, 1 << j2d))
+    coeffs[..., rows, cols] = v
     return HaarSpectrum2D(depth, coeffs)
 
 
@@ -103,13 +107,15 @@ class DenseOperator:
             raise DepthMismatchError(f"depth mismatch: {self.depth} vs {other.depth}")
 
 
-def assemble(op, depth, space: str = "grid", check_linearity: bool = True) -> DenseOperator:
+def assemble(op, depth, space: str = "grid") -> DenseOperator:
     """Assemble the dense matrix of a linear operator at the given depth.
 
     ``op`` maps GridFunction2D -> GridFunction2D (space="grid") or
-    HaarSpectrum2D -> HaarSpectrum2D (space="spectrum").  Columns are the
-    images of the basis vectors; linearity of ``op`` is the caller's
-    contract and is spot-checked on a random combination.
+    HaarSpectrum2D -> HaarSpectrum2D (space="spectrum"), and acts on each
+    leading index of its argument on its own.  It is called once, on the
+    dim basis vectors stacked with one random combination of them: the
+    basis images are the columns, and the combination's image spot-checks
+    linearity, which is the caller's contract.
     """
     depth = tuple(depth)
     dim = 1 << (depth[0] + depth[1])
@@ -120,36 +126,27 @@ def assemble(op, depth, space: str = "grid", check_linearity: bool = True) -> De
     if space not in ("grid", "spectrum"):
         raise ValidationError("space must be 'grid' or 'spectrum'")
 
-    def apply_coeffs(v):
-        spec = vector_to_spectrum(v, depth)
-        if space == "grid":
-            out = op(haar_inverse_2d(spec))
-            if not isinstance(out, GridFunction2D):
-                raise ValidationError("operator must return a GridFunction2D")
-            return spectrum_to_vector(haar_forward_2d(out))
+    rng = np.random.default_rng(177)
+    x = rng.standard_normal(dim)
+    y = rng.standard_normal(dim)
+    spec = vector_to_spectrum(np.vstack((np.eye(dim), 2.5 * x - 0.75 * y)), depth)
+    if space == "grid":
+        out = op(haar_inverse_2d(spec))
+        if not isinstance(out, GridFunction2D):
+            raise ValidationError("operator must return a GridFunction2D")
+        out = haar_forward_2d(out)
+    else:
         out = op(spec)
         if not isinstance(out, HaarSpectrum2D):
             raise ValidationError("operator must return a HaarSpectrum2D")
-        return spectrum_to_vector(out)
-
-    mat = np.empty((dim, dim))
-    basis = np.zeros(dim)
-    for col in range(dim):
-        basis[col] = 1.0
-        mat[:, col] = apply_coeffs(basis)
-        basis[col] = 0.0
-    if not np.isfinite(mat).all():
-        raise ValidationError("operator produced non-finite values")
-
-    if check_linearity:
-        rng = np.random.default_rng(177)
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        lhs = apply_coeffs(2.5 * x - 0.75 * y)
-        rhs = 2.5 * (mat @ x) - 0.75 * (mat @ y)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        if np.abs(lhs - rhs).max() > 1e-9 * scale:
-            raise ValidationError("operator failed the linearity spot-check")
+    images = spectrum_to_vector(out)
+    if images.shape != (dim + 1, dim) or not np.isfinite(images).all():
+        raise ValidationError("operator must map each input row to finite values")
+    mat = images[:dim].T.copy()
+    rhs = 2.5 * (mat @ x) - 0.75 * (mat @ y)
+    scale = max(1.0, float(np.abs(rhs).max()))
+    if np.abs(images[dim] - rhs).max() > 1e-9 * scale:
+        raise ValidationError("operator failed the linearity spot-check")
     return DenseOperator(depth, mat)
 
 

@@ -76,8 +76,7 @@ def _zoom(phi: HaarSpectrum2D, rect: DyadicRect):
     return HaarSpectrum2D(q, phi.coeffs[np.ix_(*idx)]), k, cells
 
 
-def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None,
-                  rel_tol: float = 1e-13):
+def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     """Exact squared product BMO norm and an attaining cell mask.
 
     The mask is a boolean array over the full grid; an all-zero hh block
@@ -88,7 +87,7 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None,
     grid_mask = np.zeros((1 << phi.depth[0], 1 << phi.depth[1]), dtype=bool)
     if sub is None:
         return 0.0, grid_mask
-    value, local_mask = best_ratio(grid_closure_instance(sub), rel_tol=rel_tol)
+    value, local_mask = best_ratio(grid_closure_instance(sub))
     if local_mask is not None:
         grid_mask[cells] = local_mask.reshape(grid_mask[cells].shape)
     return value * 2.0 ** k, grid_mask

@@ -87,7 +87,7 @@ def _levels(v: np.ndarray, kind: int, axis: int):
     if kind:
         return block_means(v, axis)
     levels = range(v.shape[axis].bit_length() - 1)
-    return [v[:, (1 << j):(2 << j)] if axis else v[(1 << j):(2 << j)] for j in levels]
+    return [v.swapaxes(0, axis)[(1 << j):(2 << j)].swapaxes(0, axis) for j in levels]
 
 
 def _factor_blocks(x, kind):
@@ -103,10 +103,10 @@ def _factor_blocks(x, kind):
             return x.generation_block
         x = haar_inverse_2d(x)
     v = x.values
-    for axis in (1, 0):
+    for axis in (-1, -2):
         if not kind[axis]:
             v = _analysis(v, axis)
-    table = [_levels(row, kind[1], 1) for row in _levels(v, kind[0], 0)]
+    table = [_levels(row, kind[1], -1) for row in _levels(v, kind[0], -2)]
     return lambda j1, j2: table[j1][j2]
 
 
@@ -117,7 +117,7 @@ def _bilinear(phi: HaarSpectrum2D, phi_kind, f: GridFunction2D, f_kind, beta) ->
     if phi.depth != f.depth:
         raise DepthMismatchError(f"depth mismatch: {phi.depth} vs {f.depth}")
     a, b = _factor_blocks(phi, phi_kind), _factor_blocks(f, f_kind)
-    out = _generation_sum(f.depth, a, b, beta)
+    out = _generation_sum(np.broadcast_shapes(phi.coeffs.shape, f.values.shape), a, b, beta)
     return GridFunction2D(f.depth, out)
 
 

@@ -70,7 +70,7 @@ def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     of the shifted axis must vanish.
     """
     out = truncating_shift(c, axis)  # checks the axis
-    w = c.coeffs.swapaxes(0, axis - 1)
+    w = c.coeffs.swapaxes(0, axis - 3)
     if w[w.shape[0] // 2:].any():
         raise InsufficientHeadroomError("insufficient depth headroom")
     return out
@@ -91,12 +91,12 @@ def truncating_shift(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     """
     if axis not in (1, 2):
         raise ValidationError("axis must be 1 or 2")
-    w = c.coeffs.swapaxes(0, axis - 1)
+    w = c.coeffs.swapaxes(0, axis - 3)
     parents = w[1:w.shape[0] // 2]
     out = np.zeros_like(w)
     out[3::2] += parents
     out[2::2] -= parents
-    return HaarSpectrum2D(c.depth, out.swapaxes(0, axis - 1))
+    return HaarSpectrum2D(c.depth, out.swapaxes(0, axis - 3))
 
 
 def double_commutator(s1, s2, m, x):
@@ -116,10 +116,7 @@ def shift_matrix(depth, axis: int):
     """Dense matrix of the (truncated) shift over the tensor basis."""
     from .linop import assemble
 
-    return assemble(
-        lambda c: truncating_shift(c, axis), depth, space="spectrum",
-        check_linearity=False,
-    )
+    return assemble(lambda c: truncating_shift(c, axis), depth, space="spectrum")
 
 
 def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D) -> GridFunction2D:

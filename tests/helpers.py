@@ -87,7 +87,6 @@ def matrix_rr_commutator_image(phi, rect, depth):
         lambda g: nine_part_apply(NinePartTag(EQUAL, EQUAL), spec, g),
         depth,
         space="grid",
-        check_linearity=False,
     )
     comm = commutator(
         shift_matrix(depth, 1), commutator(shift_matrix(depth, 2), rr)

@@ -291,6 +291,12 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
                   "--samples", "4", "--seed", "-1", "--output", "{out}"], id="mc-negative-seed"),
     pytest.param(["experiment", "nine-part", "--depth", "2", "--trials", "1", "--seed", "-3",
                   "--output", "{out}"], id="experiment-negative-seed"),
+] + [
+    pytest.param(["experiment", name, "--depth", depth, "--trials", "1", "--seed", "0",
+                  "--output", "{out}"], id=f"experiment-{name}-depth-{depth}")
+    for name in ("growth", "paraproduct-bound", "lemma-core", "nine-part",
+                 "commutator-bound", "lmo-equivalence")
+    for depth in ("6", "40")
 ])
 def test_malformed_argument_exit_2(tmp_path, argv):
     write_quarter_haar_grid(tmp_path / "grid.json")

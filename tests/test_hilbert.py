@@ -238,6 +238,15 @@ def test_mc_rejects_breakpoints():
         mc_hilbert(f, [1.0], 16, 0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_mc_and_shift_evaluate_reject_non_finite_points(x):
+    f = StepFunction1D.indicator(0.0, 1.0)
+    with pytest.raises(ValidationError):
+        mc_hilbert(f, [2.0, x], 16, 0, k_coarse=4, k_fine=4)
+    with pytest.raises(ValidationError):
+        shift_evaluate(f, standard_grid(4, 4), x)
+
+
 def test_mc_deterministic_in_seed():
     f = StepFunction1D.indicator(0.0, 1.0)
     a = mc_hilbert(f, [2.0], 64, 9, k_coarse=6, k_fine=6)
@@ -279,6 +288,42 @@ def test_mc_truncation_budget_shrinks():
     assert d_coarse <= 1.1e-2
     for k in (8, 10, 12):
         assert abs(ests[k] - oracle) <= 0.1  # coupled runs stay near the oracle
+
+
+def _scalar_shift_evaluate(f, g, x):
+    """Reference (S f)(x): one level at a time, one grid and one point."""
+    bp = f.breakpoints
+    total = 0.0
+    for j in g.levels():
+        left, length = g.interval_containing(x, j)
+        right = left + length
+        if np.searchsorted(bp, right, side="left") <= np.searchsorted(bp, left, side="right"):
+            continue
+        coef = (f.cdf(right) - 2.0 * f.cdf(left + length / 2.0) + f.cdf(left)) / math.sqrt(
+            right - left)
+        if coef == 0.0:
+            continue
+        pos = (x - left) / length
+        sign = 1.0 if (pos < 0.25 or pos >= 0.75) else -1.0
+        total += coef * sign * math.sqrt(2.0 / length)
+    return total
+
+
+@pytest.mark.parametrize("k", [(4, 4), (6, 6), (12, 12)])
+def test_mc_and_shift_evaluate_match_scalar_reference(k):
+    """The one-pass average equals the per-grid, per-point loop bit for bit,
+    on the grids of ``sample_grid`` over the spawned seed sequence."""
+    f = StepFunction1D([-0.75, 0.1, 0.4, 1.2], [0.7, -1.1, 2.0])
+    xs = [-5.0, -0.75 - 1e-9, 0.1 + 1e-12, 0.25, 0.4 - 2e-10, 1.2 + 1e-9, 3.5, 9.0]
+    seed, n = 2024, 40
+    grids = [sample_grid(child, *k) for child in np.random.SeedSequence(seed).spawn(n)]
+    samples = np.array([[_scalar_shift_evaluate(f, g, x) for x in xs] for g in grids])
+    for g, row in zip(grids, samples):
+        assert [shift_evaluate(f, g, x) for x in xs] == row.tolist()
+    scaled = AVERAGING_FACTOR * LN2 * samples
+    expect = list(zip(scaled.mean(axis=0).tolist(),
+                      (scaled.std(axis=0, ddof=1) / math.sqrt(n)).tolist()))
+    assert mc_hilbert(f, xs, n, seed, k_coarse=k[0], k_fine=k[1]) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ from helpers import random_hh_spectrum, random_spectrum, verify_against
 from prodbmo.calibration import lemma_core_norms
 from prodbmo.core import (
     DyadicRect,
+    GridFunction2D,
     HaarSpectrum2D,
     ProjectionSelector,
     apply_projection,
+    haar_forward_2d,
+    haar_inverse_2d,
 )
 from prodbmo.errors import DepthMismatchError, ValidationError
 from prodbmo.linop import (
@@ -21,7 +24,16 @@ from prodbmo.linop import (
     spectrum_to_vector,
     vector_to_spectrum,
 )
-from prodbmo.paraproducts import PI, paraproduct
+from prodbmo.paraproducts import (
+    ALL_NINE_TAGS,
+    DELTA,
+    PI,
+    PI_01,
+    PI_10,
+    nine_part_apply,
+    paraproduct,
+)
+from prodbmo.shifts import shift_apply, truncating_shift
 
 UNIT_SQUARE = DyadicRect.from_levels(0, 0, 0, 0)
 
@@ -102,6 +114,116 @@ def test_verify_against_utility():
 def test_assemble_depth_cap():
     with pytest.raises(ValidationError):
         assemble(lambda c: c, (5, 5), space="spectrum")
+
+
+# ---------------------------------------------------------------------------
+# batch contract: one call on stacked inputs equals one call per input
+# ---------------------------------------------------------------------------
+
+def _assemble_by_columns(op, depth, space):
+    """Reference assembly: one call of ``op`` per basis column."""
+    dim = 1 << (depth[0] + depth[1])
+    mat = np.empty((dim, dim))
+    for col in range(dim):
+        spec = vector_to_spectrum(np.eye(dim)[col], depth)
+        if space == "grid":
+            out = haar_forward_2d(op(haar_inverse_2d(spec)))
+        else:
+            out = op(spec)
+        mat[:, col] = spectrum_to_vector(out)
+    return mat
+
+
+@pytest.mark.parametrize("space", ["grid", "spectrum"])
+def test_assemble_calls_op_once(space):
+    calls = []
+
+    def op(x):
+        calls.append(x)
+        return x
+
+    assemble(op, (2, 2), space=space)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (2, 3), (3, 3)])
+def test_assemble_equals_column_loop(depth):
+    rng = np.random.default_rng(31)
+    phi = random_hh_spectrum(depth, rng)
+    sel = ProjectionSelector.expectation(1, 2)
+    cases = [
+        (lambda f: paraproduct(PI, phi, f), "grid"),
+        (lambda c: apply_projection(c, sel), "spectrum"),
+        (lambda c: truncating_shift(c, 1), "spectrum"),
+        (lambda c: truncating_shift(c, 2), "spectrum"),
+    ]
+    for op, space in cases:
+        assert np.all(assemble(op, depth, space=space).matrix
+                      == _assemble_by_columns(op, depth, space))
+
+
+def test_assemble_rejects_op_mixing_batch_rows():
+    with pytest.raises(ValidationError):
+        assemble(
+            lambda c: HaarSpectrum2D(c.depth, np.roll(c.coeffs, 1, axis=0)),
+            (2, 2),
+            space="spectrum",
+        )
+
+
+def _batch_and_rows(depth, seed, headroom=False):
+    """A stacked batch of 3 random spectra and the 3 spectra on their own;
+    with ``headroom`` the deepest level of each axis is zero."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((3, 1 << depth[0], 1 << depth[1]))
+    if headroom:
+        coeffs[:, (1 << depth[0]) // 2:, :] = 0.0
+        coeffs[:, :, (1 << depth[1]) // 2:] = 0.0
+    return HaarSpectrum2D(depth, coeffs), [HaarSpectrum2D(depth, c) for c in coeffs]
+
+
+def _assert_rowwise(batched, singles):
+    field = "values" if isinstance(batched, GridFunction2D) else "coeffs"
+    assert getattr(batched, field).shape[0] == len(singles)
+    for row, single in zip(getattr(batched, field), singles):
+        assert np.all(row == getattr(single, field))
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (2, 3), (3, 2)])
+def test_batched_haar_transforms_match_rows(depth):
+    spec, rows = _batch_and_rows(depth, 41)
+    grid = haar_inverse_2d(spec)
+    _assert_rowwise(grid, [haar_inverse_2d(c) for c in rows])
+    _assert_rowwise(haar_forward_2d(grid), [haar_forward_2d(haar_inverse_2d(c)) for c in rows])
+
+
+def test_batched_projections_match_rows():
+    depth = (3, 2)
+    spec, rows = _batch_and_rows(depth, 43)
+    mask = np.random.default_rng(44).random((8, 4)) < 0.6
+    for sel in (ProjectionSelector.expectation(2, 1), ProjectionSelector.tail(1, 1),
+                ProjectionSelector.open_set(mask)):
+        _assert_rowwise(apply_projection(spec, sel), [apply_projection(c, sel) for c in rows])
+
+
+def test_batched_paraproducts_and_nine_parts_match_rows():
+    depth = (2, 3)
+    spec, rows = _batch_and_rows(depth, 47)
+    phi = random_spectrum(depth, np.random.default_rng(48))
+    f = haar_inverse_2d(spec)
+    singles = [haar_inverse_2d(c) for c in rows]
+    for sig in (PI, DELTA, PI_01, PI_10):
+        _assert_rowwise(paraproduct(sig, phi, f), [paraproduct(sig, phi, g) for g in singles])
+    for tag in ALL_NINE_TAGS:
+        _assert_rowwise(nine_part_apply(tag, phi, f),
+                        [nine_part_apply(tag, phi, g) for g in singles])
+
+
+def test_batched_shifts_match_rows():
+    spec, rows = _batch_and_rows((3, 3), 53, headroom=True)
+    for axis in (1, 2):
+        _assert_rowwise(truncating_shift(spec, axis), [truncating_shift(c, axis) for c in rows])
+        _assert_rowwise(shift_apply(spec, axis), [shift_apply(c, axis) for c in rows])
 
 
 def test_dense_apply_spectrum():

@@ -334,7 +334,6 @@ def test_part_report_reproducible_from_matrices():
         lambda g: nine_part_apply(NinePartTag(EQUAL, EQUAL), phi_amb, g),
         ambient,
         space="grid",
-        check_linearity=False,
     )
     s1 = shift_matrix(ambient, 1)
     s2 = shift_matrix(ambient, 2)
@@ -369,8 +368,7 @@ def test_single_shift_block_commutators_match_matrices():
     s2 = shift_matrix(depth, 2)
     for tag in (NinePartTag(COARSER, EQUAL), NinePartTag(EQUAL, COARSER)):
         op = assemble(
-            lambda g: nine_part_apply(tag, phi_amb, g), depth,
-            space="grid", check_linearity=False,
+            lambda g: nine_part_apply(tag, phi_amb, g), depth, space="grid",
         )
         comm = commutator(s2, op)
         for _ in range(5):
