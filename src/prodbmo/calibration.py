@@ -26,6 +26,7 @@ from .core import (
     haar_forward_2d,
     haar_inverse_2d,
 )
+from .errors import ValidationError
 from .linop import assemble, operator_norm
 from .norms import (
     bmo_d_norm_sq,
@@ -70,6 +71,12 @@ CALIBRATED = {
     # shared constant of the iterated-commutator experiment at (2,2), (3,3);
     # observed <= 1.332 across seeds
     "shift_commutator_bound": 2.00,
+}
+
+#: the square depths (d, d) each bound constant's sweep covers, and the only ones it is checked at
+CALIBRATED_DEPTHS = {
+    "pi_bound_constant": (2, 3, 4),
+    "shift_commutator_bound": (2, 3),
 }
 
 
@@ -228,7 +235,15 @@ def lmo_ratio_interval(depth: int):
             CALIBRATED[f"lmo_ratio_hi_depth{depth}"],
         )
     except KeyError:
-        raise ValueError(f"no calibrated ratio interval for depth {depth}")
+        raise ValidationError(f"no calibrated ratio interval for depth {depth}")
+
+
+def bound_constant(key: str, depth: int) -> float:
+    """CALIBRATED[key] for a bound checked at square depth (depth, depth)."""
+    if depth not in CALIBRATED_DEPTHS[key]:
+        raise ValidationError(
+            f"{key} is calibrated at depths {CALIBRATED_DEPTHS[key]} only, got {depth}")
+    return CALIBRATED[key]
 
 
 def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
@@ -244,9 +259,9 @@ def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
 def sweep_pi_bound(n=100, seed=20240502):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for depth in [(2, 2), (3, 3), (4, 4)]:
+    for d in CALIBRATED_DEPTHS["pi_bound_constant"]:
         for _ in range(n):
-            worst = max(worst, pi_bound_ratio(depth, rng))
+            worst = max(worst, pi_bound_ratio((d, d), rng))
     return {"pi_bound_constant": worst}
 
 
@@ -267,9 +282,9 @@ def sweep_delta_bounds(n=50, depth=(2, 2), seed=20240503):
 def sweep_shift_commutator(n=100, seed=20240504):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for depth in [(2, 2), (3, 3)]:
+    for d in CALIBRATED_DEPTHS["shift_commutator_bound"]:
         for _ in range(n):
-            worst = max(worst, commutator_bound_ratio(depth, rng))
+            worst = max(worst, commutator_bound_ratio((d, d), rng))
     return {"shift_commutator_bound": worst}
 
 

@@ -41,11 +41,12 @@ class _FlowNetwork:
         self.to = np.column_stack((heads, tails)).ravel().tolist()
 
     def max_flow(self, s, t, eps):
+        """(flow, levels of the last BFS): level >= 0 marks the min cut's source side."""
         flow = 0.0
         while True:
             level = self._bfs(s, t, eps)
             if level[t] < 0:
-                return flow
+                return flow, level
             it = [0] * self.n
             while True:
                 pushed = self._dfs(s, t, float("inf"), level, it, eps)
@@ -97,19 +98,6 @@ class _FlowNetwork:
                 level[u] = -1  # dead end, prune
                 e = path.pop()
                 u = self.to[e ^ 1]  # tail of the edge we arrived through
-
-    def residual_reachable(self, s, eps):
-        seen = [False] * self.n
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if not seen[v] and self.cap[e] > eps:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
 
 
 @dataclass
@@ -198,9 +186,8 @@ def _solve_closure(net, base_cap, lam, cell_areas, total_w):
     net.cap = list(base_cap)
     net.cap[-2 * nc::2] = (lam * cell_areas).tolist()
     eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
-    flow = net.max_flow(0, net.n - 1, eps)
-    cell_mask = np.array(net.residual_reachable(0, eps)[-1 - nc:-1])
-    return total_w - flow, cell_mask
+    flow, level = net.max_flow(0, net.n - 1, eps)
+    return total_w - flow, np.array(level[-1 - nc:-1]) >= 0
 
 
 def best_ratio(inst: ClosureInstance):

@@ -99,61 +99,60 @@ class StepFunction1D:
         return np.searchsorted(bp, right, side="left") > np.searchsorted(bp, left, side="right")
 
 
+def _left_ends(x, r, shift, base, step=0.0):
+    """Left end of the interval of length r * base and offset r * shift
+    that contains x (step 0), or lies ``step`` lengths to its right;
+    elementwise.  Fractional steps give points inside that interval."""
+    return r * (base * (np.floor((x / r - shift) / base) + step) + shift)
+
+
+def _shift_values(pos, length):
+    """h_{I+} - h_{I-} at relative position pos in an interval I of the
+    given length: +sqrt(2/|I|) on the outer quarters, - on the inner two
+    (half-open layout); elementwise, with no test that pos lies in [0, 1)."""
+    return np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0) * np.sqrt(2.0 / length)
+
+
 class RandomDyadicGrid:
     """Translated/dilated dyadic system truncated to levels
-    [-k_coarse, k_fine]; level j intervals have length r * 2^-j."""
+    [-k_coarse, k_fine]; level j intervals have length r * 2^-j and offset
+    r * offsets[j + k_coarse]."""
 
-    __slots__ = ("k_coarse", "k_fine", "r", "bits", "_shifts")
+    __slots__ = ("k_coarse", "k_fine", "r", "bits", "offsets")
 
     def __init__(self, k_coarse: int, k_fine: int, r: float, bits):
         if k_coarse < 1 or k_fine < 1:
             raise ValidationError("k_coarse and k_fine must be >= 1")
+        if k_coarse + k_fine > 53:
+            raise ValidationError("k_coarse + k_fine must be at most 53 (exact float64 offsets)")
         if not (1.0 <= r < 2.0):
             raise ValidationError("dilation must lie in [1, 2)")
         bits = np.asarray(bits, dtype=np.int64)
         if bits.shape != (k_coarse + k_fine,):
-            raise ValidationError(
-                "need one shift bit per level in (-k_coarse, k_fine]"
-            )
-        if not np.isin(bits, (0, 1)).all():
+            raise ValidationError("need one shift bit per level in (-k_coarse, k_fine]")
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValidationError("shift bits must be 0 or 1")
         self.k_coarse = k_coarse
         self.k_fine = k_fine
         self.r = float(r)
         self.bits = bits
-        # x_j = sum_{i > j} 2^-i * bit_i; bits[idx] is the bit of level
-        # i = idx - k_coarse + 1; suffix sums from the finest level down
-        acc = 0.0
-        shifts = {k_fine: 0.0}
-        for idx in range(k_coarse + k_fine - 1, -1, -1):
-            level = idx - k_coarse + 1
-            acc += bits[idx] * 2.0 ** (-level)
-            shifts[level - 1] = acc
-        self._shifts = shifts
+        # x_j = sum_{i > j} 2^-i * bit_i, bits[idx] being the bit of level
+        # idx - k_coarse + 1: suffix sums from the finest level down
+        terms = np.ldexp(bits, -np.arange(1 - k_coarse, k_fine + 1))
+        self.offsets = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
 
     def levels(self):
         return range(-self.k_coarse, self.k_fine + 1)
 
     def level_shift(self, j: int) -> float:
-        return self._shifts[j]
+        if not -self.k_coarse <= j <= self.k_fine:
+            raise ValidationError(f"level {j} outside [-{self.k_coarse}, {self.k_fine}]")
+        return float(self.offsets[j + self.k_coarse])
 
     def interval_containing(self, x: float, j: int):
         """(left, length) of the level-j interval containing x."""
         base = 2.0 ** (-j)
-        k = math.floor((x / self.r - self._shifts[j]) / base)
-        left = self.r * (base * k + self._shifts[j])
-        return left, self.r * base
-
-    def intervals_overlapping(self, j: int, lo: float, hi: float):
-        """(left, length) pairs of level-j intervals meeting (lo, hi)."""
-        base = 2.0 ** (-j)
-        length = self.r * base
-        left, _ = self.interval_containing(lo, j)
-        out = []
-        while left < hi:
-            out.append((left, length))
-            left += length
-        return out
+        return _left_ends(x, self.r, self.level_shift(j), base), self.r * base
 
 
 def _sample_from(rng, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
@@ -193,60 +192,42 @@ def grid_shift_apply(f: StepFunction1D, g: RandomDyadicGrid) -> StepFunction1D:
     """S f = sum over grid intervals of <f, h_I> (h_{I+} - h_{I-}).
 
     Exact for step functions: only intervals with a breakpoint strictly
-    inside carry a coefficient, so the sum is sparse.
+    inside carry a coefficient, so S f is constant between their quarter
+    points; each piece holds :func:`shift_evaluate` at its midpoint.
     """
     _check_window(f, g)
-    events = {}
-    for j in g.levels():
-        base = 2.0 ** (-j)
-        length = g.r * base
-        seen = set()
-        for t in f.breakpoints:
-            k = math.floor((t / g.r - g.level_shift(j)) / base)
-            for kk in (k - 1, k):
-                if kk in seen:
-                    continue
-                seen.add(kk)
-                left = g.r * (base * kk + g.level_shift(j))
-                if not f.has_breakpoint_inside(left, left + length):
-                    continue
-                coef = f.haar_coefficient(left, left + length / 2.0, left + length)
-                if coef == 0.0:
-                    continue
-                amp = coef * math.sqrt(2.0 / length)
-                q = length / 4.0
-                for qi, sign in enumerate((1.0, -1.0, -1.0, 1.0)):
-                    a = left + qi * q
-                    events[a] = events.get(a, 0.0) + sign * amp
-                    events[a + q] = events.get(a + q, 0.0) - sign * amp
-    if not events:
+    base = np.ldexp(1.0, -np.arange(-g.k_coarse, g.k_fine + 1))[:, None, None, None]
+    # candidates k - 1 and k per breakpoint and level; each quarter point is r times an
+    # exact dyadic number, so a point that two levels share is one float
+    steps = np.array([-1.0, 0.0])[:, None, None] + np.arange(5)[:, None] / 4.0
+    quarters = _left_ends(f.breakpoints, g.r, g.offsets[:, None, None, None], base, steps)
+    left, length = quarters[:, :, 0], g.r * base[:, :, 0]
+    carries = (f.has_breakpoint_inside(left, left + length)
+               & (f.haar_coefficient(left, left + length / 2.0, left + length) != 0.0))
+    points = np.unique(np.moveaxis(quarters, 2, -1)[carries])
+    if points.size == 0:
         return StepFunction1D.zero()
-    points = sorted(events)
-    values = np.cumsum([events[p] for p in points])[:-1]
-    return StepFunction1D(points, values)
+    return StepFunction1D(points, _shift_sums(f, [g], 0.5 * (points[:-1] + points[1:]))[0])
 
 
 def _shift_sums(f: StepFunction1D, grids, xs) -> np.ndarray:
     """(S f)(x) for each grid (rows) and point (columns) of grids sharing
-    their levels, one level at a time; quarters follow the half-open layout,
-    and intervals with no breakpoint inside or a zero coefficient add +0.0."""
+    their levels, one level at a time; intervals with no breakpoint inside
+    or a zero coefficient add +0.0."""
     _check_window(f, grids[0])
-    levels = grids[0].levels()
     r = np.array([[g.r] for g in grids])
-    shifts = np.array([[g.level_shift(j) for j in levels] for g in grids])
+    offsets = np.stack([g.offsets for g in grids])
     x = np.asarray(xs, dtype=float)[None, :]
     if not np.isfinite(x).all():
         raise ValidationError("evaluation points must be finite")
     total = np.zeros((len(grids), x.shape[1]))
-    for j, shift in zip(levels, shifts.T[:, :, None]):
+    for j, shift in zip(grids[0].levels(), offsets.T[:, :, None]):
         base = 2.0 ** (-j)
-        left = r * (base * np.floor((x / r - shift) / base) + shift)
+        left = _left_ends(x, r, shift, base)
         length = r * base
         coef = f.haar_coefficient(left, left + length / 2.0, left + length)
-        pos = (x - left) / length
-        sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
         keep = f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
-        total += np.where(keep, coef * sign * np.sqrt(2.0 / length), 0.0)
+        total += np.where(keep, coef * _shift_values((x - left) / length, length), 0.0)
     return total
 
 
@@ -300,9 +281,14 @@ class _AxisSystem:
         if j_hi + 1 > g.k_fine:
             raise ValidationError("levels outside the grid's range")
         self.g = g
-        intervals = [(j, left, length) for j in range(j_hi + 1)
-                     for left, length in g.intervals_overlapping(j, 0.0, 1.0)]
-        self.levels, self.lefts, self.lengths = (np.array(col) for col in zip(*intervals))
+        # per level, step right from the interval containing 0 while left < 1 (<= 2^j + 1 steps)
+        base = np.ldexp(1.0, -np.arange(j_hi + 1))
+        steps = np.repeat(g.r * base[:, None], (1 << j_hi) + 2, axis=1)
+        steps[:, 0] = _left_ends(0.0, g.r, g.offsets[g.k_coarse:g.k_coarse + j_hi + 1], base)
+        lefts = np.cumsum(steps, axis=1)
+        self.levels = np.nonzero(lefts < 1.0)[0]
+        self.lefts = lefts[lefts < 1.0]
+        self.lengths = g.r * base[self.levels]
         self.fine_level = j_hi + 1
         fine_base = 2.0 ** (-self.fine_level)
         self.fine_length = g.r * fine_base
@@ -408,9 +394,7 @@ class _MeshShift:
         mids = 0.5 * (edges[:-1] + edges[1:])
         a, ln = sys_shift.lefts[:, None], sys_shift.lengths[:, None]
         pos = (mids - a) / ln
-        inside = (pos >= 0.0) & (pos < 1.0)
-        sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
-        self.pattern = inside * sign * np.sqrt(2.0 / ln)
+        self.pattern = ((pos >= 0.0) & (pos < 1.0)) * _shift_values(pos, ln)
 
     def apply_axis0(self, w: np.ndarray) -> np.ndarray:
         return self.pattern.T @ (self.analysis @ w)

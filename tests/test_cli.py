@@ -220,6 +220,9 @@ def test_experiments_all_pass(tmp_path, capsys, name, flags):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert all(line.split(",")[-1] == "1" for line in lines[1:])
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)  # every cell below the header parses as a number
 
 
 @pytest.mark.parametrize("name,flags", [
@@ -291,6 +294,17 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
                   "--samples", "4", "--seed", "-1", "--output", "{out}"], id="mc-negative-seed"),
     pytest.param(["experiment", "nine-part", "--depth", "2", "--trials", "1", "--seed", "-3",
                   "--output", "{out}"], id="experiment-negative-seed"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
+                  "--samples", "4", "--seed", "1", "--k-coarse", "1100", "--output", "{out}"],
+                 id="mc-k-coarse-1100"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
+                  "--samples", "4", "--seed", "1", "--k-fine", "2000", "--output", "{out}"],
+                 id="mc-k-fine-2000"),
+] + [
+    pytest.param(["experiment", name, "--depth", depth, "--trials", "1", "--seed", "0",
+                  "--output", "{out}"], id=f"experiment-{name}-uncalibrated-depth-{depth}")
+    for name, depth in [("commutator-bound", "1"), ("commutator-bound", "4"),
+                        ("paraproduct-bound", "1")]
 ] + [
     pytest.param(["experiment", name, "--depth", depth, "--trials", "1", "--seed", "0",
                   "--output", "{out}"], id=f"experiment-{name}-depth-{depth}")

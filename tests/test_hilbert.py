@@ -76,6 +76,38 @@ def test_sample_grid_deterministic():
     assert g3.r != g1.r or not np.all(g3.bits == g1.bits)
 
 
+def _loop_offsets(g):
+    """Reference offsets x_j = sum_{i > j} 2^-i * bit_i as per-level suffix
+    sums from the finest level down, one level at a time."""
+    acc = 0.0
+    shifts = {g.k_fine: 0.0}
+    for idx in range(g.k_coarse + g.k_fine - 1, -1, -1):
+        level = idx - g.k_coarse + 1
+        acc += g.bits[idx] * 2.0 ** (-level)
+        shifts[level - 1] = acc
+    return shifts
+
+
+def test_level_offsets_match_per_level_loop():
+    for seed in range(300):
+        g = sample_grid(seed, 1 + seed % 13, 1 + (7 * seed) % 17)
+        ref = _loop_offsets(g)
+        assert [g.level_shift(j) for j in g.levels()] == [ref[j] for j in g.levels()]
+
+
+def test_grid_rejects_bad_sizes_bits_and_levels():
+    RandomDyadicGrid(30, 23, 1.0, np.ones(53, dtype=int))
+    for k_coarse, k_fine in [(30, 24), (1100, 12), (12, 2000)]:
+        with pytest.raises(ValidationError):
+            RandomDyadicGrid(k_coarse, k_fine, 1.0, np.zeros(k_coarse + k_fine, dtype=int))
+    with pytest.raises(ValidationError):
+        RandomDyadicGrid(2, 2, 1.0, [0, 1, 2, 0])
+    g = standard_grid(2, 3)
+    for j in (-3, 4):
+        with pytest.raises(ValidationError):
+            g.level_shift(j)
+
+
 def test_grid_interval_nesting():
     g = sample_grid(11, 4, 4)
     for x in [-1.3, 0.0, 0.7, 2.5]:
@@ -132,13 +164,22 @@ def test_grid_shift_energy_identity():
 
 
 def test_grid_shift_matches_pointwise_evaluation():
+    """Each piece of S f holds the point kernel's value at its midpoint
+    exactly; the pieces are no shorter than a finest-level quarter (no
+    rounding twins of a quarter point), and S f matches the kernel between
+    midpoints too."""
     rng = np.random.default_rng(31)
-    g = sample_grid(77, 5, 7)
-    f = StepFunction1D([-0.5, 0.1, 0.4, 1.2], [0.7, -1.1, 2.0])
-    out = grid_shift_apply(f, g)
-    for x in rng.uniform(-3.0, 3.0, size=50):
-        direct = shift_evaluate(f, g, float(x))
-        assert out.evaluate(float(x)) == pytest.approx(direct, abs=1e-10)
+    for seed, f in [(77, StepFunction1D([-0.5, 0.1, 0.4, 1.2], [0.7, -1.1, 2.0])),
+                    (5, StepFunction1D([0.0, 0.35, 1.0], [1.0, -0.5]))]:
+        g = sample_grid(seed, 5, 7)
+        out = grid_shift_apply(f, g)
+        bp = out.breakpoints
+        assert np.diff(bp).min() >= g.r * 2.0 ** -g.k_fine / 4.0 * (1.0 - 1e-12)
+        for m in 0.5 * (bp[:-1] + bp[1:]):
+            assert out.evaluate(m) == shift_evaluate(f, g, m)
+        for x in rng.uniform(-3.0, 3.0, size=50):
+            direct = shift_evaluate(f, g, float(x))
+            assert out.evaluate(float(x)) == pytest.approx(direct, abs=1e-10)
 
 
 def test_window_overflow():

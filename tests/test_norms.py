@@ -380,6 +380,20 @@ def test_dyadic_bmo_1d():
     assert dyadic_bmo_1d_sq(h2) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("depth", [(2, 2), (3, 3), (4, 2), (2, 5), (5, 5)])
+def test_bmo_of_tensor_product_factorises(depth):
+    """A depth-free oracle for the closure solver: the hh part of a tensor
+    product a (x) b has product BMO square equal to the product of the
+    1-d dyadic BMO squares of a and b."""
+    rng = np.random.default_rng(1000 * depth[0] + depth[1])
+    a = rng.standard_normal(1 << depth[0])
+    b = rng.standard_normal(1 << depth[1])
+    spec = haar_forward_2d(GridFunction2D(depth, np.outer(a, b)))
+    hh = apply_projection(spec, ProjectionSelector.tail(0, 0))
+    assert bmo_d_norm_sq(hh)[0] == pytest.approx(
+        dyadic_bmo_1d_sq(a) * dyadic_bmo_1d_sq(b), rel=1e-12)
+
+
 def test_local_growth_report_zero_function():
     rows = local_growth_report(
         GridFunction2D.zeros((2, 2)), [((0.0, 1.0), (0.0, 1.0))]
