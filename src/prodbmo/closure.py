@@ -1,8 +1,9 @@
 """Ratio maximisation over cell sets via maximum-weight closure / min-cut.
 
 The objective is g(Omega) = sum of rectangle weights fully contained in
-Omega divided by the area of Omega, maximised over non-empty unions of
-cells.  For a fixed multiplier lam the inner problem
+Omega divided by the area of Omega, maximised over non-empty unions of the
+cells of a product grid, each rectangle a product of per-axis cell ranges.
+For a fixed multiplier lam the inner problem
 
     maximise  sum_{selected rects} w_R  -  lam * area(selected cells)
 
@@ -10,13 +11,13 @@ subject to every selected rectangle dragging in all of its cells is a
 maximum-weight closure problem, solved by a min cut on the bipartite
 source -> rect -> cell -> sink network (rect->cell arcs effectively
 infinite).  The outer loop is a Dinkelbach iteration: lam is updated to the
-ratio of the current maximiser until no strict improvement remains, which
-terminates because the candidate ratios form a finite set.
+ratio of the current maximiser until no strict improvement remains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -102,135 +103,146 @@ class _FlowNetwork:
 
 @dataclass
 class ClosureInstance:
-    """Weighted rectangle / cell bipartite structure for ratio maximisation.
+    """Weighted rectangles on a product grid of cells, numbered row-major.
 
-    cell_areas: positive area per cell; rect_weights: non-negative weight
-    per rectangle; rect_cells: per rectangle, the indices of the cells it
-    requires.
-    """
+    widths: per axis, the positive cell widths; ranges: per axis, an
+    (n_rects, 2) array of half-open cell ranges, whose product is the
+    rectangle; rect_weights: non-negative weight per rectangle."""
 
-    cell_areas: np.ndarray
+    widths: tuple
+    ranges: tuple
     rect_weights: np.ndarray
-    rect_cells: tuple
 
     def __post_init__(self):
-        self.cell_areas = np.asarray(self.cell_areas, dtype=float)
+        self.widths = tuple(np.asarray(w, dtype=float) for w in self.widths)
+        self.ranges = tuple(np.asarray(r, dtype=np.int64) for r in self.ranges)
         self.rect_weights = np.asarray(self.rect_weights, dtype=float)
-        if (self.cell_areas <= 0).any():
-            raise ValidationError("cell areas must be positive")
+        self.shape = tuple(len(w) for w in self.widths)
+        if any((w <= 0).any() for w in self.widths):
+            raise ValidationError("cell widths must be positive")
         if (self.rect_weights < 0).any():
             raise ValidationError("rectangle weights must be non-negative")
-        if len(self.rect_cells) != len(self.rect_weights):
-            raise ValidationError("rect_cells and rect_weights length mismatch")
-        nc = len(self.cell_areas)
-        cleaned = []
-        for cells in self.rect_cells:
-            arr = np.asarray(cells, dtype=int)
-            if arr.size == 0:
-                raise ValidationError("every rectangle must require at least one cell")
-            if arr.min() < 0 or arr.max() >= nc:
-                raise ValidationError("rectangle cell index out of range")
-            cleaned.append(arr)
-        self.rect_cells = tuple(cleaned)
+        nr = len(self.rect_weights)
+        if len(self.ranges) != len(self.widths) or any(r.shape != (nr, 2) for r in self.ranges):
+            raise ValidationError("need one (n_rects, 2) range array per axis")
+        if any(((r[:, 0] < 0) | (r[:, 0] >= r[:, 1]) | (r[:, 1] > n)).any()
+               for r, n in zip(self.ranges, self.shape)):
+            raise ValidationError("every rectangle needs a non-empty cell range inside the grid")
 
     @classmethod
-    def from_product_blocks(cls, shape, cell_area, blocks):
-        """Instance on a row-major grid of equal cells whose rectangles are
-        products of per-axis cell ranges.
-
-        ``blocks`` yields (row_ranges, col_ranges, coefs): the (lo, hi) cell
-        ranges of each axis and the matrix of coefficients of their
-        products.  A rectangle weighs its coefficient squared; zero weights
-        are dropped.  Rectangles keep the block order, then row-major order
-        within a block.
-        """
-        n_rows, n_cols = shape
-        weights = []
-        rect_cells = []
+    def from_product_blocks(cls, shape, widths, blocks):
+        """Instance on a grid of the given shape and per-axis cell widths
+        (arrays, or one width per axis).  ``blocks`` yields (row_ranges,
+        col_ranges, coefs): the (lo, hi) cell ranges of each axis and the
+        coefficients of their products, whose squares weigh the rectangles;
+        these keep the block order, then row-major order within a block."""
+        rows, cols, weights = [], [], []
         for row_ranges, col_ranges, coefs in blocks:
-            for (r_lo, r_hi), coef_row in zip(row_ranges, coefs):
-                rows = np.arange(r_lo, r_hi)[:, None] * n_cols
-                for (c_lo, c_hi), coef in zip(col_ranges, coef_row):
-                    w = coef ** 2
-                    if w == 0.0:
-                        continue
-                    weights.append(w)
-                    rect_cells.append((rows + np.arange(c_lo, c_hi)).reshape(-1))
-        return cls(
-            cell_areas=np.full(n_rows * n_cols, cell_area),
-            rect_weights=np.array(weights) if weights else np.zeros(0),
-            rect_cells=tuple(rect_cells),
-        )
+            rows.append(np.repeat(row_ranges, len(col_ranges), axis=0))
+            cols.append(np.tile(col_ranges, (len(row_ranges), 1)))
+            weights.append(np.square(coefs).ravel())
+        return cls(tuple(np.broadcast_to(w, n) for w, n in zip(widths, shape)),
+                   (np.concatenate(rows), np.concatenate(cols)), np.concatenate(weights))
 
     @property
     def n_cells(self):
-        return len(self.cell_areas)
+        return self.cell_areas.size
 
-    def ratio(self, cell_mask: np.ndarray) -> float:
-        """g(Omega) for Omega given as a boolean cell mask."""
-        area = float(self.cell_areas[cell_mask].sum())
-        if area == 0.0:
+    @cached_property
+    def cell_areas(self):
+        return reduce(np.multiply.outer, self.widths).ravel()
+
+    @cached_property
+    def _arcs(self):
+        """(first, cells): each rectangle's first arc and the cell of every
+        arc, rectangle by rectangle and row-major within one."""
+        sizes = [r[:, 1] - r[:, 0] for r in self.ranges]
+        counts = np.prod(sizes, axis=0)
+        first = np.cumsum(counts) - counts
+        rect = np.repeat(np.arange(counts.size), counts)
+        local = np.arange(rect.size) - first[rect]
+        coords = []
+        for r, size in zip(self.ranges[::-1], sizes[::-1]):
+            coords.append(r[rect, 0] + local % size[rect])
+            local = local // size[rect]
+        return first, np.ravel_multi_index(coords[::-1], self.shape)
+
+    @property
+    def rect_cells(self):
+        """Per rectangle, the indices of the cells it requires."""
+        first, cells = self._arcs
+        return np.split(cells, first[1:])
+
+    def ratio(self, cell_mask: np.ndarray):
+        """g(Omega) for Omega given as a boolean cell mask, or for each mask
+        along the last axis; contained weights are summed in rectangle order."""
+        area = np.where(cell_mask, self.cell_areas, 0.0).sum(axis=-1)
+        if not (area > 0.0).all():
             raise ValidationError("ratio of an empty cell set")
-        total = 0.0
-        for w, cells in zip(self.rect_weights, self.rect_cells):
-            if w != 0.0 and cell_mask[cells].all():
-                total += w
-        return total / area
+        first, cells = self._arcs
+        inside = np.logical_and.reduceat(cell_mask[..., cells], first, axis=-1)
+        total = np.cumsum(inside * self.rect_weights, axis=-1)
+        return (total[..., -1] if first.size else 0.0) / area
 
 
-def _solve_closure(net, base_cap, lam, cell_areas, total_w):
-    """Max of sum(selected w) - lam * area(selected cells) on the network of
-    :func:`best_ratio`, whose last arcs, cell -> sink, are the only ones that
-    depend on lam; returns (value, cell mask), closed by the cut."""
-    nc = len(cell_areas)
-    net.cap = list(base_cap)
-    net.cap[-2 * nc::2] = (lam * cell_areas).tolist()
-    eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
-    flow, level = net.max_flow(0, net.n - 1, eps)
-    return total_w - flow, np.array(level[-1 - nc:-1]) >= 0
+def _atoms(inst: ClosureInstance, active):
+    """(instance, atom_of): the active rectangles on the atoms of inst, each
+    axis cut only at their range ends, and per axis the atom of each cell.
+    An active rectangle covers an atom wholly or not at all, and no min cut
+    uses a rect -> cell arc, so the minimal min cut is a union of atoms."""
+    widths, ranges, atom_of = [], [], []
+    for w, r in zip(inst.widths, inst.ranges):
+        cut = np.bincount(np.append(r[active], 0), minlength=len(w) + 1) > 0
+        index = np.cumsum(cut) - 1  # at each cut, the atom starting there
+        atom_of.append(index[:-1])
+        widths.append(np.bincount(index[:-1], weights=w))
+        ranges.append(index[r[active]])
+    return ClosureInstance(tuple(widths), tuple(ranges), inst.rect_weights[active]), atom_of
 
 
 def best_ratio(inst: ClosureInstance):
-    """Maximise g over non-empty cell unions; returns (ratio, cell mask).
-
-    All-zero weights return (0.0, None) as the empty-set sentinel.
-    """
+    """Maximise g over non-empty cell unions, solving on the atoms of the
+    weighted rectangles; returns (ratio, cell mask).  All-zero weights
+    return (0.0, None) as the empty-set sentinel."""
     active = np.flatnonzero(inst.rect_weights > 0.0)
     if active.size == 0:
         return 0.0, None
-    nr, nc = active.size, inst.n_cells
-    cells = [inst.rect_cells[r] for r in active]
-    required = np.concatenate(cells)
-    total_w = float(inst.rect_weights[active].sum())
+    atoms, atom_of = _atoms(inst, active)
+    first, required = atoms._arcs
+    nr, nc = first.size, atoms.n_cells
+    total_w = float(atoms.rect_weights.sum())
     # nodes: source 0, rectangles 1..nr, cells nr+1..nr+nc, sink nr+nc+1;
     # arcs: every source -> rect, then every rect -> cell, then every cell -> sink
     rect_nodes, cell_nodes = np.arange(1, 1 + nr), np.arange(1 + nr, 1 + nr + nc)
     net = _FlowNetwork(
         2 + nr + nc,
         np.concatenate((np.zeros(nr, dtype=np.int64),
-                        np.repeat(rect_nodes, [len(c) for c in cells]), cell_nodes)),
+                        np.repeat(rect_nodes, np.diff(first, append=required.size)), cell_nodes)),
         np.concatenate((rect_nodes, 1 + nr + required, np.full(nc, 1 + nr + nc))),
     )
     # cutting every source arc costs total_w, so no min cut uses a rect -> cell arc
     base_cap = [0.0] * (2 * (nr + required.size + nc))
-    base_cap[0:2 * nr:2] = inst.rect_weights[active].tolist()
+    base_cap[0:2 * nr:2] = atoms.rect_weights.tolist()
     base_cap[2 * nr:-2 * nc:2] = [2.0 * total_w] * required.size
-    start = np.zeros(nc, dtype=bool)
-    start[required] = True
-    lam = inst.ratio(start)
-    best_mask = start
+    eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
+    best_mask = np.bincount(required, minlength=nc) > 0
+    lam = atoms.ratio(best_mask)
     for _ in range(_MAX_ROUNDS):
-        value, mask = _solve_closure(net, base_cap, lam, inst.cell_areas, total_w)
-        if value <= _REL_TOL * total_w or not mask.any():
-            return lam, best_mask
-        new_lam = inst.ratio(mask)
+        # only the last arcs, cell -> sink, depend on lam; the cut's source side is closed
+        net.cap = list(base_cap)
+        net.cap[-2 * nc::2] = (lam * atoms.cell_areas).tolist()
+        flow, level = net.max_flow(0, net.n - 1, eps)
+        mask = np.array(level[-1 - nc:-1]) >= 0
+        if total_w - flow <= _REL_TOL * total_w or not mask.any():
+            break
+        new_lam = atoms.ratio(mask)
         if new_lam <= lam * (1.0 + _REL_TOL):
-            return max(lam, new_lam), (mask if new_lam > lam else best_mask)
-        lam = new_lam
-        best_mask = mask
-    raise NonConvergenceError(
-        "ratio iteration failed to settle", last_estimate=lam
-    )
+            lam, best_mask = max(lam, new_lam), (mask if new_lam > lam else best_mask)
+            break
+        lam, best_mask = new_lam, mask
+    else:
+        raise NonConvergenceError("ratio iteration failed to settle", last_estimate=lam)
+    return float(lam), best_mask.reshape(atoms.shape)[np.ix_(*atom_of)].ravel()
 
 
 def best_ratio_bruteforce(inst: ClosureInstance) -> float:
@@ -238,18 +250,5 @@ def best_ratio_bruteforce(inst: ClosureInstance) -> float:
     nc = inst.n_cells
     if nc > 16:
         raise ValidationError("brute force supports at most 16 cells")
-    n_masks = 1 << nc
-    masks = np.arange(n_masks, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(nc)[None, :]) & 1).astype(bool)
-    areas = bits @ inst.cell_areas
-    weights = np.zeros(n_masks)
-    for w, cells in zip(inst.rect_weights, inst.rect_cells):
-        if w == 0.0:
-            continue
-        rect_bits = np.uint32(0)
-        for c in cells:
-            rect_bits |= np.uint32(1) << np.uint32(int(c))
-        included = (masks & rect_bits) == rect_bits
-        weights[included] += w
-    areas[0] = np.inf  # exclude the empty set
-    return float((weights / areas).max())
+    masks = np.arange(1, 1 << nc, dtype=np.uint32)
+    return float(inst.ratio((masks[:, None] >> np.arange(nc)) & 1 == 1).max())

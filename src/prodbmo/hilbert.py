@@ -156,6 +156,8 @@ class RandomDyadicGrid:
 
 
 def _sample_from(rng, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
+    if k_coarse < 1 or k_fine < 1:  # before the draw, which needs a size >= 0
+        raise ValidationError("k_coarse and k_fine must be >= 1")
     bits = rng.integers(0, 2, size=k_coarse + k_fine)
     r = float(2.0 ** rng.random())
     if r >= 2.0:  # guard the half-open interval against rounding
@@ -325,7 +327,7 @@ def _mesh_coefficients(sys1: _AxisSystem, sys2: _AxisSystem, values, edges_s, ed
 def _system_bmo_sq(sys1: _AxisSystem, sys2: _AxisSystem, coefs) -> float:
     """Squared BMO norm of the coefficients in the product system."""
     inst = ClosureInstance.from_product_blocks(
-        (sys1.n_fine, sys2.n_fine), sys1.fine_length * sys2.fine_length,
+        (sys1.n_fine, sys2.n_fine), (sys1.fine_length, sys2.fine_length),
         [(sys1.fine_ranges(), sys2.fine_ranges(), coefs)],
     )
     return best_ratio(inst)[0]

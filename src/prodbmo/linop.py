@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
+from .core import MAX_LEVEL, GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
 from .errors import DepthMismatchError, ValidationError
 
 MAX_DENSE_DIM = 256  # depth (4,4)
@@ -118,6 +118,8 @@ def assemble(op, depth, space: str = "grid") -> DenseOperator:
     linearity, which is the caller's contract.
     """
     depth = tuple(depth)
+    if len(depth) != 2 or not all(1 <= j <= MAX_LEVEL for j in depth):
+        raise ValidationError(f"depth {depth} out of supported range")
     dim = 1 << (depth[0] + depth[1])
     if dim > MAX_DENSE_DIM:
         raise ValidationError(

@@ -47,7 +47,7 @@ def grid_closure_instance(phi: HaarSpectrum2D):
          phi.generation_block(j1, j2))
         for j1 in range(j1d) for j2 in range(j2d)
     ]
-    return ClosureInstance.from_product_blocks((n1, n2), 2.0 ** -(j1d + j2d), blocks)
+    return ClosureInstance.from_product_blocks((n1, n2), (2.0 ** -j1d, 2.0 ** -j2d), blocks)
 
 
 def _zoom(phi: HaarSpectrum2D, rect: DyadicRect):

@@ -300,6 +300,16 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
     pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
                   "--samples", "4", "--seed", "1", "--k-fine", "2000", "--output", "{out}"],
                  id="mc-k-fine-2000"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
+                  "--samples", "4", "--seed", "1", "--k-coarse", "-100", "--output", "{out}"],
+                 id="mc-k-coarse-negative"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
+                  "--samples", "4", "--seed", "1", "--k-coarse", "0", "--k-fine", "-5",
+                  "--output", "{out}"], id="mc-k-fine-negative"),
+    pytest.param(["opnorm", "--kind", "shift", "--axis", "1", "--depth=-1,2"],
+                 id="opnorm-shift-negative-depth"),
+    pytest.param(["opnorm", "--kind", "projection", "--selector", "E:1,1", "--depth=-1,2"],
+                 id="opnorm-projection-negative-depth"),
 ] + [
     pytest.param(["experiment", name, "--depth", depth, "--trials", "1", "--seed", "0",
                   "--output", "{out}"], id=f"experiment-{name}-uncalibrated-depth-{depth}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_grid, random_hh_spectrum
 from prodbmo.closure import ClosureInstance, best_ratio, best_ratio_bruteforce
@@ -52,19 +54,23 @@ def quarter_haar(depth):
 
 def test_closure_instance_validation():
     with pytest.raises(ValidationError):
-        ClosureInstance(np.array([1.0, -1.0]), np.array([1.0]), (np.array([0]),))
+        ClosureInstance(([1.0, -1.0],), ([[0, 1]],), [1.0])
     with pytest.raises(ValidationError):
-        ClosureInstance(np.array([1.0]), np.array([-1.0]), (np.array([0]),))
+        ClosureInstance(([1.0],), ([[0, 1]],), [-1.0])
     with pytest.raises(ValidationError):
-        ClosureInstance(np.array([1.0]), np.array([1.0]), (np.array([], dtype=int),))
+        ClosureInstance(([1.0],), ([[0, 0]],), [1.0])
+    with pytest.raises(ValidationError):
+        ClosureInstance(([1.0],), ([[0, 2]],), [1.0])
+    with pytest.raises(ValidationError):
+        ClosureInstance(([1.0], [1.0]), ([[0, 1]],), [1.0])
 
 
 def test_closure_simple_tradeoff():
     # one cheap high-weight rect vs a rect needing an extra cell
     inst = ClosureInstance(
-        cell_areas=np.array([1.0, 1.0]),
-        rect_weights=np.array([3.0, 1.0]),
-        rect_cells=(np.array([0]), np.array([0, 1])),
+        widths=([1.0, 1.0],),
+        ranges=([[0, 1], [0, 2]],),
+        rect_weights=[3.0, 1.0],
     )
     value, mask = best_ratio(inst)
     # {cell 0}: 3/1 = 3   beats   {0,1}: 4/2 = 2
@@ -75,9 +81,9 @@ def test_closure_simple_tradeoff():
 
 def test_closure_prefers_joint_selection():
     inst = ClosureInstance(
-        cell_areas=np.array([1.0, 1.0]),
-        rect_weights=np.array([3.0, 3.0, 5.0]),
-        rect_cells=(np.array([0]), np.array([1]), np.array([0, 1])),
+        widths=([1.0, 1.0],),
+        ranges=([[0, 1], [1, 2], [0, 2]],),
+        rect_weights=[3.0, 3.0, 5.0],
     )
     value, mask = best_ratio(inst)
     assert value == pytest.approx(5.5)  # everything: 11/2
@@ -88,20 +94,52 @@ def test_closure_prefers_joint_selection():
 def test_closure_random_vs_bruteforce():
     rng = np.random.default_rng(101)
     for _ in range(50):
-        nc = int(rng.integers(2, 9))
+        n1 = int(rng.integers(1, 5))
+        shape = (n1, int(rng.integers(2 if n1 == 1 else 1, 16 // n1 + 1)))
         nr = int(rng.integers(1, 7))
-        cells = tuple(
-            rng.choice(nc, size=int(rng.integers(1, nc + 1)), replace=False)
-            for _ in range(nr)
-        )
+        ranges = []
+        for n in shape:
+            lo = rng.integers(0, n, size=nr)
+            ranges.append(np.column_stack((lo, rng.integers(lo + 1, n + 1))))
         inst = ClosureInstance(
-            cell_areas=rng.random(nc) + 0.1,
+            widths=tuple(rng.random(n) + 0.1 for n in shape),
+            ranges=tuple(ranges),
             rect_weights=rng.random(nr),
-            rect_cells=cells,
         )
         value, mask = best_ratio(inst)
         assert value == pytest.approx(best_ratio_bruteforce(inst), rel=1e-12)
         assert inst.ratio(mask) == pytest.approx(value, rel=1e-12)
+
+
+def test_closure_ratio_matches_per_rectangle_loop():
+    """Cells, containment and the rectangle-order weight sum of the range
+    form equal a per-rectangle loop over explicit cell lists."""
+    rng = np.random.default_rng(102)
+    for shape in [(5,), (3, 4), (6, 2), (2, 3, 3)]:
+        nr = 12
+        ranges = []
+        for n in shape:
+            lo = rng.integers(0, n, size=nr)
+            ranges.append(np.column_stack((lo, rng.integers(lo + 1, n + 1))))
+        widths = tuple(rng.integers(1, 8, size=n) / 8.0 for n in shape)  # exact area sums
+        weights = rng.random(nr) * (rng.random(nr) < 0.7)
+        inst = ClosureInstance(widths, tuple(ranges), weights)
+        areas = widths[0]
+        for w in widths[1:]:
+            areas = np.multiply.outer(areas, w)
+        for r in range(nr):
+            axes = [np.arange(*rg[r]) for rg in ranges]
+            cells = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), shape).ravel()
+            assert np.array_equal(inst.rect_cells[r], cells)
+        for _ in range(20):
+            mask = rng.random(inst.n_cells) < 0.6
+            if not mask.any():
+                continue
+            total = 0.0
+            for w, cells in zip(weights, inst.rect_cells):
+                if w != 0.0 and mask[cells].all():
+                    total += w
+            assert inst.ratio(mask) == total / areas.ravel()[mask].sum()
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +430,42 @@ def test_bmo_of_tensor_product_factorises(depth):
     hh = apply_projection(spec, ProjectionSelector.tail(0, 0))
     assert bmo_d_norm_sq(hh)[0] == pytest.approx(
         dyadic_bmo_1d_sq(a) * dyadic_bmo_1d_sq(b), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bmo_of_staircase(n):
+    """A depth-free oracle where open sets beat rectangles: n + 1 Haar
+    functions of weight 2^-n on the staircase [0, 2^-k) x [0, 2^(k-n)),
+    k = 0..n, whose union has area (n + 2) 2^-(n+1), so the product BMO
+    square is 2(n+1)/(n+2) while every single rectangle gives 1."""
+    depth = (n + 1, n + 1)
+    phi = HaarSpectrum2D.zeros(depth)
+    expected = np.zeros((1 << (n + 1), 1 << (n + 1)), dtype=bool)
+    for k in range(n + 1):
+        phi = phi.with_hh_coef(DyadicRect.from_levels(k, 0, n - k, 0), 2.0 ** (-n / 2))
+        expected[:1 << (n + 1 - k), :1 << (k + 1)] = True
+    value, mask = bmo_d_norm_sq(phi)
+    assert value == pytest.approx(2 * (n + 1) / (n + 2), rel=1e-12)
+    assert np.array_equal(mask, expected)
+    assert bmo_rect_norm_sq(phi) == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]).flatmap(
+    lambda depth: st.tuples(st.just(depth), st.lists(
+        st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+        min_size=1 << sum(depth), max_size=1 << sum(depth)))))
+def test_bmo_matches_bruteforce_and_axis_swap(drawn):
+    """On sparse symbols of at most 16 cells the solver meets the
+    exhaustive oracle, and swapping the axes transposes the problem."""
+    depth, coefs = drawn
+    coefs = np.reshape(coefs, (1 << depth[0], 1 << depth[1]))
+    value, mask = bmo_d_norm_sq(HaarSpectrum2D(depth, coefs))
+    swapped, swapped_mask = bmo_d_norm_sq(HaarSpectrum2D(depth[::-1], coefs.T))
+    assert value == pytest.approx(bmo_d_norm_sq_bruteforce(HaarSpectrum2D(depth, coefs)),
+                                  rel=1e-12, abs=0.0)
+    assert swapped == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert np.array_equal(swapped_mask, mask.T)
 
 
 def test_local_growth_report_zero_function():
