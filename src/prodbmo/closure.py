@@ -10,8 +10,10 @@ For a fixed multiplier lam the inner problem
 subject to every selected rectangle dragging in all of its cells is a
 maximum-weight closure problem, solved by a min cut on the bipartite
 source -> rect -> cell -> sink network (rect->cell arcs effectively
-infinite).  The outer loop is a Dinkelbach iteration: lam is updated to the
-ratio of the current maximiser until no strict improvement remains.
+infinite).  The outer loop is a Dinkelbach iteration started at the best
+box of rectangle ranges: lam is updated to the ratio of the current
+maximiser until a flow certifies it, and the certifying flow's residual
+graph gives the largest optimal set.
 """
 
 from __future__ import annotations
@@ -200,10 +202,33 @@ def _atoms(inst: ClosureInstance, active):
     return ClosureInstance(tuple(widths), tuple(ranges), inst.rect_weights[active]), atom_of
 
 
+def _best_box(inst: ClosureInstance):
+    """Cell mask of the best product of per-axis intervals that occur as
+    rectangle ranges; any such box is a feasible set, so its ratio starts
+    Dinkelbach at or below the optimum."""
+    index, inside, sides = [], [], []
+    for w, r in zip(inst.widths, inst.ranges):
+        present = np.bincount(code := r[:, 0] * (len(w) + 1) + r[:, 1]) > 0
+        lo, hi = np.divmod(np.flatnonzero(present), len(w) + 1)  # the distinct intervals
+        index.append((np.cumsum(present) - 1)[code])
+        inside.append(((lo <= lo[:, None]) & (hi[:, None] <= hi)).astype(float))  # [v, u]: v in u
+        cells = np.arange(len(w))
+        sides.append((lo[:, None] <= cells) & (cells < hi[:, None]))  # [u, cell]
+    shape = tuple(len(m) for m in inside)
+    grid = np.bincount(np.ravel_multi_index(index, shape), inst.rect_weights, np.prod(shape))
+    grid = grid.reshape(shape)
+    for axis, m in enumerate(inside):  # contained weight of every box, one axis at a time
+        grid = np.moveaxis(np.moveaxis(grid, axis, -1) @ m, -1, axis)
+    area = reduce(np.multiply.outer, [side @ w for side, w in zip(sides, inst.widths)])
+    best = np.unravel_index(np.argmax(grid / area), shape)
+    return reduce(np.logical_and.outer, [side[u] for side, u in zip(sides, best)]).ravel()
+
+
 def best_ratio(inst: ClosureInstance):
     """Maximise g over non-empty cell unions, solving on the atoms of the
-    weighted rectangles; returns (ratio, cell mask).  All-zero weights
-    return (0.0, None) as the empty-set sentinel."""
+    weighted rectangles; returns (ratio, cell mask), the mask the union of
+    all optimal sets.  All-zero weights return (0.0, None) as the empty-set
+    sentinel."""
     active = np.flatnonzero(inst.rect_weights > 0.0)
     if active.size == 0:
         return 0.0, None
@@ -225,17 +250,22 @@ def best_ratio(inst: ClosureInstance):
     base_cap[0:2 * nr:2] = atoms.rect_weights.tolist()
     base_cap[2 * nr:-2 * nc:2] = [2.0 * total_w] * required.size
     eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
-    best_mask = np.bincount(required, minlength=nc) > 0
+    best_mask = _best_box(atoms)
     lam = atoms.ratio(best_mask)
     for _ in range(_MAX_ROUNDS):
         # only the last arcs, cell -> sink, depend on lam; the cut's source side is closed
         net.cap = list(base_cap)
         net.cap[-2 * nc::2] = (lam * atoms.cell_areas).tolist()
         flow, level = net.max_flow(0, net.n - 1, eps)
-        mask = np.array(level[-1 - nc:-1]) >= 0
-        if total_w - flow <= _REL_TOL * total_w or not mask.any():
+        if total_w - flow <= _REL_TOL * total_w:
+            # lam is optimal; the cells that cannot reach the sink in the residual
+            # graph (a BFS from the sink over reversed arcs) form the largest optimal set
+            net.cap[0::2], net.cap[1::2] = net.cap[1::2], net.cap[0::2]
+            best_mask |= np.array(net._bfs(net.n - 1, 0, eps)[-1 - nc:-1]) < 0
+            lam = atoms.ratio(best_mask)
             break
-        new_lam = atoms.ratio(mask)
+        mask = np.array(level[-1 - nc:-1]) >= 0
+        new_lam = atoms.ratio(mask) if mask.any() else 0.0
         if new_lam <= lam * (1.0 + _REL_TOL):
             lam, best_mask = max(lam, new_lam), (mask if new_lam > lam else best_mask)
             break

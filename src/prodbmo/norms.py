@@ -12,6 +12,7 @@ the decay of the tail projections Q_j.  Natural logarithms throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -101,30 +102,42 @@ def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None
     return best_ratio_bruteforce(grid_closure_instance(sub)) * 2.0 ** k
 
 
+def _rect_energies(phi: HaarSpectrum2D):
+    """Per generation pair (g1, g2) below the depth, over the dyadic
+    rectangles R of that generation: (E, deep), E the hh energy of the
+    rectangles inside R and deep the largest q1 + q2 of a weighted one
+    (-1 if none), so E / |R| <= ||phi restricted to R||^2 <= E 2^deep."""
+    j1d, j2d = phi.depth
+    sq = [[phi.generation_block(q1, q2) ** 2 for q2 in range(j2d)] for q1 in range(j1d)]
+    out = {}
+    for g1, g2 in itertools.product(range(j1d), range(j2d)):
+        energy, deep = np.zeros((1 << g1, 1 << g2)), np.full((1 << g1, 1 << g2), -1)
+        for q1, q2 in itertools.product(range(g1, j1d), range(g2, j2d)):
+            part = sq[q1][q2].reshape(1 << g1, 1 << (q1 - g1), 1 << g2, 1 << (q2 - g2))
+            energy += part.sum(axis=(1, 3))
+            deep = np.maximum(deep, np.where(part.any(axis=(1, 3)), q1 + q2, -1))
+        out[g1, g2] = energy, deep
+    return out
+
+
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
     """Rectangle-restricted variant: Omega ranges over single dyadic
     rectangles only.  Always <= the open-set norm."""
-    j1d, j2d = phi.depth
-    sq = [[phi.generation_block(q1, q2) ** 2 for q2 in range(j2d)] for q1 in range(j1d)]
-    best = 0.0
-    for g1 in range(j1d):
-        for g2 in range(j2d):
-            acc = np.zeros((1 << g1, 1 << g2))
-            for q1 in range(g1, j1d):
-                for q2 in range(g2, j2d):
-                    acc += (
-                        sq[q1][q2]
-                        .reshape(1 << g1, 1 << (q1 - g1), 1 << g2, 1 << (q2 - g2))
-                        .sum(axis=(1, 3))
-                    )
-            if acc.size:
-                best = max(best, float(acc.max()) * (2.0 ** (g1 + g2)))
-    return best
+    return max(float(energy.max()) * (2.0 ** (g1 + g2))
+               for (g1, g2), (energy, _) in _rect_energies(phi).items())
+
+
+def _unit_scaled(phi: HaarSpectrum2D):
+    """(phi / 2^e, e), e the exponent of the largest |hh coefficient|, so
+    that squares stay finite at any representable amplitude."""
+    e = math.frexp(float(np.abs(phi.hh_block()).max()))[1]
+    return HaarSpectrum2D(phi.depth, np.ldexp(phi.coeffs, -e)), e
 
 
 def bmo_norm_of_grid(f: GridFunction2D) -> float:
     """Convenience: sqrt of the BMO square of the function's hh spectrum."""
-    return math.sqrt(bmo_d_norm_sq(haar_forward_2d(f))[0])
+    phi, e = _unit_scaled(haar_forward_2d(f))
+    return math.ldexp(math.sqrt(bmo_d_norm_sq(phi)[0]), e)
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +158,32 @@ def lmo_directional_norm(phi: HaarSpectrum2D, axis: int) -> float:
 
 def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     """max over tail generations (j1, j2) of (j1+1)(j2+1) * ||Q_(j1,j2) phi||_BMO;
-    a pinned axis stays at level 0 (weight 1, no projection in that axis)."""
-    j1d, j2d = phi.depth
-    best = 0.0
-    for j1 in range(1 if pinned[0] else j1d):
-        for j2 in range(1 if pinned[1] else j2d):
-            tail = apply_projection(phi, ProjectionSelector.tail(j1, j2))
-            if not tail.coeffs.any():
-                continue
-            val = math.sqrt(bmo_d_norm_sq(tail)[0])
-            best = max(best, (j1 + 1) * (j2 + 1) * val)
-    return best
+    a pinned axis stays at level 0 (weight 1, no projection in that axis).
+    A tail's squared norm lies between its hh energy and that energy over
+    the smallest area of its weighted rectangles."""
+    phi, e = _unit_scaled(phi)
+    tails, bounds = [], []
+    for (j1, j2), (energy, deep) in _rect_energies(phi).items():
+        if not (pinned[0] and j1 or pinned[1] and j2):
+            w, total = (j1 + 1) * (j2 + 1), float(energy.sum())
+            tails.append((w, ProjectionSelector.tail(j1, j2)))
+            bounds.append((w * math.sqrt(total), w * math.sqrt(total * 2.0 ** deep.max())))
+    best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
+        bmo_d_norm_sq(apply_projection(phi, tails[n][1]))[0]))
+    return math.ldexp(best, e)
+
+
+def _pruned_max(bounds, value):
+    """(max, first n attaining it) of value(n) >= 0 over the candidates n,
+    given (lower, upper) bounds on each: tried by decreasing lower bound,
+    and evaluated only when the upper bound can reach the best so far."""
+    best, best_n = 0.0, 0
+    for n in sorted(range(len(bounds)), key=lambda n: (-bounds[n][0], n)):
+        if bounds[n][1] * (1.0 + 1e-12) > best:  # slack for the rounding of the bounds
+            val = value(n)
+            if val > best or (val == best and n < best_n):
+                best, best_n = val, n
+    return best, best_n
 
 
 def lmo_beta_char_norm(phi: HaarSpectrum2D, beta) -> float:
@@ -181,31 +209,24 @@ def lmo_char_details(phi: HaarSpectrum2D):
 
 def _lmo_char_search(phi: HaarSpectrum2D, beta):
     """(value, first rectangle attaining it) of the beta characterisation;
-    the unit square when every weighted value is 0."""
+    the unit square when every weighted value is 0.  A restricted norm
+    lies between E/|R| and E over the smallest weighted area inside R."""
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    j1d, j2d = phi.depth
-
-    def axis_candidates(b, levels):
-        if b == 1:
-            return [(DyadicInterval(0, 0), 1.0)]
-        out = []
-        for j in range(levels):
-            w = ((j + 2) * LN2) ** 2  # (log(4 * 2^j))^2
-            for i in range(1 << j):
-                out.append((DyadicInterval(j, i), w))
-        return out
-
-    best = 0.0
-    best_rect = DyadicRect(DyadicInterval(0, 0), DyadicInterval(0, 0))
-    for s_int, ws in axis_candidates(beta[0], j1d):
-        for t_int, wt in axis_candidates(beta[1], j2d):
-            rect = DyadicRect(s_int, t_int)
-            val = ws * wt * bmo_d_norm_sq(phi, rect)[0]
-            if val > best:
-                best, best_rect = val, rect
-    return best, best_rect
+    # per axis: (interval, (log(4 * 2^j))^2) for every level j, or the unit interval alone
+    sides = [[(DyadicInterval(j, i), 1.0 if b else ((j + 2) * LN2) ** 2)
+              for j in range(1 if b else depth) for i in range(1 << j)]
+             for b, depth in zip(beta, phi.depth)]
+    energies = _rect_energies(phi)
+    rects, bounds = [], []
+    for (s, ws), (t, wt) in itertools.product(*sides):
+        energy, deep = (a[s.index, t.index] for a in energies[s.level, t.level])
+        w = ws * wt
+        rects.append((w, DyadicRect(s, t)))
+        bounds.append((w * energy * 2.0 ** (s.level + t.level), w * energy * 2.0 ** deep))
+    best, n = _pruned_max(bounds, lambda n: rects[n][0] * bmo_d_norm_sq(phi, rects[n][1])[0])
+    return best, rects[n][1]
 
 
 def h1_norm(f: GridFunction2D) -> float:
@@ -316,26 +337,14 @@ def local_growth_report(b: GridFunction2D, rectangles):
         mean_r = patch.sum() * cw1 * cw2 / (len_i * len_j) if patch.size else 0.0
 
         # m_I b as a function of t (zero extension in s)
-        mi = (
-            b.values[ia:ib, :].sum(axis=0) * cw1 / len_i
-            if ib > ia
-            else np.zeros(n2)
-        )
+        mi = b.values[ia:ib, :].sum(axis=0) * cw1 / len_i
         # m_J b as a function of s (zero extension in t)
-        mj = (
-            b.values[:, ja:jb].sum(axis=1) * cw2 / len_j
-            if jb > ja
-            else np.zeros(n1)
-        )
+        mj = b.values[:, ja:jb].sum(axis=1) * cw2 / len_j
 
-        restr_l2 = float((patch ** 2).sum() * cw1 * cw2) if patch.size else 0.0
+        restr_l2 = float((patch ** 2).sum() * cw1 * cw2)
 
         # || chi_I P_J b ||_2^2 with P_J b = chi_J(t) (b - m_J b(s))
-        inside = (
-            float(((patch - mj[ia:ib, None]) ** 2).sum() * cw1 * cw2)
-            if patch.size
-            else 0.0
-        )
+        inside = float(((patch - mj[ia:ib, None]) ** 2).sum() * cw1 * cw2)
         outside_j = max(len_j - (jb - ja) * cw2, 0.0)
         strip_proj = inside + outside_j * float((mj[ia:ib] ** 2).sum() * cw1)
 

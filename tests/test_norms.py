@@ -1,6 +1,7 @@
 """BMO/LMO norms: solver vs exhaustive oracle, scale weights, growth."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_grid, random_hh_spectrum
-from prodbmo.closure import ClosureInstance, best_ratio, best_ratio_bruteforce
+from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
     DyadicRect,
@@ -21,14 +22,17 @@ from prodbmo.core import (
 )
 from prodbmo.errors import DegenerateRectangleError, ValidationError
 from prodbmo.norms import (
+    _pruned_max,
     bmo_d_norm_sq,
     bmo_d_norm_sq_bruteforce,
+    bmo_norm_of_grid,
     bmo_rect_norm_sq,
     dyadic_bmo_1d_sq,
     extremal_bmo_function,
     growth_s,
     h1_norm,
     lmo_beta_char_norm,
+    lmo_char_details,
     lmo_char_norm,
     lmo_d_norm,
     lmo_directional_norm,
@@ -334,6 +338,90 @@ def test_lmo_beta_reductions():
     assert lmo_beta_char_norm(unit_haar((1, 1)), (0, 1)) == pytest.approx(LN4 ** 2)
 
 
+def _lmo_tail_exhaustive(phi, pinned):
+    """Every tail solved, in generation order."""
+    best = 0.0
+    for j1 in range(1 if pinned[0] else phi.depth[0]):
+        for j2 in range(1 if pinned[1] else phi.depth[1]):
+            tail = apply_projection(phi, ProjectionSelector.tail(j1, j2))
+            if tail.coeffs.any():
+                best = max(best, (j1 + 1) * (j2 + 1) * math.sqrt(bmo_d_norm_sq(tail)[0]))
+    return best
+
+
+def _lmo_char_exhaustive(phi, beta):
+    """Every dyadic rectangle solved; the first strict maximum in level,
+    then index order, s-axis outer."""
+    sides = [[(DyadicInterval(0, 0), 1.0)] if b else
+             [(DyadicInterval(j, i), ((j + 2) * math.log(2.0)) ** 2)
+              for j in range(depth) for i in range(1 << j)]
+             for b, depth in zip(beta, phi.depth)]
+    best, best_rect = 0.0, DyadicRect(DyadicInterval(0, 0), DyadicInterval(0, 0))
+    for s, ws in sides[0]:
+        for t, wt in sides[1]:
+            val = ws * wt * bmo_d_norm_sq(phi, DyadicRect(s, t))[0]
+            if val > best:
+                best, best_rect = val, DyadicRect(s, t)
+    return best, best_rect
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (1, 3), (3, 2), (3, 3), (4, 4)])
+def test_pruned_lmo_searches_equal_exhaustive_search(depth):
+    """Bound pruning skips only solves that cannot change the maximum or the
+    first rectangle attaining it: values and rectangles are ==."""
+    rng = np.random.default_rng(1700 + 10 * depth[0] + depth[1])
+    shape = (1 << depth[0], 1 << depth[1])
+    symbols = [np.zeros(shape)]
+    for density in (1.0, 0.3, 0.1):
+        c = np.zeros(shape)
+        c[1:, 1:] = rng.standard_normal((shape[0] - 1, shape[1] - 1))
+        c[1:, 1:] *= rng.random(c[1:, 1:].shape) < density
+        symbols.append(c)
+    for b1, b2 in [(1, 1), (shape[0] - 1, shape[1] - 1), (1, shape[1] - 1)]:
+        c = np.zeros(shape)  # one coefficient: many candidates tie
+        c[b1, b2] = 1.5
+        symbols.append(c)
+    for c in symbols:
+        phi = HaarSpectrum2D(depth, c)
+        assert lmo_char_details(phi) == _lmo_char_exhaustive(phi, (0, 0))
+        for beta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            assert lmo_beta_char_norm(phi, beta) == _lmo_char_exhaustive(phi, beta)[0]
+        assert lmo_d_norm(phi) == _lmo_tail_exhaustive(phi, (False, False))
+        assert lmo_directional_norm(phi, 1) == _lmo_tail_exhaustive(phi, (False, True))
+        assert lmo_directional_norm(phi, 2) == _lmo_tail_exhaustive(phi, (True, False))
+
+
+def test_pruned_max_keeps_the_first_index_among_ties():
+    """Candidates run by decreasing lower bound; an upper bound below the
+    best skips a candidate, and an equal value at a lower index wins."""
+    values = [5.0, 5.0, 2.0, 0.0]
+    seen = []
+
+    def value(n):
+        seen.append(n)
+        return values[n]
+
+    assert _pruned_max([(1.0, 5.0), (5.0, 5.0), (2.0, 2.0), (0.0, 0.0)], value) == (5.0, 0)
+    assert seen == [1, 0]
+
+
+def test_lmo_and_grid_bmo_homogeneous_at_extreme_amplitudes():
+    """Squares are taken after an exact power-of-two rescaling, so the norms
+    stay finite and homogeneous wherever the inputs are representable."""
+    rng = np.random.default_rng(157)
+    phi = random_hh_spectrum((3, 3), rng)
+    f = random_grid((3, 3), rng)
+    lmo, bmo = lmo_d_norm(phi), bmo_norm_of_grid(f)
+    for a in (1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e155, 1e200, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled_lmo = lmo_d_norm(HaarSpectrum2D(phi.depth, a * phi.coeffs))
+            scaled_bmo = bmo_norm_of_grid(GridFunction2D(f.depth, a * f.values))
+        assert math.isfinite(scaled_lmo) and math.isfinite(scaled_bmo)
+        assert scaled_lmo == pytest.approx(a * lmo, rel=1e-12, abs=0.0)
+        assert scaled_bmo == pytest.approx(a * bmo, rel=1e-12, abs=0.0)
+
+
 def test_h1_norm_examples():
     f = GridFunction2D((1, 1), [[1.0, -1.0], [-1.0, 1.0]])
     assert h1_norm(f) == pytest.approx(1.0)
@@ -465,6 +553,62 @@ def test_bmo_matches_bruteforce_and_axis_swap(drawn):
     assert value == pytest.approx(bmo_d_norm_sq_bruteforce(HaarSpectrum2D(depth, coefs)),
                                   rel=1e-12, abs=0.0)
     assert swapped == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert np.array_equal(swapped_mask, mask.T)
+
+
+@pytest.fixture
+def flow_count(monkeypatch):
+    """Counts the max-flow solves of the closure."""
+    count = [0]
+    solve = _FlowNetwork.max_flow
+
+    def counted(self, *args):
+        count[0] += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(_FlowNetwork, "max_flow", counted)
+    return count
+
+
+@pytest.mark.parametrize("depth", [(3, 3), (4, 2), (5, 5)])
+def test_warm_start_certifies_a_tensor_symbol_in_one_flow(depth, flow_count):
+    """A tensor product attains its norm on a rectangle, the warm start, so
+    the first flow is the certificate."""
+    rng = np.random.default_rng(90 + depth[0])
+    a, b = rng.standard_normal(1 << depth[0]), rng.standard_normal(1 << depth[1])
+    hh = apply_projection(haar_forward_2d(GridFunction2D(depth, np.outer(a, b))),
+                          ProjectionSelector.tail(0, 0))
+    assert bmo_d_norm_sq(hh)[0] == pytest.approx(
+        dyadic_bmo_1d_sq(a) * dyadic_bmo_1d_sq(b), rel=1e-12)
+    assert flow_count[0] == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_warm_start_solves_a_staircase_in_two_flows(n, flow_count):
+    """Open set beats every rectangle: one flow improves the warm start to
+    the staircase, the second certifies it."""
+    phi = HaarSpectrum2D.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        phi = phi.with_hh_coef(DyadicRect.from_levels(k, 0, n - k, 0), 2.0 ** (-n / 2))
+    assert bmo_d_norm_sq(phi)[0] == pytest.approx(2 * (n + 1) / (n + 2), rel=1e-12)
+    assert flow_count[0] == 2
+
+
+@pytest.mark.parametrize("depth", [(3, 3), (3, 2)])
+def test_closure_returns_the_largest_optimal_set(depth):
+    """Two disjoint squares of equal weight are each optimal, and so is
+    their union: the returned mask is the union, in both axis orders."""
+    phi = HaarSpectrum2D.zeros(depth)
+    phi = phi.with_hh_coef(DyadicRect.from_levels(1, 0, 1, 0), 0.7)
+    phi = phi.with_hh_coef(DyadicRect.from_levels(1, 1, 1, 1), 0.7)
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    expected = np.zeros((n1, n2), dtype=bool)
+    expected[:n1 // 2, :n2 // 2] = expected[n1 // 2:, n2 // 2:] = True
+    value, mask = bmo_d_norm_sq(phi)
+    assert value == pytest.approx(4 * 0.49, rel=1e-12)
+    assert np.array_equal(mask, expected)
+    swapped, swapped_mask = bmo_d_norm_sq(HaarSpectrum2D(depth[::-1], phi.coeffs.T))
+    assert swapped == value
     assert np.array_equal(swapped_mask, mask.T)
 
 
