@@ -338,6 +338,8 @@ def cmd_hilbert(args) -> int:
     else:
         if args.seed is None:
             raise ValidationError("Monte-Carlo mode requires --seed")
+        if args.samples > 100_000:  # one sampled grid holds about 1.5 KB
+            raise ValidationError(f"--samples must be at most 100000, got {args.samples}")
         pairs = mc_hilbert(f, xs, args.samples, args.seed,
                            k_coarse=args.k_coarse, k_fine=args.k_fine)
         result = {

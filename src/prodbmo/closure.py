@@ -169,7 +169,7 @@ class ClosureInstance:
             local = local // size[rect]
         return first, np.ravel_multi_index(coords[::-1], self.shape)
 
-    @property
+    @cached_property
     def rect_cells(self):
         """Per rectangle, the indices of the cells it requires."""
         first, cells = self._arcs

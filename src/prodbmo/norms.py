@@ -23,9 +23,7 @@ from .core import (
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
-    ProjectionSelector,
     _analysis,
-    apply_projection,
     haar_forward_2d,
     square_function,
 )
@@ -51,30 +49,29 @@ def grid_closure_instance(phi: HaarSpectrum2D):
     return ClosureInstance.from_product_blocks((n1, n2), (2.0 ** -j1d, 2.0 ** -j2d), blocks)
 
 
-def _zoom(phi: HaarSpectrum2D, rect: DyadicRect):
-    """(spectrum, k, cells): the hh rectangles of phi inside the dyadic
-    rectangle I x J as a spectrum of their own, at depth q = (J1 - level I,
-    J2 - level J), and the cell slices of I x J.
+def _crop(inst: ClosureInstance, rect: DyadicRect = None, tail=(0, 0)):
+    """(instance, cells): the weighted rectangles of a grid instance that lie
+    inside the dyadic rectangle (the unit square if None) and have generation
+    >= tail, on the rectangle's cells, and the cell slices of the rectangle.
 
-    The descendants l levels below basis index b are (b << l) + p for
-    p < 2^l.  Only the cell area changes: it is 2^k times larger in the
-    spectrum, k = level I + level J, so every ratio inside I x J is 2^k
-    times the spectrum's.  A one cell thick I x J holds no hh rectangle and
-    gives the spectrum None.
+    Every cell keeps its area, so a ratio inside the rectangle is the full
+    grid's; inst itself when nothing is cut.  A one cell thick rectangle
+    holds no weighted rectangle.
     """
-    if rect is None:
-        return phi, 0, (slice(None), slice(None))
-    sides = (rect.s_interval, rect.t_interval)
-    q = tuple(depth - side.level for side, depth in zip(sides, phi.depth))
-    if min(q) < 0:
-        raise ValidationError("restriction rectangle finer than the grid")
-    cells = tuple(slice(side.index << qa, (side.index + 1) << qa) for side, qa in zip(sides, q))
-    k = sides[0].level + sides[1].level
-    if min(q) == 0:
-        return None, k, cells
-    idx = [np.concatenate([[0]] + [np.arange(side.basis_index << l, (side.basis_index + 1) << l)
-                                   for l in range(qa)]) for side, qa in zip(sides, q)]
-    return HaarSpectrum2D(q, phi.coeffs[np.ix_(*idx)]), k, cells
+    if rect is None and tail == (0, 0):
+        return inst, (slice(None), slice(None))
+    sides = (rect.s_interval, rect.t_interval) if rect else (DyadicInterval(0, 0),) * 2
+    keep, cells = True, []
+    for side, j, w, r in zip(sides, tail, inst.widths, inst.ranges):
+        step = len(w) >> side.level
+        if step == 0:
+            raise ValidationError("restriction rectangle finer than the grid")
+        lo, hi = side.index * step, (side.index + 1) * step
+        keep = keep & (lo <= r[:, 0]) & (r[:, 1] <= hi) & (r[:, 1] - r[:, 0] <= len(w) >> j)
+        cells.append(slice(lo, hi))
+    return ClosureInstance(tuple(w[c] for w, c in zip(inst.widths, cells)),
+                           tuple(r[keep] - c.start for r, c in zip(inst.ranges, cells)),
+                           inst.rect_weights[keep]), tuple(cells)
 
 
 def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
@@ -82,24 +79,21 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
 
     The mask is a boolean array over the full grid; an all-zero hh block
     yields (0.0, all-False).  Restricted to a dyadic rectangle, the norm is
-    that of the rectangle's own sub-spectrum, rescaled to its area.
+    that of the symbol's weighted rectangles inside it, with the cell areas
+    of the full grid.
     """
-    sub, k, cells = _zoom(phi, restrict_to)
-    grid_mask = np.zeros((1 << phi.depth[0], 1 << phi.depth[1]), dtype=bool)
-    if sub is None:
-        return 0.0, grid_mask
-    value, local_mask = best_ratio(grid_closure_instance(sub))
+    inst = grid_closure_instance(phi)
+    sub, cells = _crop(inst, restrict_to)
+    value, local_mask = best_ratio(sub)
+    grid_mask = np.zeros(inst.shape, dtype=bool)
     if local_mask is not None:
-        grid_mask[cells] = local_mask.reshape(grid_mask[cells].shape)
-    return value * 2.0 ** k, grid_mask
+        grid_mask[cells] = local_mask.reshape(sub.shape)
+    return value, grid_mask
 
 
 def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None) -> float:
     """Exhaustive maximum over all non-empty cell subsets (oracle)."""
-    sub, k, _ = _zoom(phi, restrict_to)
-    if sub is None:
-        return 0.0
-    return best_ratio_bruteforce(grid_closure_instance(sub)) * 2.0 ** k
+    return best_ratio_bruteforce(_crop(grid_closure_instance(phi), restrict_to)[0])
 
 
 def _rect_energies(phi: HaarSpectrum2D):
@@ -162,14 +156,14 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     A tail's squared norm lies between its hh energy and that energy over
     the smallest area of its weighted rectangles."""
     phi, e = _unit_scaled(phi)
-    tails, bounds = [], []
+    inst, tails, bounds = grid_closure_instance(phi), [], []
     for (j1, j2), (energy, deep) in _rect_energies(phi).items():
         if not (pinned[0] and j1 or pinned[1] and j2):
             w, total = (j1 + 1) * (j2 + 1), float(energy.sum())
-            tails.append((w, ProjectionSelector.tail(j1, j2)))
+            tails.append((w, (j1, j2)))
             bounds.append((w * math.sqrt(total), w * math.sqrt(total * 2.0 ** deep.max())))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
-        bmo_d_norm_sq(apply_projection(phi, tails[n][1]))[0]))
+        best_ratio(_crop(inst, tail=tails[n][1])[0])[0]))
     return math.ldexp(best, e)
 
 
@@ -218,14 +212,15 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     sides = [[(DyadicInterval(j, i), 1.0 if b else ((j + 2) * LN2) ** 2)
               for j in range(1 if b else depth) for i in range(1 << j)]
              for b, depth in zip(beta, phi.depth)]
-    energies = _rect_energies(phi)
+    energies, inst = _rect_energies(phi), grid_closure_instance(phi)
     rects, bounds = [], []
     for (s, ws), (t, wt) in itertools.product(*sides):
         energy, deep = (a[s.index, t.index] for a in energies[s.level, t.level])
         w = ws * wt
         rects.append((w, DyadicRect(s, t)))
         bounds.append((w * energy * 2.0 ** (s.level + t.level), w * energy * 2.0 ** deep))
-    best, n = _pruned_max(bounds, lambda n: rects[n][0] * bmo_d_norm_sq(phi, rects[n][1])[0])
+    best, n = _pruned_max(
+        bounds, lambda n: rects[n][0] * best_ratio(_crop(inst, rects[n][1])[0])[0])
     return best, rects[n][1]
 
 

@@ -276,6 +276,10 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
     pytest.param(["opnorm", "--kind", "shift", "--depth", "a,b"], id="depth"),
     pytest.param(["bmo", "--input", "{grid}", "--restrict", "1,2"], id="restrict-count"),
     pytest.param(["bmo", "--input", "{grid}", "--restrict", "a,b,c,d"], id="restrict-int"),
+    pytest.param(["bmo", "--input", "{grid}", "--restrict", "3,0,0,0", "--output", "{out}"],
+                 id="restrict-finer-than-grid"),
+    pytest.param(["bmo", "--input", "{grid}", "--method", "brute", "--restrict", "0,0,3,0",
+                  "--output", "{out}"], id="restrict-brute-finer-than-grid"),
     pytest.param(["lmo", "--input", "{grid}", "--method", "beta", "--beta", "x"], id="beta"),
     pytest.param(["sigma", "--input", "{grid}", "--axis", "1", "--k", "a",
                   "--output", "{out}"], id="sigma-k"),
@@ -306,6 +310,9 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
     pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
                   "--samples", "4", "--seed", "1", "--k-coarse", "0", "--k-fine", "-5",
                   "--output", "{out}"], id="mc-k-fine-negative"),
+    pytest.param(["hilbert", "--mode", "mc", "--function", "{step}", "--x", "2.0",
+                  "--samples", "100001", "--seed", "1", "--output", "{out}"],
+                 id="mc-samples-over-cap"),
     pytest.param(["opnorm", "--kind", "shift", "--axis", "1", "--depth=-1,2"],
                  id="opnorm-shift-negative-depth"),
     pytest.param(["opnorm", "--kind", "projection", "--selector", "E:1,1", "--depth=-1,2"],

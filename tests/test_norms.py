@@ -1,5 +1,6 @@
 """BMO/LMO norms: solver vs exhaustive oracle, scale weights, growth."""
 
+import itertools
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_grid, random_hh_spectrum
+from helpers import indicator_values_1d, random_grid, random_hh_spectrum
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
@@ -135,6 +136,7 @@ def test_closure_ratio_matches_per_rectangle_loop():
             axes = [np.arange(*rg[r]) for rg in ranges]
             cells = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), shape).ravel()
             assert np.array_equal(inst.rect_cells[r], cells)
+        assert inst.rect_cells is inst.rect_cells  # split once, then read per rectangle
         for _ in range(20):
             mask = rng.random(inst.n_cells) < 0.6
             if not mask.any():
@@ -280,6 +282,55 @@ def test_bmo_invariant_under_dilation_into_a_rectangle():
         assert mask.any() and not outside.any()
         sibling = DyadicRect.from_levels(k1, i1 ^ 1, k2, i2)
         assert bmo_d_norm_sq(phi, restrict_to=sibling)[0] == 0.0
+
+
+def _cells_of(rect, depth):
+    """Boolean cell mask of a dyadic rectangle on the grid of the given depth."""
+    return np.outer(indicator_values_1d(rect.s_interval, 1 << depth[0]),
+                    indicator_values_1d(rect.t_interval, 1 << depth[1])) > 0
+
+
+@pytest.mark.parametrize("depth", [(3, 3), (4, 2), (2, 4)])
+def test_restricted_norm_equals_norm_of_open_set_projection(depth):
+    """A norm restricted to R is the norm of the symbol projected onto the
+    rectangles inside R, a reference built by the open-set selector and not
+    by the crop of the closure instance: value and mask are == for every
+    dyadic R, one cell thick ones included."""
+    rng = np.random.default_rng(1900 + 10 * depth[0] + depth[1])
+    for density in (1.0, 0.3):
+        c = random_hh_spectrum(depth, rng).coeffs
+        phi = HaarSpectrum2D(depth, c * (rng.random(c.shape) < density))
+        for l1, l2 in itertools.product(range(depth[0] + 1), range(depth[1] + 1)):
+            for i1, i2 in itertools.product(range(1 << l1), range(1 << l2)):
+                r = DyadicRect.from_levels(l1, i1, l2, i2)
+                value, mask = bmo_d_norm_sq(phi, restrict_to=r)
+                ref_value, ref_mask = bmo_d_norm_sq(
+                    apply_projection(phi, ProjectionSelector.open_set(_cells_of(r, depth))))
+                assert value == ref_value
+                assert np.array_equal(mask, ref_mask)
+
+
+def test_disjoint_supports_take_the_largest_norm():
+    """Symbols supported in pairwise disjoint dyadic rectangles R_i, at a
+    depth beyond brute force: the norm of the sum is the largest of their
+    norms (an Omega splits into its parts inside each R_i, and its ratio is
+    at most the largest of theirs), and restricted to R_i the sum has the
+    norm and mask of phi_i alone."""
+    depth = (6, 6)
+    rng = np.random.default_rng(1951)
+    rects = [DyadicRect.from_levels(1, 0, 1, 0), DyadicRect.from_levels(2, 2, 1, 1),
+             DyadicRect.from_levels(1, 1, 2, 0), DyadicRect.from_levels(3, 7, 2, 3)]
+    parts = [apply_projection(random_hh_spectrum(depth, rng),
+                              ProjectionSelector.open_set(_cells_of(r, depth)))
+             for r in rects]
+    total = HaarSpectrum2D(depth, sum(p.coeffs for p in parts))
+    assert bmo_d_norm_sq(total)[0] == pytest.approx(
+        max(bmo_d_norm_sq(p)[0] for p in parts), rel=1e-12)
+    for r, p in zip(rects, parts):
+        value, mask = bmo_d_norm_sq(total, restrict_to=r)
+        part_value, part_mask = bmo_d_norm_sq(p, restrict_to=r)
+        assert value == part_value
+        assert np.array_equal(mask, part_mask)
 
 
 def test_rect_norm_below_open_norm():
