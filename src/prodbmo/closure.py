@@ -29,6 +29,8 @@ from .errors import NonConvergenceError, ValidationError
 _MAX_ROUNDS = 1000
 #: relative improvement below which a Dinkelbach round settles the ratio
 _REL_TOL = 1e-13
+#: rect -> cell arcs above which best_ratio refuses a network (about 265 bytes each)
+_MAX_ARCS = 1 << 23
 
 
 class _FlowNetwork:
@@ -155,11 +157,16 @@ class ClosureInstance:
         return reduce(np.multiply.outer, self.widths).ravel()
 
     @cached_property
+    def arc_counts(self):
+        """Per rectangle, the number of cells it requires."""
+        return reduce(np.multiply, [r[:, 1] - r[:, 0] for r in self.ranges])
+
+    @cached_property
     def _arcs(self):
         """(first, cells): each rectangle's first arc and the cell of every
         arc, rectangle by rectangle and row-major within one."""
         sizes = [r[:, 1] - r[:, 0] for r in self.ranges]
-        counts = np.prod(sizes, axis=0)
+        counts = self.arc_counts
         first = np.cumsum(counts) - counts
         rect = np.repeat(np.arange(counts.size), counts)
         local = np.arange(rect.size) - first[rect]
@@ -233,6 +240,8 @@ def best_ratio(inst: ClosureInstance):
     if active.size == 0:
         return 0.0, None
     atoms, atom_of = _atoms(inst, active)
+    if (n_arcs := int(atoms.arc_counts.sum())) > _MAX_ARCS:  # before the arcs are built
+        raise ValidationError(f"closure network of {n_arcs} arcs exceeds {_MAX_ARCS}")
     first, required = atoms._arcs
     nr, nc = first.size, atoms.n_cells
     total_w = float(atoms.rect_weights.sum())

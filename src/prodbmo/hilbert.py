@@ -276,46 +276,35 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
 
 class _AxisSystem:
     """Intervals of one 1-d system at levels [0, j_hi] overlapping [0, 1),
-    held as arrays, with contiguous fine cells one level deeper covering
-    all of them."""
+    held as arrays of their exact quarter points, with the closure cells
+    between their distinct ends."""
 
     def __init__(self, g: RandomDyadicGrid, j_hi: int):
         if j_hi + 1 > g.k_fine:
             raise ValidationError("levels outside the grid's range")
-        self.g = g
-        # per level, step right from the interval containing 0 while left < 1 (<= 2^j + 1 steps)
-        base = np.ldexp(1.0, -np.arange(j_hi + 1))
-        steps = np.repeat(g.r * base[:, None], (1 << j_hi) + 2, axis=1)
-        steps[:, 0] = _left_ends(0.0, g.r, g.offsets[g.k_coarse:g.k_coarse + j_hi + 1], base)
-        lefts = np.cumsum(steps, axis=1)
-        self.levels = np.nonzero(lefts < 1.0)[0]
-        self.lefts = lefts[lefts < 1.0]
-        self.lengths = g.r * base[self.levels]
-        self.fine_level = j_hi + 1
-        fine_base = 2.0 ** (-self.fine_level)
-        self.fine_length = g.r * fine_base
-        shift = g.level_shift(self.fine_level)
-        k_lo = round((self.lefts.min() / g.r - shift) / fine_base)
-        k_hi = round(((self.lefts + self.lengths).max() / g.r - shift) / fine_base)
-        self.fine_k_lo = int(k_lo)
-        self.n_fine = int(k_hi - k_lo)
-        self._fine_base = fine_base
-        self._shift = shift
-
-    def fine_ranges(self) -> np.ndarray:
-        """Local fine-cell index range (lo, hi) spanned by each interval."""
-        lo = np.rint((self.lefts / self.g.r - self._shift) / self._fine_base).astype(int)
-        lo = lo - self.fine_k_lo
-        return np.column_stack((lo, lo + (1 << (self.fine_level - self.levels))))
+        # per level, the interval containing 0 and those to its right while left < 1
+        # (at most 2^j + 1 more), at quarter steps; each point is r times an exact
+        # dyadic number, so a point that two levels share is one float
+        base = np.ldexp(1.0, -np.arange(j_hi + 1))[:, None, None]
+        steps = np.arange((1 << j_hi) + 2)[:, None] + np.arange(5) / 4.0
+        quarters = _left_ends(0.0, g.r, g.offsets[g.k_coarse:g.k_coarse + j_hi + 1, None, None],
+                              base, steps)
+        inside = quarters[:, :, 0] < 1.0
+        self.levels = np.nonzero(inside)[0]
+        self.quarters = quarters[inside]
+        self.lefts = self.quarters[:, 0]
+        self.lengths = g.r * base[self.levels, 0, 0]
+        ends = self.quarters[:, [0, 4]]
+        self.edges = np.unique(ends)
+        self.ranges = np.searchsorted(self.edges, ends)
 
     def overlap_matrix(self, edges: np.ndarray) -> np.ndarray:
         """A[i, c] = integral of h_{I_i} over the mesh cell [edges[c], edges[c+1])."""
         e0, e1 = edges[:-1], edges[1:]
-        a, ln = self.lefts[:, None], self.lengths[:, None]
-        mid = a + ln / 2.0
+        a, mid, b = (self.quarters[:, q, None] for q in (0, 2, 4))
         low = np.clip(np.minimum(e1, mid) - np.maximum(e0, a), 0.0, None)
-        high = np.clip(np.minimum(e1, a + ln) - np.maximum(e0, mid), 0.0, None)
-        return (high - low) / np.sqrt(ln)
+        high = np.clip(np.minimum(e1, b) - np.maximum(e0, mid), 0.0, None)
+        return (high - low) / np.sqrt(self.lengths[:, None])
 
 
 def _mesh_coefficients(sys1: _AxisSystem, sys2: _AxisSystem, values, edges_s, edges_t):
@@ -327,8 +316,8 @@ def _mesh_coefficients(sys1: _AxisSystem, sys2: _AxisSystem, values, edges_s, ed
 def _system_bmo_sq(sys1: _AxisSystem, sys2: _AxisSystem, coefs) -> float:
     """Squared BMO norm of the coefficients in the product system."""
     inst = ClosureInstance.from_product_blocks(
-        (sys1.n_fine, sys2.n_fine), (sys1.fine_length, sys2.fine_length),
-        [(sys1.fine_ranges(), sys2.fine_ranges(), coefs)],
+        (len(sys1.edges) - 1, len(sys2.edges) - 1), (np.diff(sys1.edges), np.diff(sys2.edges)),
+        [(sys1.ranges, sys2.ranges, coefs)],
     )
     return best_ratio(inst)[0]
 
@@ -364,28 +353,14 @@ def sampled_continuous_bmo(b: GridFunction2D, n_grids: int, seed) -> float:
 def _mesh_for_axis(sys_shift: _AxisSystem, unit_edges: np.ndarray) -> np.ndarray:
     """Mesh refining the unit grid and the quarter structure of every
     interval of the shift system (children's halves included)."""
-    pts = set(np.round(unit_edges, 15).tolist())
-    # iterate the float64 arrays: numpy's round(x, 15) differs from Python's
-    for a, ln in zip(sys_shift.lefts, sys_shift.lengths):
-        for q in range(5):
-            pts.add(round(a + q * ln / 4.0, 15))
-    return np.array(sorted(pts))
+    return np.unique(np.concatenate((unit_edges, sys_shift.quarters.ravel())))
 
 
 def _embed_grid_on_mesh(b: GridFunction2D, edges_s, edges_t) -> np.ndarray:
     """Cell values of b on the mesh edges_s x edges_t (zero outside [0,1)^2)."""
-    n1, n2 = b.values.shape
-    mid_s = 0.5 * (edges_s[:-1] + edges_s[1:])
-    mid_t = 0.5 * (edges_t[:-1] + edges_t[1:])
-    idx_s = np.floor(mid_s * n1).astype(int)
-    idx_t = np.floor(mid_t * n2).astype(int)
-    vals = np.zeros((len(mid_s), len(mid_t)))
-    ok_s = (mid_s > 0.0) & (mid_s < 1.0)
-    ok_t = (mid_t > 0.0) & (mid_t < 1.0)
-    sel_s = np.where(ok_s)[0]
-    sel_t = np.where(ok_t)[0]
-    vals[np.ix_(sel_s, sel_t)] = b.values[np.ix_(idx_s[sel_s], idx_t[sel_t])]
-    return vals
+    index = [np.clip(np.floor(0.5 * (e[:-1] + e[1:]) * n).astype(int) + 1, 0, n + 1)
+             for e, n in zip((edges_s, edges_t), b.values.shape)]
+    return np.pad(b.values, 1)[np.ix_(*index)]
 
 
 class _MeshShift:

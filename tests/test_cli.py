@@ -10,6 +10,7 @@ import pytest
 
 import prodbmo
 
+from prodbmo import closure
 from prodbmo.cli import (
     cli_dispatch,
     load_function_file,
@@ -90,6 +91,18 @@ def test_bmo_exact_matches_worked_example(tmp_path, capsys):
     res = json.loads(out.read_text())
     assert res["norm_sq"] == pytest.approx(4.0, abs=1e-12)
     assert sorted(res["omega_cells"]) == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+def test_bmo_above_the_arc_cap_exit_2(tmp_path, capsys, monkeypatch):
+    """A symbol whose closure network exceeds the arc cap is refused as a
+    validation error, before the network is built."""
+    monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
+    src = tmp_path / "phi.json"
+    values = np.random.default_rng(5).standard_normal((16, 16))
+    save_function_file(str(src), (4, 4), values, kind="grid")
+    assert cli_dispatch(["bmo", "--input", str(src), "--method", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "1024 arcs" in err and "Traceback" not in err
 
 
 def test_bmo_brute_and_rect(tmp_path, capsys):

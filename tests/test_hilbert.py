@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prodbmo.calibration import random_hh_symbol
-from prodbmo.core import GridFunction2D, haar_forward_2d, haar_inverse_2d
+from prodbmo.core import GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
 from prodbmo.errors import (
     EvaluationAtJumpError,
     ValidationError,
@@ -376,11 +376,16 @@ def test_sampled_bmo_zero():
 
 
 def test_sampled_bmo_standard_grid_matches_native():
+    """The standard grid is the native dyadic system, so the sampled BMO on
+    it is the native closure solve, on Gaussian and 30%-sparse symbols."""
     rng = np.random.default_rng(41)
-    for _ in range(3):
-        b = haar_inverse_2d(random_hh_symbol((2, 2), rng))
-        native = bmo_d_norm_sq(haar_forward_2d(b))[0]
-        assert sampled_continuous_bmo(b, 1, 0) == pytest.approx(native, rel=1e-12)
+    for depth in [(j1, j2) for j1 in range(1, 5) for j2 in range(1, 5)]:
+        for keep in (1.0, 0.3):
+            for _ in range(2):
+                coeffs = random_hh_symbol(depth, rng).coeffs
+                b = haar_inverse_2d(HaarSpectrum2D(depth, coeffs * (rng.random(coeffs.shape) < keep)))
+                native = bmo_d_norm_sq(haar_forward_2d(b))[0]
+                assert sampled_continuous_bmo(b, 1, 0) == pytest.approx(native, rel=1e-12)
 
 
 def test_sampled_bmo_monotone_in_grids():
@@ -405,26 +410,41 @@ def test_sampled_bmo_shifted_grid_exactness():
 
 def test_axis_system_arrays_match_per_interval_loops():
     """The interval arrays of a sampled system against per-interval loops
-    written from the docstrings: fine-cell ranges, the Haar overlap
-    integrals over mesh cells, and the shift's quarter pattern."""
+    written from the docstrings: exact quarter points and interval ends,
+    the Haar overlap integrals over mesh cells, and the shift's quarter
+    pattern."""
+    unit = np.linspace(0.0, 1.0, 9)
     for seed in (3, 4):
         g = sample_grid(seed, 2, 5)
         axis_sys = _AxisSystem(g, 3)
-        edges = _mesh_for_axis(axis_sys, np.linspace(0.0, 1.0, 9))
+        edges = _mesh_for_axis(axis_sys, unit)
+        quarters = axis_sys.quarters
+        # every mesh point is bitwise a unit edge or a quarter point of the system
+        assert np.isin(edges, np.concatenate((unit, quarters.ravel()))).all()
+        levels, points = [], []
+        for j in range(4):
+            base, shift = 2.0 ** -j, g.level_shift(j)
+            m = math.floor(-shift / base)  # the interval containing 0
+            while g.r * (base * m + shift) < 1.0:
+                levels.append(j)
+                points.append([g.r * (base * (m + q / 4) + shift) for q in range(5)])
+                m += 1
+        assert axis_sys.levels.tolist() == levels
+        assert quarters.tolist() == points
+        assert np.array_equal(axis_sys.edges[axis_sys.ranges], quarters[:, [0, 4]])
         e0, e1 = edges[:-1], edges[1:]
         mids = 0.5 * (e0 + e1)
         overlap = axis_sys.overlap_matrix(edges)
         pattern = _MeshShift(axis_sys, edges).pattern
-        fine = axis_sys.fine_ranges()
-        jf = axis_sys.fine_level
-        rows = zip(axis_sys.levels, axis_sys.lefts, axis_sys.lengths)
-        for i, (j, a, ln) in enumerate(rows):
-            lo = round((a / g.r - g.level_shift(jf)) / 2.0 ** -jf) - axis_sys.fine_k_lo
-            assert tuple(fine[i]) == (lo, lo + (1 << (jf - j)))
-            mid = a + ln / 2.0
+        rows = zip(axis_sys.levels, quarters, axis_sys.lengths)
+        for i, (j, (a, _, mid, _, b), ln) in enumerate(rows):
+            if j > 0:  # the child's left end is one of its parent's quarter points
+                parent = (axis_sys.levels == j - 1) & (axis_sys.lefts <= a) & (a < quarters[:, 4])
+                assert a in quarters[parent].ravel().tolist()
             low = np.clip(np.minimum(e1, mid) - np.maximum(e0, a), 0.0, None)
-            high = np.clip(np.minimum(e1, a + ln) - np.maximum(e0, mid), 0.0, None)
+            high = np.clip(np.minimum(e1, b) - np.maximum(e0, mid), 0.0, None)
             assert np.array_equal(overlap[i], (high - low) / math.sqrt(ln))
+            assert not overlap[i][(e1 <= a) | (e0 >= b)].any()
             pos = (mids - a) / ln
             sign = np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0)
             inside = (pos >= 0.0) & (pos < 1.0)

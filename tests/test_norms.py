@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import indicator_values_1d, random_grid, random_hh_spectrum
+from prodbmo import closure
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
@@ -661,6 +662,19 @@ def test_closure_returns_the_largest_optimal_set(depth):
     swapped, swapped_mask = bmo_d_norm_sq(HaarSpectrum2D(depth[::-1], phi.coeffs.T))
     assert swapped == value
     assert np.array_equal(swapped_mask, mask.T)
+
+
+def test_best_ratio_refuses_more_arcs_than_the_cap(monkeypatch):
+    """The rect -> cell arcs are counted on the atoms before the network is
+    built: a dense (4,4) symbol solves on 8 x 8 atoms with 32 x 32 = 1,024
+    arcs, refused under a cap of 1,000 and solved under one of 1,024.  The
+    default cap solves the (9,9) staircase (test_bmo_of_staircase)."""
+    phi = random_hh_spectrum((4, 4), np.random.default_rng(71))
+    monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
+    with pytest.raises(ValidationError, match="1024 arcs"):
+        bmo_d_norm_sq(phi)
+    monkeypatch.setattr(closure, "_MAX_ARCS", 1024)
+    assert bmo_d_norm_sq(phi)[0] > 0.0
 
 
 def test_local_growth_report_zero_function():
