@@ -19,12 +19,11 @@ from .core import (
     DyadicInterval,
     DyadicRect,
     HaarSpectrum2D,
-    PrefixTable,
     ProjectionSelector,
     apply_projection,
-    dyadic_rect_mean,
     haar_forward_2d,
     haar_inverse_2d,
+    mean_pyramid,
 )
 from .errors import ValidationError
 from .linop import assemble, operator_norm
@@ -185,18 +184,12 @@ def staircase_growth(rect: DyadicRect, depth):
     bnorm = bmo_norm_of_grid(b)
     if bnorm == 0.0:
         return bnorm, {}, None
-    pt = PrefixTable(b)
-    ratios = {}
-    for k1 in range(depth[0] + 1):
-        for k2 in range(depth[1] + 1):
-            worst = max(
-                abs(dyadic_rect_mean(pt, DyadicRect.from_levels(k1, p1, k2, p2)))
-                for p1 in range(1 << k1)
-                for p2 in range(1 << k2)
-            )
-            ratios[k1, k2] = worst / ((k1 + 1) * (k2 + 1) * bnorm)
-    j1, j2 = rect.s_interval.level, rect.t_interval.level
-    attained = dyadic_rect_mean(pt, rect) / ((j1 + 1) * (j2 + 1) * bnorm)
+    means = mean_pyramid(b.values)
+    ratios = {(k1, k2): float(np.abs(means[k1][k2]).max()) / ((k1 + 1) * (k2 + 1) * bnorm)
+              for k1 in range(depth[0] + 1) for k2 in range(depth[1] + 1)}
+    s, t = rect.s_interval, rect.t_interval
+    attained = float(means[s.level][t.level][s.index, t.index]) / (
+        (s.level + 1) * (t.level + 1) * bnorm)
     return bnorm, ratios, attained
 
 
@@ -256,13 +249,18 @@ def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
     }
 
 
-def sweep_pi_bound(n=100, seed=20240502):
+def _sweep_bound(key, ratio, n, seed):
+    """{key: max of ratio((d, d), rng) over n draws per d in CALIBRATED_DEPTHS[key]}."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for d in CALIBRATED_DEPTHS["pi_bound_constant"]:
+    for d in CALIBRATED_DEPTHS[key]:
         for _ in range(n):
-            worst = max(worst, pi_bound_ratio((d, d), rng))
-    return {"pi_bound_constant": worst}
+            worst = max(worst, ratio((d, d), rng))
+    return {key: worst}
+
+
+def sweep_pi_bound(n=100, seed=20240502):
+    return _sweep_bound("pi_bound_constant", pi_bound_ratio, n, seed)
 
 
 def sweep_delta_bounds(n=50, depth=(2, 2), seed=20240503):
@@ -280,12 +278,7 @@ def sweep_delta_bounds(n=50, depth=(2, 2), seed=20240503):
 
 
 def sweep_shift_commutator(n=100, seed=20240504):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for d in CALIBRATED_DEPTHS["shift_commutator_bound"]:
-        for _ in range(n):
-            worst = max(worst, commutator_bound_ratio((d, d), rng))
-    return {"shift_commutator_bound": worst}
+    return _sweep_bound("shift_commutator_bound", commutator_bound_ratio, n, seed)
 
 
 def recompute(verbose=True):

@@ -116,7 +116,7 @@ def load_function_file(path: str):
             payload = json.load(fh)
             depth = tuple(int(v) for v in payload["depth"])
             values = np.asarray(payload["values"], dtype=float)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"malformed function file {path}: {exc!r}") from exc
     if len(depth) != 2 or not all(1 <= j <= MAX_LEVEL for j in depth):
         raise ValidationError(
@@ -128,6 +128,8 @@ def load_function_file(path: str):
             f"function file holds {values.size} values, expected {n1 * n2}"
         )
     kind = payload.get("kind", "grid")
+    if kind not in ("grid", "spectrum"):
+        raise ValidationError(f"function file kind must be 'grid' or 'spectrum', got {kind!r}")
     return depth, values.reshape(n1, n2), kind
 
 
@@ -252,6 +254,8 @@ def cmd_paraproduct(args) -> int:
 
 def cmd_opnorm(args) -> int:
     if args.kind == "paraproduct":
+        if args.symbol is None:
+            raise ValidationError("--kind paraproduct requires --symbol")
         sig = signature_by_name(args.sig)
         phi = load_spectrum(args.symbol)
         op = assemble(lambda f: paraproduct(sig, phi, f), phi.depth, space="grid")
@@ -561,15 +565,12 @@ def cli_dispatch(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NonConvergenceError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 def main() -> None:

@@ -15,6 +15,7 @@ the t-Haar block is C[0,1:] and the rectangle (hh) block is C[1:,1:].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,6 +146,12 @@ def _check_grid_shape(values, depth):
         raise ValidationError("grid values must be finite")
 
 
+def _check_same_depth(a, b):
+    """Raise DepthMismatchError unless a and b share a depth."""
+    if a.depth != b.depth:
+        raise DepthMismatchError(f"depth mismatch: {a.depth} vs {b.depth}")
+
+
 class GridFunction2D:
     """Piecewise-constant function on the 2^J1 x 2^J2 dyadic grid over [0,1)^2.
 
@@ -183,11 +190,11 @@ class GridFunction2D:
         return float((self.values ** 2).sum() * self.cell_area)
 
     def __add__(self, other):
-        self._check_same_depth(other)
+        _check_same_depth(self, other)
         return GridFunction2D(self.depth, self.values + other.values)
 
     def __sub__(self, other):
-        self._check_same_depth(other)
+        _check_same_depth(self, other)
         return GridFunction2D(self.depth, self.values - other.values)
 
     def __mul__(self, scalar):
@@ -197,14 +204,8 @@ class GridFunction2D:
 
     def multiply(self, other) -> "GridFunction2D":
         """Pointwise product (exact for piecewise-constant functions)."""
-        self._check_same_depth(other)
+        _check_same_depth(self, other)
         return GridFunction2D(self.depth, self.values * other.values)
-
-    def _check_same_depth(self, other):
-        if self.depth != other.depth:
-            raise DepthMismatchError(
-                f"depth mismatch: {self.depth} vs {other.depth}"
-            )
 
 
 class HaarSpectrum2D:
@@ -274,12 +275,6 @@ class HaarSpectrum2D:
 
     def copy(self) -> "HaarSpectrum2D":
         return HaarSpectrum2D(self.depth, self.coeffs.copy())
-
-    def _check_same_depth(self, other):
-        if self.depth != other.depth:
-            raise DepthMismatchError(
-                f"depth mismatch: {self.depth} vs {other.depth}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +541,19 @@ def _open_set_keep(depth, mask: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _unit_scaled(c: HaarSpectrum2D):
+    """(hh block of c / 2^e, e), e the exponent of the largest |hh
+    coefficient|, so that squares stay finite at any representable amplitude;
+    the other blocks are dropped, so a large constant cannot overflow."""
+    e = math.frexp(float(np.abs(c.hh_block()).max()))[1]
+    return HaarSpectrum2D(c.depth, np.ldexp(c.hh_only().coeffs, -e)), e
+
+
 def square_function(c: HaarSpectrum2D) -> GridFunction2D:
-    """S[f] = (sum_R chi_R / |R| * |f_R|^2)^(1/2) over the hh block.
-
-    The coefficients are scaled by an exact power of two near their max-abs
-    before squaring, so the squares stay finite at any representable amplitude.
-    """
-    _, e = np.frexp(np.abs(c.hh_block()).max())
-
-    def block(j1, j2):
-        return np.ldexp(c.generation_block(j1, j2), -e)
-
-    squares = _generation_sum(c.coeffs.shape, block, block, (1, 1))
+    """S[f] = (sum_R chi_R / |R| * |f_R|^2)^(1/2) over the hh block, squared
+    after :func:`_unit_scaled`."""
+    c, e = _unit_scaled(c)
+    squares = _generation_sum(c.coeffs.shape, c.generation_block, c.generation_block, (1, 1))
     return GridFunction2D(c.depth, np.ldexp(np.sqrt(squares), e))
 
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .closure import ClosureInstance, best_ratio
-from .core import GridFunction2D, haar_forward_2d
+from .core import GridFunction2D, _check_same_depth, haar_forward_2d
 from .errors import (
     EvaluationAtJumpError,
     ValidationError,
@@ -396,8 +396,7 @@ def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
     from .norms import bmo_norm_of_grid, lmo_d_norm  # local import, no cycle
     from .shifts import double_commutator
 
-    if phi.depth != b.depth:
-        raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
+    _check_same_depth(phi, b)
     j_hi = max(phi.depth) + 2
     drawn = _sampled_grids(seed, 2 * n_grids, 2, j_hi + 2)
     grids = list(zip(drawn[0::2], drawn[1::2]))

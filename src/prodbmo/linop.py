@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_LEVEL, GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
-from .errors import DepthMismatchError, ValidationError
+from .core import (MAX_LEVEL, GridFunction2D, HaarSpectrum2D, _check_same_depth,
+                   haar_forward_2d, haar_inverse_2d)
+from .errors import ValidationError
 
 MAX_DENSE_DIM = 256  # depth (4,4)
 
@@ -83,28 +84,23 @@ class DenseOperator:
         return self.matrix.shape[0]
 
     def apply(self, c: HaarSpectrum2D) -> HaarSpectrum2D:
-        if c.depth != self.depth:
-            raise DepthMismatchError(f"depth mismatch: {c.depth} vs {self.depth}")
+        _check_same_depth(c, self)
         return vector_to_spectrum(self.matrix @ spectrum_to_vector(c), self.depth)
 
     def compose(self, other: "DenseOperator") -> "DenseOperator":
-        self._check(other)
+        _check_same_depth(self, other)
         return DenseOperator(self.depth, self.matrix @ other.matrix)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def __add__(self, other):
-        self._check(other)
+        _check_same_depth(self, other)
         return DenseOperator(self.depth, self.matrix + other.matrix)
 
     def __sub__(self, other):
-        self._check(other)
+        _check_same_depth(self, other)
         return DenseOperator(self.depth, self.matrix - other.matrix)
-
-    def _check(self, other):
-        if self.depth != other.depth:
-            raise DepthMismatchError(f"depth mismatch: {self.depth} vs {other.depth}")
 
 
 def assemble(op, depth, space: str = "grid") -> DenseOperator:
@@ -165,5 +161,5 @@ def operator_norm(a) -> float:
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA."""
-    a._check(b)
+    _check_same_depth(a, b)
     return DenseOperator(a.depth, a.matrix @ b.matrix - b.matrix @ a.matrix)

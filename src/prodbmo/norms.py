@@ -24,6 +24,7 @@ from .core import (
     GridFunction2D,
     HaarSpectrum2D,
     _analysis,
+    _unit_scaled,
     haar_forward_2d,
     square_function,
 )
@@ -119,13 +120,6 @@ def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
     rectangles only.  Always <= the open-set norm."""
     return max(float(energy.max()) * (2.0 ** (g1 + g2))
                for (g1, g2), (energy, _) in _rect_energies(phi).items())
-
-
-def _unit_scaled(phi: HaarSpectrum2D):
-    """(phi / 2^e, e), e the exponent of the largest |hh coefficient|, so
-    that squares stay finite at any representable amplitude."""
-    e = math.frexp(float(np.abs(phi.hh_block()).max()))[1]
-    return HaarSpectrum2D(phi.depth, np.ldexp(phi.coeffs, -e)), e
 
 
 def bmo_norm_of_grid(f: GridFunction2D) -> float:

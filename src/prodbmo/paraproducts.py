@@ -23,11 +23,12 @@ from .core import (
     GridFunction2D,
     HaarSpectrum2D,
     _analysis,
+    _check_same_depth,
     _generation_sum,
     block_means,
     haar_inverse_2d,
 )
-from .errors import DepthMismatchError, UnsupportedSignatureError, ValidationError
+from .errors import UnsupportedSignatureError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ def _bilinear(phi: HaarSpectrum2D, phi_kind, f: GridFunction2D, f_kind, beta) ->
     """sum_R <phi, a1_I (x) a2_J> <f, d1_I (x) d2_J> b1_I(s) b2_J(t) over the
     hh rectangles, each factor picked per axis by its kind (see
     :func:`_factor_blocks`); exact at the common depth."""
-    if phi.depth != f.depth:
-        raise DepthMismatchError(f"depth mismatch: {phi.depth} vs {f.depth}")
+    _check_same_depth(phi, f)
     a, b = _factor_blocks(phi, phi_kind), _factor_blocks(f, f_kind)
     out = _generation_sum(np.broadcast_shapes(phi.coeffs.shape, f.values.shape), a, b, beta)
     return GridFunction2D(f.depth, out)

@@ -18,10 +18,10 @@ from .core import (
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
-    PrefixTable,
-    dyadic_rect_mean,
+    _check_same_depth,
     haar_forward_2d,
     haar_inverse_2d,
+    mean_pyramid,
 )
 from .errors import InsufficientHeadroomError, ValidationError
 from .norms import (
@@ -125,8 +125,7 @@ def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D) -> GridFun
     phi and b share the source depth; the result lives at the ambient
     depth, two levels deeper in each axis (the double commutator's reach).
     """
-    if phi.depth != b.depth:
-        raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
+    _check_same_depth(phi, b)
     emb = AmbientEmbedding.for_source(phi.depth)
     p = emb.embed_grid(phi)
     return double_commutator(_s1, _s2, p.multiply, emb.embed_grid(b))
@@ -148,8 +147,8 @@ def rr_commutator_on_basis(phi: GridFunction2D, rect: DyadicRect) -> HaarSpectru
     i_int, j_int = rect.s_interval, rect.t_interval
     if i_int.level + 1 > j1d - 1 or j_int.level + 1 > j2d - 1:
         raise InsufficientHeadroomError("insufficient depth headroom")
-    pt = PrefixTable(phi)
-    m = lambda a, bb: dyadic_rect_mean(pt, DyadicRect(a, bb))
+    means = mean_pyramid(phi.values)
+    m = lambda a, bb: means[a.level][bb.level][a.index, bb.index]
     base = m(i_int, j_int)
     out = HaarSpectrum2D.zeros(phi.depth)
     coeffs = out.coeffs
@@ -191,8 +190,7 @@ PART_CONTROL = {
 def commutator_part_norm_report(phi: GridFunction2D, b: GridFunction2D):
     """BMO norm of [S1, [S2, P]] b for each of the nine blocks P of the
     multiplication by phi, with the predicted controlling symbol norm."""
-    if phi.depth != b.depth:
-        raise ValidationError(f"depth mismatch: {phi.depth} vs {b.depth}")
+    _check_same_depth(phi, b)
     if phi.depth[0] > 3 or phi.depth[1] > 3:
         raise ValidationError("report supports source depth up to (3,3)")
     emb = AmbientEmbedding.for_source(phi.depth)

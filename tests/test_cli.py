@@ -269,6 +269,10 @@ def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags
     pytest.param("bmo", json.dumps({"depth": [2], "values": [0.0] * 4}), id="one-depth"),
     pytest.param("bmo", json.dumps({"depth": [2, 2, 2], "values": [0.0] * 16}),
                  id="three-depths"),
+    pytest.param("bmo", '{"depth": [1e400, 2], "values": [0.0, 0.0, 0.0, 0.0]}',
+                 id="overflowing-depth"),
+    pytest.param("bmo", json.dumps({"depth": [1, 1], "kind": "bogus", "values": [0.0] * 4}),
+                 id="unknown-kind"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, command, text):
     path = tmp_path / "in.json"
@@ -330,6 +334,12 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
                  id="opnorm-shift-negative-depth"),
     pytest.param(["opnorm", "--kind", "projection", "--selector", "E:1,1", "--depth=-1,2"],
                  id="opnorm-projection-negative-depth"),
+    pytest.param(["opnorm", "--kind", "paraproduct", "--sig", "pi"],
+                 id="opnorm-paraproduct-no-symbol"),
+    pytest.param(["bmo", "--input", "{dir}"], id="bmo-input-directory"),
+    pytest.param(["bmo", "--input", "{grid}", "--output", "{dir}"], id="bmo-output-directory"),
+    pytest.param(["sigma", "--input", "{grid}", "--k", "1,1", "--output", "{dir}"],
+                 id="sigma-output-directory"),
 ] + [
     pytest.param(["experiment", name, "--depth", depth, "--trials", "1", "--seed", "0",
                   "--output", "{out}"], id=f"experiment-{name}-uncalibrated-depth-{depth}")
@@ -345,8 +355,9 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
 def test_malformed_argument_exit_2(tmp_path, argv):
     write_quarter_haar_grid(tmp_path / "grid.json")
     write_step_function(tmp_path / "step.json")
+    (tmp_path / "dir").mkdir()
     paths = {"grid": tmp_path / "grid.json", "step": tmp_path / "step.json",
-             "out": tmp_path / "out.json"}
+             "out": tmp_path / "out.json", "dir": tmp_path / "dir"}
     argv = [a.format(**paths) for a in argv]
     proc = run_cli_process(argv)
     assert proc.returncode == 2

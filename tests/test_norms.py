@@ -247,6 +247,11 @@ def test_bmo_and_lmo_scale_exactly_by_powers_of_two(depth):
         assert bmo_d_norm_sq(scaled)[0] == pytest.approx(value * c * c, rel=1e-12)
         assert lmo_d_norm(scaled) == pytest.approx(lmo_d * c, rel=1e-12)
         assert lmo_char_norm(scaled) == pytest.approx(lmo_char * c * c, rel=1e-12)
+    # only the hh block is scaled: a huge constant beside a tiny hh block stays finite
+    tiny = HaarSpectrum2D(depth, phi.coeffs * 2.0 ** -480)
+    tiny.coeffs[0, 0] = 1e300
+    assert lmo_d_norm(tiny) == math.ldexp(lmo_d, -480)
+    assert np.isfinite(square_function(tiny).values).all()
 
 
 def test_bmo_invariant_under_dilation_into_a_rectangle():
@@ -710,38 +715,48 @@ def test_local_growth_extremal_bounded():
 
 
 def _extremal_growth_sweep(depth):
-    """(worst, attained): worst |m_Q b| / ((k1+1)(k2+1) ||b||) over the
-    staircase family and all dyadic rectangles Q, and the ratio attained on
-    each staircase's defining rectangle."""
+    """{rect: (||b||, ratios, attained)} for the staircase b of every dyadic
+    rectangle at the depth, by a per-rectangle PrefixTable loop: ratios[k1, k2]
+    is max |m_Q b| / ((k1+1)(k2+1) ||b||) over the rectangles Q of generation
+    (k1, k2), and attained the signed quotient on the rectangle itself;
+    (0.0, {}, None) when ||b|| vanishes."""
     from prodbmo.core import PrefixTable, dyadic_rect_mean
 
-    worst = 0.0
-    attained = 0.0
-    for j1 in range(1, depth[0] + 1):
-        for j2 in range(1, depth[1] + 1):
-            r = DyadicRect.from_levels(j1, 0, j2, 0)
+    generations = list(itertools.product(range(depth[0] + 1), range(depth[1] + 1)))
+    out = {}
+    for j1, j2 in generations:
+        for i1, i2 in itertools.product(range(1 << j1), range(1 << j2)):
+            r = DyadicRect.from_levels(j1, i1, j2, i2)
             b = extremal_bmo_function(r, depth)
             bnorm = math.sqrt(bmo_d_norm_sq(haar_forward_2d(b))[0])
+            if bnorm == 0.0:
+                out[r] = (0.0, {}, None)
+                continue
             pt = PrefixTable(b)
-            for k1 in range(depth[0] + 1):
-                for k2 in range(depth[1] + 1):
-                    for i1 in range(1 << k1):
-                        for i2 in range(1 << k2):
-                            q = DyadicRect.from_levels(k1, i1, k2, i2)
-                            m = dyadic_rect_mean(pt, q)
-                            worst = max(
-                                worst, abs(m) / ((k1 + 1) * (k2 + 1) * bnorm)
-                            )
-            m_def = dyadic_rect_mean(pt, r)
-            attained = max(attained, abs(m_def) / ((j1 + 1) * (j2 + 1) * bnorm))
-    return worst, attained
+            ratios = {}
+            for k1, k2 in generations:
+                worst = max(abs(dyadic_rect_mean(pt, DyadicRect.from_levels(k1, p1, k2, p2)))
+                            for p1 in range(1 << k1) for p2 in range(1 << k2))
+                ratios[k1, k2] = worst / ((k1 + 1) * (k2 + 1) * bnorm)
+            out[r] = (bnorm, ratios, dyadic_rect_mean(pt, r) / ((j1 + 1) * (j2 + 1) * bnorm))
+    return out
 
 
 def test_growth_of_means_over_extremal_family():
     """The growth constant of the staircase family is depth-uniform (the
-    shallow members dominate) and the bound is attained up to a constant."""
-    worst22, attained22 = _extremal_growth_sweep((2, 2))
-    worst33, attained33 = _extremal_growth_sweep((3, 3))
-    assert worst33 <= worst22 + 1e-9  # no growth with depth
-    assert worst22 < 10.0  # pinned by the calibration sweep
-    assert min(attained22, attained33) > 0.5  # sharpness
+    shallow members dominate) and the bound is attained up to a constant;
+    the calibration's pyramid reads equal the per-rectangle loop exactly."""
+    from prodbmo.calibration import staircase_growth
+
+    worst, attained = {}, {}
+    for depth in ((2, 2), (3, 3)):
+        sweep = _extremal_growth_sweep(depth)
+        for r, expected in sweep.items():
+            assert staircase_growth(r, depth) == expected, (depth, r)
+        family = [v for r, v in sweep.items()
+                  if r.s_interval.index == r.t_interval.index == 0 and v[0] > 0.0]
+        worst[depth] = max(max(ratios.values()) for _, ratios, _ in family)
+        attained[depth] = max(abs(a) for _, _, a in family)
+    assert worst[3, 3] <= worst[2, 2] + 1e-9  # no growth with depth
+    assert worst[2, 2] < 10.0  # pinned by the calibration sweep
+    assert min(attained.values()) > 0.5  # sharpness
