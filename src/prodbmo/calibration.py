@@ -240,8 +240,7 @@ def bound_constant(key: str, depth: int) -> float:
 
 
 def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
-    rng = np.random.default_rng(seed)
-    ratios = [lmo_ratio(depth, rng) for _ in range(n)]
+    ratios = _sweep_bound([depth], lmo_ratio, n, seed)
     key = depth[0]
     return {
         f"lmo_ratio_lo_depth{key}": min(ratios),
@@ -249,36 +248,34 @@ def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
     }
 
 
-def _sweep_bound(key, ratio, n, seed):
-    """{key: max of ratio((d, d), rng) over n draws per d in CALIBRATED_DEPTHS[key]}."""
+def _sweep_bound(depths, ratio, n, seed):
+    """ratio(depth, rng) over n draws per depth, in order, from one seeded rng;
+    a draw of None (nothing to bound) is left out."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for d in CALIBRATED_DEPTHS[key]:
-        for _ in range(n):
-            worst = max(worst, ratio((d, d), rng))
-    return {key: worst}
+    draws = [ratio(d, rng) for d in depths for _ in range(n)]
+    return [r for r in draws if r is not None]
 
 
 def sweep_pi_bound(n=100, seed=20240502):
-    return _sweep_bound("pi_bound_constant", pi_bound_ratio, n, seed)
+    depths = [(d, d) for d in CALIBRATED_DEPTHS["pi_bound_constant"]]
+    return {"pi_bound_constant": max(_sweep_bound(depths, pi_bound_ratio, n, seed))}
 
 
 def sweep_delta_bounds(n=50, depth=(2, 2), seed=20240503):
-    rng = np.random.default_rng(seed)
     probes = delta_probe_set(depth)
-    lo, hi = math.inf, 0.0
-    for _ in range(n):
-        phi = random_hh_symbol(depth, rng)
+
+    def ratio(d, rng):
+        phi = random_hh_symbol(d, rng)
         norm = math.sqrt(bmo_d_norm_sq(phi)[0])
-        if norm == 0.0:
-            continue
-        ratio = delta_operator_ratio(phi, probes) / norm
-        lo, hi = min(lo, ratio), max(hi, ratio)
-    return {"delta_bound_lo": lo, "delta_bound_hi": hi}
+        return delta_operator_ratio(phi, probes) / norm if norm else None
+
+    ratios = _sweep_bound([depth], ratio, n, seed)
+    return {"delta_bound_lo": min(ratios), "delta_bound_hi": max(ratios)}
 
 
 def sweep_shift_commutator(n=100, seed=20240504):
-    return _sweep_bound("shift_commutator_bound", commutator_bound_ratio, n, seed)
+    depths = [(d, d) for d in CALIBRATED_DEPTHS["shift_commutator_bound"]]
+    return {"shift_commutator_bound": max(_sweep_bound(depths, commutator_bound_ratio, n, seed))}
 
 
 def recompute(verbose=True):

@@ -90,7 +90,11 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Standard JSON only: a result that overflowed float64 is a numerical failure."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonConvergenceError(f"result is not finite: {exc}") from exc
 
 
 def emit(obj, output: str = None) -> None:

@@ -133,21 +133,6 @@ class ClosureInstance:
                for r, n in zip(self.ranges, self.shape)):
             raise ValidationError("every rectangle needs a non-empty cell range inside the grid")
 
-    @classmethod
-    def from_product_blocks(cls, shape, widths, blocks):
-        """Instance on a grid of the given shape and per-axis cell widths
-        (arrays, or one width per axis).  ``blocks`` yields (row_ranges,
-        col_ranges, coefs): the (lo, hi) cell ranges of each axis and the
-        coefficients of their products, whose squares weigh the rectangles;
-        these keep the block order, then row-major order within a block."""
-        rows, cols, weights = [], [], []
-        for row_ranges, col_ranges, coefs in blocks:
-            rows.append(np.repeat(row_ranges, len(col_ranges), axis=0))
-            cols.append(np.tile(col_ranges, (len(row_ranges), 1)))
-            weights.append(np.square(coefs).ravel())
-        return cls(tuple(np.broadcast_to(w, n) for w, n in zip(widths, shape)),
-                   (np.concatenate(rows), np.concatenate(cols)), np.concatenate(weights))
-
     @property
     def n_cells(self):
         return self.cell_areas.size

@@ -325,13 +325,55 @@ def haar_inverse_2d(c: HaarSpectrum2D) -> GridFunction2D:
     return GridFunction2D(c.depth, v)
 
 
+# ---------------------------------------------------------------------------
+# the basis-index layout of one axis: interval b has children 2b and 2b + 1
+# ---------------------------------------------------------------------------
+
 @lru_cache(maxsize=64)
 def level_of_basis_index(n: int) -> np.ndarray:
     """level_of[b] for b in [0, n); entry 0 is -1 (the constant)."""
-    out = np.full(n, -1, dtype=np.int64)
-    for b in range(1, n):
-        out[b] = b.bit_length() - 1
-    return out
+    return np.frexp(np.arange(n))[1].astype(np.int64) - 1
+
+
+@lru_cache(maxsize=64)
+def _interval_cells(n: int) -> np.ndarray:
+    """(n, 2) table on an axis of n cells: row b >= 1 is the half-open cell
+    range of interval b, and row 0 spans the axis."""
+    lv = np.maximum(level_of_basis_index(n), 0)
+    lo = (np.arange(n) % (1 << lv)) * (n >> lv)
+    return np.column_stack((lo, lo + (n >> lv)))
+
+
+@lru_cache(maxsize=32)
+def _basis_order(depth):
+    """(rows, cols): the basis-index pairs of the fixed enumeration, cc, then
+    hc and ch by basis index, then hh by (j1, j2, i1, i2)."""
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    b1, b2 = (b.ravel() for b in np.meshgrid(np.arange(1, n1), np.arange(1, n2), indexing="ij"))
+    hh = np.lexsort((b2, b1, level_of_basis_index(n2)[b2], level_of_basis_index(n1)[b1]))
+    return (np.concatenate((np.arange(n1), np.zeros(n2 - 1, np.int64), b1[hh])),
+            np.concatenate((np.zeros(n1, np.int64), np.arange(1, n2), b2[hh])))
+
+
+def _dyadic_cells(rect: DyadicRect, depth):
+    """Per axis, the half-open cell range (lo, hi) of a dyadic rectangle on
+    the grid of this depth; rectangles finer than the grid are refused."""
+    sides = (rect.s_interval, rect.t_interval)
+    if any(side.level > j for side, j in zip(sides, depth)):
+        raise ValidationError("rectangle finer than the grid")
+    return [(side.index << (j - side.level), (side.index + 1) << (j - side.level))
+            for side, j in zip(sides, depth)]
+
+
+def _subtree_reduce(x: np.ndarray, ufunc, axis: int) -> np.ndarray:
+    """x with each slot b >= 1 along ``axis`` replaced by ufunc over slot b
+    and its descendants 2b, 2b + 1, 4b, ...; slot 0 is kept."""
+    x = np.moveaxis(x, axis, 0).copy()
+    lo = len(x) >> 2  # the first slot with children
+    while lo:
+        x[lo:2 * lo] = ufunc(x[lo:2 * lo], ufunc(x[2 * lo:4 * lo:2], x[2 * lo + 1:4 * lo:2]))
+        lo >>= 1
+    return np.moveaxis(x, 0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +414,7 @@ def rect_mean(p: PrefixTable, s_range, t_range) -> float:
 
 def dyadic_rect_mean(p: PrefixTable, rect: DyadicRect) -> float:
     """Average over a dyadic rectangle (must be within the grid depth)."""
-    j1, j2 = rect.s_interval.level, rect.t_interval.level
-    J1, J2 = p.depth
-    if j1 > J1 or j2 > J2:
-        raise ValidationError("rectangle finer than the grid")
-    w1, w2 = 1 << (J1 - j1), 1 << (J2 - j2)
-    i1, i2 = rect.s_interval.index, rect.t_interval.index
-    return rect_mean(p, (i1 * w1, (i1 + 1) * w1), (i2 * w2, (i2 + 1) * w2))
+    return rect_mean(p, *_dyadic_cells(rect, p.depth))
 
 
 def block_means(v: np.ndarray, axis: int):
@@ -526,19 +562,16 @@ def apply_projection(c: HaarSpectrum2D, sel: ProjectionSelector) -> HaarSpectrum
 
 
 def _open_set_keep(depth, mask: np.ndarray) -> np.ndarray:
-    """keep[b1, b2]: the rectangle with basis indices (b1, b2) has all its
-    cells in the mask."""
-    j1d, j2d = depth
-    n1, n2 = 1 << j1d, 1 << j2d
+    """keep[b1, b2]: the rectangle of rows b1 and b2 of the interval-cell
+    tables has all its cells in the mask, counted by a prefix sum."""
+    n1, n2 = 1 << depth[0], 1 << depth[1]
     if mask.shape != (n1, n2):
         raise ValidationError("open-set mask shape does not match depth")
-    keep = np.zeros((n1, n2), dtype=bool)
-    for j1 in range(j1d):
-        for j2 in range(j2d):
-            keep[(1 << j1):(2 << j1), (1 << j2):(2 << j2)] = mask.reshape(
-                1 << j1, n1 >> j1, 1 << j2, n2 >> j2
-            ).all(axis=(1, 3))
-    return keep
+    count = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
+    count[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+    (lo1, hi1), (lo2, hi2) = _interval_cells(n1).T[:, :, None], _interval_cells(n2).T[:, None]
+    inside = count[hi1, hi2] - count[lo1, hi2] - count[hi1, lo2] + count[lo1, lo2]
+    return inside == (hi1 - lo1) * (hi2 - lo2)
 
 
 def _unit_scaled(c: HaarSpectrum2D):

@@ -315,10 +315,10 @@ def _mesh_coefficients(sys1: _AxisSystem, sys2: _AxisSystem, values, edges_s, ed
 
 def _system_bmo_sq(sys1: _AxisSystem, sys2: _AxisSystem, coefs) -> float:
     """Squared BMO norm of the coefficients in the product system."""
-    inst = ClosureInstance.from_product_blocks(
-        (len(sys1.edges) - 1, len(sys2.edges) - 1), (np.diff(sys1.edges), np.diff(sys2.edges)),
-        [(sys1.ranges, sys2.ranges, coefs)],
-    )
+    n1, n2 = len(sys1.ranges), len(sys2.ranges)
+    inst = ClosureInstance((np.diff(sys1.edges), np.diff(sys2.edges)),
+                           (np.repeat(sys1.ranges, n2, axis=0), np.tile(sys2.ranges, (n1, 1))),
+                           np.square(coefs).ravel())
     return best_ratio(inst)[0]
 
 

@@ -14,49 +14,29 @@ singular value decomposition (assembly caps the dimension at 256).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .core import (MAX_LEVEL, GridFunction2D, HaarSpectrum2D, _check_same_depth,
+from .core import (MAX_LEVEL, GridFunction2D, HaarSpectrum2D, _basis_order, _check_same_depth,
                    haar_forward_2d, haar_inverse_2d)
 from .errors import ValidationError
 
 MAX_DENSE_DIM = 256  # depth (4,4)
 
 
-@lru_cache(maxsize=32)
 def basis_enumeration(depth):
-    """Ordered list of (b1, b2) basis-index pairs for the fixed enumeration."""
-    j1d, j2d = depth
-    n1, n2 = 1 << j1d, 1 << j2d
-    order = [(0, 0)]
-    order += [(b1, 0) for b1 in range(1, n1)]
-    order += [(0, b2) for b2 in range(1, n2)]
-    # (generation, index) lexicographic: (j1, j2, i1, i2)
-    order += [((1 << j1) + i1, (1 << j2) + i2)
-              for j1 in range(j1d) for j2 in range(j2d)
-              for i1 in range(1 << j1) for i2 in range(1 << j2)]
-    return tuple(order)
-
-
-@lru_cache(maxsize=32)
-def _enumeration_arrays(depth):
-    order = basis_enumeration(depth)
-    rows = np.array([p[0] for p in order])
-    cols = np.array([p[1] for p in order])
-    return rows, cols
+    """Ordered tuple of (b1, b2) basis-index pairs for the fixed enumeration."""
+    return tuple(zip(*(b.tolist() for b in _basis_order(tuple(depth)))))
 
 
 def spectrum_to_vector(c: HaarSpectrum2D) -> np.ndarray:
     """Coefficients in the enumeration order, along the last axis."""
-    rows, cols = _enumeration_arrays(c.depth)
+    rows, cols = _basis_order(c.depth)
     return c.coeffs[..., rows, cols]
 
 
 def vector_to_spectrum(v: np.ndarray, depth) -> HaarSpectrum2D:
     """Inverse of :func:`spectrum_to_vector`; leading axes of v are kept."""
-    rows, cols = _enumeration_arrays(tuple(depth))
+    rows, cols = _basis_order(tuple(depth))
     j1d, j2d = depth
     coeffs = np.zeros(np.shape(v)[:-1] + (1 << j1d, 1 << j2d))
     coeffs[..., rows, cols] = v

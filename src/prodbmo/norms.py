@@ -24,8 +24,13 @@ from .core import (
     GridFunction2D,
     HaarSpectrum2D,
     _analysis,
+    _basis_order,
+    _dyadic_cells,
+    _interval_cells,
+    _subtree_reduce,
     _unit_scaled,
     haar_forward_2d,
+    level_of_basis_index,
     square_function,
 )
 from .errors import DegenerateRectangleError, ValidationError
@@ -38,41 +43,33 @@ LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 def grid_closure_instance(phi: HaarSpectrum2D):
-    """Cells and weighted rectangles of the hh block."""
-    j1d, j2d = phi.depth
-    n1, n2 = 1 << j1d, 1 << j2d
-    blocks = [
-        ([(i * (n1 >> j1), (i + 1) * (n1 >> j1)) for i in range(1 << j1)],
-         [(i * (n2 >> j2), (i + 1) * (n2 >> j2)) for i in range(1 << j2)],
-         phi.generation_block(j1, j2))
-        for j1 in range(j1d) for j2 in range(j2d)
-    ]
-    return ClosureInstance.from_product_blocks((n1, n2), (2.0 ** -j1d, 2.0 ** -j2d), blocks)
+    """Cells and weighted rectangles of the hh block, in the enumeration order."""
+    n1, n2 = phi.coeffs.shape
+    rows, cols = (b[n1 + n2 - 1:] for b in _basis_order(phi.depth))
+    return ClosureInstance((np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2)),
+                           (_interval_cells(n1)[rows], _interval_cells(n2)[cols]),
+                           np.square(phi.coeffs[rows, cols]))
 
 
-def _crop(inst: ClosureInstance, rect: DyadicRect = None, tail=(0, 0)):
+def _crop(inst: ClosureInstance, cells=None, tail=(0, 0)):
     """(instance, cells): the weighted rectangles of a grid instance that lie
-    inside the dyadic rectangle (the unit square if None) and have generation
-    >= tail, on the rectangle's cells, and the cell slices of the rectangle.
+    inside the per-axis cell ranges (lo, hi) (the whole grid if None) and
+    have generation >= tail, on those cells, and the cells as slices.
 
-    Every cell keeps its area, so a ratio inside the rectangle is the full
-    grid's; inst itself when nothing is cut.  A one cell thick rectangle
+    Every cell keeps its area, so a ratio inside a dyadic rectangle is the
+    full grid's; inst itself when nothing is cut.  A range one cell thick
     holds no weighted rectangle.
     """
-    if rect is None and tail == (0, 0):
+    if cells is None and tail == (0, 0):
         return inst, (slice(None), slice(None))
-    sides = (rect.s_interval, rect.t_interval) if rect else (DyadicInterval(0, 0),) * 2
-    keep, cells = True, []
-    for side, j, w, r in zip(sides, tail, inst.widths, inst.ranges):
-        step = len(w) >> side.level
-        if step == 0:
-            raise ValidationError("restriction rectangle finer than the grid")
-        lo, hi = side.index * step, (side.index + 1) * step
+    cells = cells or [(0, len(w)) for w in inst.widths]
+    keep = True
+    for (lo, hi), j, w, r in zip(cells, tail, inst.widths, inst.ranges):
         keep = keep & (lo <= r[:, 0]) & (r[:, 1] <= hi) & (r[:, 1] - r[:, 0] <= len(w) >> j)
-        cells.append(slice(lo, hi))
+    cells = tuple(slice(*c) for c in cells)
     return ClosureInstance(tuple(w[c] for w, c in zip(inst.widths, cells)),
                            tuple(r[keep] - c.start for r, c in zip(inst.ranges, cells)),
-                           inst.rect_weights[keep]), tuple(cells)
+                           inst.rect_weights[keep]), cells
 
 
 def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
@@ -84,7 +81,7 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     of the full grid.
     """
     inst = grid_closure_instance(phi)
-    sub, cells = _crop(inst, restrict_to)
+    sub, cells = _crop(inst, restrict_to and _dyadic_cells(restrict_to, phi.depth))
     value, local_mask = best_ratio(sub)
     grid_mask = np.zeros(inst.shape, dtype=bool)
     if local_mask is not None:
@@ -94,32 +91,30 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
 
 def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None) -> float:
     """Exhaustive maximum over all non-empty cell subsets (oracle)."""
-    return best_ratio_bruteforce(_crop(grid_closure_instance(phi), restrict_to)[0])
+    cells = restrict_to and _dyadic_cells(restrict_to, phi.depth)
+    return best_ratio_bruteforce(_crop(grid_closure_instance(phi), cells)[0])
 
 
 def _rect_energies(phi: HaarSpectrum2D):
-    """Per generation pair (g1, g2) below the depth, over the dyadic
-    rectangles R of that generation: (E, deep), E the hh energy of the
-    rectangles inside R and deep the largest q1 + q2 of a weighted one
-    (-1 if none), so E / |R| <= ||phi restricted to R||^2 <= E 2^deep."""
-    j1d, j2d = phi.depth
-    sq = [[phi.generation_block(q1, q2) ** 2 for q2 in range(j2d)] for q1 in range(j1d)]
-    out = {}
-    for g1, g2 in itertools.product(range(j1d), range(j2d)):
-        energy, deep = np.zeros((1 << g1, 1 << g2)), np.full((1 << g1, 1 << g2), -1)
-        for q1, q2 in itertools.product(range(g1, j1d), range(g2, j2d)):
-            part = sq[q1][q2].reshape(1 << g1, 1 << (q1 - g1), 1 << g2, 1 << (q2 - g2))
-            energy += part.sum(axis=(1, 3))
-            deep = np.maximum(deep, np.where(part.any(axis=(1, 3)), q1 + q2, -1))
-        out[g1, g2] = energy, deep
-    return out
+    """(E, deep, levels) over the basis-index pairs (b1, b2) >= 1, each the
+    dyadic rectangle R = I x J: E the hh energy of the rectangles inside R,
+    deep the largest level sum q1 + q2 of a weighted one (-1 if none) and
+    levels the level sum of R itself, so that
+    E / |R| <= ||phi restricted to R||^2 <= E 2^deep."""
+    sq = np.square(phi.hh_only().coeffs)
+    levels = np.add.outer(*(level_of_basis_index(n) for n in sq.shape))
+    energy, deep = sq, np.where(sq > 0.0, levels, -1)
+    for axis in (0, 1):
+        energy = _subtree_reduce(energy, np.add, axis)
+        deep = _subtree_reduce(deep, np.maximum, axis)
+    return energy, deep, levels
 
 
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
     """Rectangle-restricted variant: Omega ranges over single dyadic
     rectangles only.  Always <= the open-set norm."""
-    return max(float(energy.max()) * (2.0 ** (g1 + g2))
-               for (g1, g2), (energy, _) in _rect_energies(phi).items())
+    energy, _, levels = _rect_energies(phi)
+    return float((energy * 2.0 ** levels).max())
 
 
 def bmo_norm_of_grid(f: GridFunction2D) -> float:
@@ -150,12 +145,13 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     A tail's squared norm lies between its hh energy and that energy over
     the smallest area of its weighted rectangles."""
     phi, e = _unit_scaled(phi)
-    inst, tails, bounds = grid_closure_instance(phi), [], []
-    for (j1, j2), (energy, deep) in _rect_energies(phi).items():
-        if not (pinned[0] and j1 or pinned[1] and j2):
-            w, total = (j1 + 1) * (j2 + 1), float(energy.sum())
-            tails.append((w, (j1, j2)))
-            bounds.append((w * math.sqrt(total), w * math.sqrt(total * 2.0 ** deep.max())))
+    (energy, deep, _), inst = _rect_energies(phi), grid_closure_instance(phi)
+    tails, bounds = [], []
+    for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
+        gen = np.s_[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]  # the rectangles of (j1, j2)
+        w, total = (j1 + 1) * (j2 + 1), float(energy[gen].sum())
+        tails.append((w, (j1, j2)))
+        bounds.append((w * math.sqrt(total), w * math.sqrt(total * 2.0 ** deep[gen].max())))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
         best_ratio(_crop(inst, tail=tails[n][1])[0])[0]))
     return math.ldexp(best, e)
@@ -202,20 +198,21 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    # per axis: (interval, (log(4 * 2^j))^2) for every level j, or the unit interval alone
-    sides = [[(DyadicInterval(j, i), 1.0 if b else ((j + 2) * LN2) ** 2)
-              for j in range(1 if b else depth) for i in range(1 << j)]
-             for b, depth in zip(beta, phi.depth)]
-    energies, inst = _rect_energies(phi), grid_closure_instance(phi)
-    rects, bounds = [], []
-    for (s, ws), (t, wt) in itertools.product(*sides):
-        energy, deep = (a[s.index, t.index] for a in energies[s.level, t.level])
-        w = ws * wt
-        rects.append((w, DyadicRect(s, t)))
-        bounds.append((w * energy * 2.0 ** (s.level + t.level), w * energy * 2.0 ** deep))
-    best, n = _pruned_max(
-        bounds, lambda n: rects[n][0] * best_ratio(_crop(inst, rects[n][1])[0])[0])
-    return best, rects[n][1]
+    (energy, deep, levels), inst = _rect_energies(phi), grid_closure_instance(phi)
+    n1, n2 = energy.shape
+    # per axis: the basis index of every interval, weighted (log(4 * 2^j))^2, or of the
+    # unit interval alone, weighted 1; the candidates run with the s-axis outer
+    sides = [np.arange(1, 2 if b else n) for b, n in zip(beta, (n1, n2))]
+    weights = [np.where(b, 1.0, ((level_of_basis_index(n)[side] + 2) * LN2) ** 2)
+               for b, n, side in zip(beta, (n1, n2), sides)]
+    s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
+    w = np.multiply.outer(*weights).ravel()
+    e = w * energy[s, t]
+    bounds = np.column_stack((e * 2.0 ** levels[s, t], e * 2.0 ** deep[s, t])).tolist()
+    best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
+        _crop(inst, (_interval_cells(n1)[s[n]], _interval_cells(n2)[t[n]]))[0])[0])
+    return best, DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
+                            DyadicInterval.from_basis_index(int(t[n])))
 
 
 def h1_norm(f: GridFunction2D) -> float:
@@ -243,18 +240,12 @@ def extremal_bmo_function(rect: DyadicRect, depth) -> GridFunction2D:
     """Product staircase b with b == (k+1)(l+1) on the rectangle, where
     (k, l) are the generation levels of its sides; the BMO norm is bounded
     uniformly in the rectangle (validated by the calibration sweep)."""
-    j1d, j2d = depth
-    if rect.s_interval.level > j1d or rect.t_interval.level > j2d:
-        raise ValidationError("rectangle outside the grid depth")
-    b1 = _staircase_1d(rect.s_interval, j1d)
-    b2 = _staircase_1d(rect.t_interval, j2d)
+    cells = _dyadic_cells(rect, depth)
+    b1 = _staircase_1d(rect.s_interval, depth[0])
+    b2 = _staircase_1d(rect.t_interval, depth[1])
     out = GridFunction2D(depth, np.outer(b1, b2))
     k, l = rect.s_interval.level, rect.t_interval.level
-    w1, w2 = (1 << j1d) >> k, (1 << j2d) >> l
-    block = out.values[
-        rect.s_interval.index * w1:(rect.s_interval.index + 1) * w1,
-        rect.t_interval.index * w2:(rect.t_interval.index + 1) * w2,
-    ]
+    block = out.values[tuple(slice(*c) for c in cells)]
     assert np.all(block == (k + 1) * (l + 1))
     return out
 

@@ -130,6 +130,26 @@ def test_lmo_methods(tmp_path, capsys):
     assert json.loads(out.read_text())["norm_sq_weighted"] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bmo", "--method", "exact"], ["bmo", "--method", "rect"], ["bmo", "--method", "brute"],
+    ["lmo", "--method", "char"],
+])
+def test_overflowing_result_exit_3(tmp_path, capsys, argv):
+    """Squares of hh coefficients near 1e200 overflow float64: the command
+    fails as numerical instead of printing Infinity or NaN, which is not JSON."""
+    src, out = tmp_path / "phi.json", tmp_path / "res.json"
+    c = np.zeros((4, 4))
+    c[1:, 1:] = 1e200 * np.arange(1, 10).reshape(3, 3)
+    save_function_file(str(src), (2, 2), c, kind="spectrum")
+    for extra in ([], ["--output", str(out)]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_dispatch([*argv, "--input", str(src), *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
+        assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_paraproduct_and_sigma_commands(tmp_path, capsys):
     phi = tmp_path / "phi.json"
     write_quarter_haar_grid(phi)

@@ -313,20 +313,21 @@ def test_selectors_keep_exactly_their_generations(depth):
                 assert out[b1, b2] == (c.coeffs[b1, b2] if kept else 0.0), (sel, b1, b2)
 
 
-def test_open_set_selector_matches_containment_loop():
+@pytest.mark.parametrize("depth", [(1, 1), (2, 4), (4, 3), (3, 3), (5, 5)])
+def test_open_set_selector_matches_containment_loop(depth):
     rng = np.random.default_rng(23)
-    depth = (3, 3)
-    c = HaarSpectrum2D(depth, 1.0 + np.arange(64, dtype=float).reshape(8, 8))
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    c = HaarSpectrum2D(depth, 1.0 + np.arange(n1 * n2, dtype=float).reshape(n1, n2))
     for p in (0.5, 0.8, 0.9, 0.95, 1.0):
         for _ in range(4):
-            mask = rng.random((8, 8)) < p
+            mask = rng.random((n1, n2)) < p
             out = apply_projection(c, ProjectionSelector.open_set(mask)).coeffs
-            expect = np.zeros((8, 8))
-            for j1 in range(3):
+            expect = np.zeros((n1, n2))
+            for j1 in range(depth[0]):
                 for i1 in range(1 << j1):
-                    for j2 in range(3):
+                    for j2 in range(depth[1]):
                         for i2 in range(1 << j2):
-                            w1, w2 = 8 >> j1, 8 >> j2
+                            w1, w2 = n1 >> j1, n2 >> j2
                             cells = mask[i1 * w1:(i1 + 1) * w1, i2 * w2:(i2 + 1) * w2]
                             b1, b2 = (1 << j1) + i1, (1 << j2) + i2
                             if cells.all():

@@ -48,14 +48,22 @@ def pad4(m):
 # enumeration and assembly
 # ---------------------------------------------------------------------------
 
-def test_enumeration_layout():
-    order = basis_enumeration((2, 2))
-    assert order[0] == (0, 0)
-    assert order[1:4] == ((1, 0), (2, 0), (3, 0))  # hc by (level, position)
-    assert order[4:7] == ((0, 1), (0, 2), (0, 3))  # ch
-    assert len(order) == 16
-    # hh sorted by (s-level, t-level, s-pos, t-pos): first is (1,1)
-    assert order[7] == (1, 1)
+@pytest.mark.parametrize("depth", [(1, 1), (2, 2), (1, 3), (3, 2), (4, 4)])
+def test_enumeration_layout(depth):
+    j1d, j2d = depth
+    n1, n2 = 1 << j1d, 1 << j2d
+    expect = [(0, 0)]
+    expect += [(b1, 0) for b1 in range(1, n1)]  # hc by (level, position)
+    expect += [(0, b2) for b2 in range(1, n2)]  # ch
+    # hh by (s-level, t-level, s-pos, t-pos)
+    expect += [((1 << j1) + i1, (1 << j2) + i2)
+               for j1 in range(j1d) for j2 in range(j2d)
+               for i1 in range(1 << j1) for i2 in range(1 << j2)]
+    order = basis_enumeration(depth)
+    assert type(order) is tuple and order == tuple(expect)
+    assert all(type(b) is int for pair in order for b in pair)
+    c = random_spectrum(depth, np.random.default_rng(3))
+    assert np.array_equal(spectrum_to_vector(c), [c.coeffs[b1, b2] for b1, b2 in expect])
 
 
 def test_vector_roundtrip():

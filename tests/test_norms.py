@@ -339,13 +339,23 @@ def test_disjoint_supports_take_the_largest_norm():
         assert np.array_equal(mask, part_mask)
 
 
-def test_rect_norm_below_open_norm():
+@pytest.mark.parametrize("depth", [(1, 1), (2, 3), (4, 2), (4, 4)])
+def test_rect_norm_below_open_norm(depth):
+    """The rectangular norm is the largest hh energy inside a dyadic
+    rectangle over its area, summed rectangle by rectangle."""
     rng = np.random.default_rng(127)
-    for _ in range(20):
-        phi = random_hh_spectrum((2, 2), rng)
-        rect = bmo_rect_norm_sq(phi)
-        open_, _ = bmo_d_norm_sq(phi)
-        assert rect <= open_ + 1e-12
+    rects = [DyadicRect.from_levels(j1, i1, j2, i2)
+             for j1 in range(depth[0]) for i1 in range(1 << j1)
+             for j2 in range(depth[1]) for i2 in range(1 << j2)]
+    for density in (1.0, 0.3):
+        for _ in range(3):
+            c = random_hh_spectrum(depth, rng).coeffs
+            phi = HaarSpectrum2D(depth, c * (rng.random(c.shape) < density))
+            expect = max(sum(phi.hh_coef(q) ** 2 for q in rects if r.contains(q)) / r.area
+                         for r in rects)
+            rect = bmo_rect_norm_sq(phi)
+            assert rect == pytest.approx(expect, rel=1e-14, abs=0.0)
+            assert rect <= bmo_d_norm_sq(phi)[0] + 1e-12
     # equality when a single rectangle carries all the weight
     assert bmo_rect_norm_sq(quarter_haar((2, 2))) == pytest.approx(4.0)
     assert bmo_rect_norm_sq(unit_haar((1, 1))) == pytest.approx(1.0)
@@ -440,12 +450,16 @@ def test_pruned_lmo_searches_equal_exhaustive_search(depth):
         symbols.append(c)
     for c in symbols:
         phi = HaarSpectrum2D(depth, c)
+        values = [lmo_char_details(phi)[0], bmo_rect_norm_sq(phi)]
         assert lmo_char_details(phi) == _lmo_char_exhaustive(phi, (0, 0))
         for beta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            assert lmo_beta_char_norm(phi, beta) == _lmo_char_exhaustive(phi, beta)[0]
-        assert lmo_d_norm(phi) == _lmo_tail_exhaustive(phi, (False, False))
-        assert lmo_directional_norm(phi, 1) == _lmo_tail_exhaustive(phi, (False, True))
-        assert lmo_directional_norm(phi, 2) == _lmo_tail_exhaustive(phi, (True, False))
+            values.append(lmo_beta_char_norm(phi, beta))
+            assert values[-1] == _lmo_char_exhaustive(phi, beta)[0]
+        values += [lmo_d_norm(phi), lmo_directional_norm(phi, 1), lmo_directional_norm(phi, 2)]
+        assert values[-3] == _lmo_tail_exhaustive(phi, (False, False))
+        assert values[-2] == _lmo_tail_exhaustive(phi, (False, True))
+        assert values[-1] == _lmo_tail_exhaustive(phi, (True, False))
+        assert all(type(v) is float for v in values)  # not np.float64, whose repr differs
 
 
 def test_pruned_max_keeps_the_first_index_among_ties():
