@@ -568,7 +568,9 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        # a result that overflows float64 is refused by dump_json (exit 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

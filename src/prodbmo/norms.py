@@ -96,18 +96,30 @@ def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None
 
 
 def _rect_energies(phi: HaarSpectrum2D):
-    """(E, deep, levels) over the basis-index pairs (b1, b2) >= 1, each the
+    """(E, U, levels) over the basis-index pairs (b1, b2) >= 1, each the
     dyadic rectangle R = I x J: E the hh energy of the rectangles inside R,
-    deep the largest level sum q1 + q2 of a weighted one (-1 if none) and
-    levels the level sum of R itself, so that
-    E / |R| <= ||phi restricted to R||^2 <= E 2^deep."""
+    levels the level sum of R itself and U the sum over generations g of
+    the largest phi_Q^2 / |Q| of a generation-g rectangle Q inside R.  The
+    rectangles of one generation are disjoint, so those inside an Omega
+    weigh at most that largest ratio times |Omega|, and
+    E / |R| <= ||phi restricted to R||^2 <= U.  The peaks are stacked by
+    one generation axis at a time: depth[1] * n1 * n2 floats at most."""
     sq = np.square(phi.hh_only().coeffs)
-    levels = np.add.outer(*(level_of_basis_index(n) for n in sq.shape))
-    energy, deep = sq, np.where(sq > 0.0, levels, -1)
+    lv1, lv2 = (level_of_basis_index(n) for n in sq.shape)
+    levels = np.add.outer(lv1, lv2)
+    energy, upper, ratio = sq, np.zeros_like(sq), sq * 2.0 ** levels
     for axis in (0, 1):
         energy = _subtree_reduce(energy, np.add, axis)
-        deep = _subtree_reduce(deep, np.maximum, axis)
-    return energy, deep, levels
+    # by t-generation g2: the largest ratio of generation g2 below each column
+    peak = _subtree_reduce(np.where(np.equal.outer(np.arange(phi.depth[1]), lv2)[:, None],
+                                    ratio, 0.0), np.maximum, 2)
+    stack, lo = np.empty((0, *peak.shape)), len(sq) >> 1
+    while lo:  # by s-generation g1 >= the level of rows [lo, 2 lo): the peaks below each row
+        stack = np.concatenate((peak[None, :, lo:2 * lo],
+                                np.maximum(stack[:, :, 0::2], stack[:, :, 1::2])))
+        upper[lo:2 * lo] = stack.sum(axis=(0, 1))
+        lo >>= 1
+    return energy, upper, levels
 
 
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
@@ -142,16 +154,17 @@ def lmo_directional_norm(phi: HaarSpectrum2D, axis: int) -> float:
 def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     """max over tail generations (j1, j2) of (j1+1)(j2+1) * ||Q_(j1,j2) phi||_BMO;
     a pinned axis stays at level 0 (weight 1, no projection in that axis).
-    A tail's squared norm lies between its hh energy and that energy over
-    the smallest area of its weighted rectangles."""
+    A tail's squared norm lies between its hh energy and the largest upper
+    bound U of the dyadic rectangles of its generation: they tile the
+    square, and each holds the tail's rectangles inside it."""
     phi, e = _unit_scaled(phi)
-    (energy, deep, _), inst = _rect_energies(phi), grid_closure_instance(phi)
+    (energy, upper, _), inst = _rect_energies(phi), grid_closure_instance(phi)
     tails, bounds = [], []
     for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
         gen = np.s_[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]  # the rectangles of (j1, j2)
         w, total = (j1 + 1) * (j2 + 1), float(energy[gen].sum())
         tails.append((w, (j1, j2)))
-        bounds.append((w * math.sqrt(total), w * math.sqrt(total * 2.0 ** deep[gen].max())))
+        bounds.append((w * math.sqrt(total), w * math.sqrt(upper[gen].max())))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
         best_ratio(_crop(inst, tail=tails[n][1])[0])[0]))
     return math.ldexp(best, e)
@@ -194,11 +207,11 @@ def lmo_char_details(phi: HaarSpectrum2D):
 def _lmo_char_search(phi: HaarSpectrum2D, beta):
     """(value, first rectangle attaining it) of the beta characterisation;
     the unit square when every weighted value is 0.  A restricted norm
-    lies between E/|R| and E over the smallest weighted area inside R."""
+    lies between E/|R| and the per-generation bound U of R."""
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    (energy, deep, levels), inst = _rect_energies(phi), grid_closure_instance(phi)
+    (energy, upper, levels), inst = _rect_energies(phi), grid_closure_instance(phi)
     n1, n2 = energy.shape
     # per axis: the basis index of every interval, weighted (log(4 * 2^j))^2, or of the
     # unit interval alone, weighted 1; the candidates run with the s-axis outer
@@ -208,7 +221,7 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
     w = np.multiply.outer(*weights).ravel()
     e = w * energy[s, t]
-    bounds = np.column_stack((e * 2.0 ** levels[s, t], e * 2.0 ** deep[s, t])).tolist()
+    bounds = np.column_stack((e * 2.0 ** levels[s, t], w * upper[s, t])).tolist()
     best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
         _crop(inst, (_interval_cells(n1)[s[n]], _interval_cells(n2)[t[n]]))[0])[0])
     return best, DyadicRect(DyadicInterval.from_basis_index(int(s[n])),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -136,13 +137,15 @@ def test_lmo_methods(tmp_path, capsys):
 ])
 def test_overflowing_result_exit_3(tmp_path, capsys, argv):
     """Squares of hh coefficients near 1e200 overflow float64: the command
-    fails as numerical instead of printing Infinity or NaN, which is not JSON."""
+    fails as numerical instead of printing Infinity or NaN, which is not JSON,
+    and without a numpy RuntimeWarning ahead of its message."""
     src, out = tmp_path / "phi.json", tmp_path / "res.json"
     c = np.zeros((4, 4))
     c[1:, 1:] = 1e200 * np.arange(1, 10).reshape(3, 3)
     save_function_file(str(src), (2, 2), c, kind="spectrum")
     for extra in ([], ["--output", str(out)]):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli_dispatch([*argv, "--input", str(src), *extra]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import indicator_values_1d, random_grid, random_hh_spectrum
-from prodbmo import closure
+from prodbmo import closure, norms
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
@@ -25,6 +25,7 @@ from prodbmo.core import (
 from prodbmo.errors import DegenerateRectangleError, ValidationError
 from prodbmo.norms import (
     _pruned_max,
+    _rect_energies,
     bmo_d_norm_sq,
     bmo_d_norm_sq_bruteforce,
     bmo_norm_of_grid,
@@ -460,6 +461,80 @@ def test_pruned_lmo_searches_equal_exhaustive_search(depth):
         assert values[-2] == _lmo_tail_exhaustive(phi, (False, True))
         assert values[-1] == _lmo_tail_exhaustive(phi, (True, False))
         assert all(type(v) is float for v in values)  # not np.float64, whose repr differs
+
+
+def _descends(a, b):
+    """Whether 1-d basis index a is b or below it."""
+    shift = a.bit_length() - b.bit_length()
+    return shift >= 0 and a >> shift == b
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (1, 3), (3, 2), (3, 3), (4, 4)])
+def test_per_generation_bounds_enclose_every_restricted_and_tail_norm(depth):
+    """For every dyadic R, E/|R| <= ||phi restricted to R||^2 <= U(R), and
+    for every tail j (the pinned, directional tails are (0, j2) and (j1, 0))
+    its energy <= its squared norm <= the largest U of generation j.  Each
+    U is also at most E 2^deep, the energy times 2 to the deepest level sum
+    of a weighted rectangle, recomputed here from the coefficients."""
+    rng = np.random.default_rng(1800 + 10 * depth[0] + depth[1])
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    symbols = []
+    for density in (1.0, 0.3):
+        c = np.zeros((n1, n2))
+        c[1:, 1:] = rng.standard_normal((n1 - 1, n2 - 1)) * (rng.random((n1 - 1, n2 - 1)) < density)
+        symbols.append(c)
+    for b1, b2 in [(1, 1), (n1 - 1, 1)]:
+        c = np.zeros((n1, n2))
+        c[b1, b2] = 0.8
+        symbols.append(c)
+    slack = 1.0 + 1e-12
+    for c in symbols:
+        phi = HaarSpectrum2D(depth, c)
+        _, upper, _ = _rect_energies(phi)
+        weighted = [(a1, a2, a1.bit_length() + a2.bit_length() - 2, c[a1, a2] ** 2)
+                    for a1, a2 in zip(*map(np.ndarray.tolist, np.nonzero(c)))]
+
+        def check(members, value, up, area):
+            energy = sum(w for *_, w in members)
+            deep = max((q for _, _, q, _ in members), default=-1)
+            assert energy / area <= value * slack
+            assert value <= up * slack
+            assert up <= energy * 2.0 ** deep * slack
+
+        for b1, b2 in itertools.product(range(1, n1), range(1, n2)):
+            rect = DyadicRect(DyadicInterval.from_basis_index(b1), DyadicInterval.from_basis_index(b2))
+            members = [m for m in weighted if _descends(m[0], b1) and _descends(m[1], b2)]
+            check(members, bmo_d_norm_sq(phi, rect)[0], upper[b1, b2],
+                  2.0 ** (2 - b1.bit_length() - b2.bit_length()))
+        for j1, j2 in itertools.product(range(depth[0]), range(depth[1])):
+            members = [m for m in weighted if m[0] >> j1 and m[1] >> j2]
+            tail = apply_projection(phi, ProjectionSelector.tail(j1, j2))
+            check(members, bmo_d_norm_sq(tail)[0] if members else 0.0,
+                  upper[1 << j1:2 << j1, 1 << j2:2 << j2].max(), 1.0)
+
+
+@pytest.mark.parametrize("depth, tail_solves, rect_solves", [((3, 3), 23, 22), ((4, 4), 22, 20)])
+def test_lmo_searches_solve_about_one_closure_per_symbol(depth, tail_solves, rect_solves,
+                                                         monkeypatch):
+    """On 20 seeded Gaussian symbols the per-generation bounds prune all but
+    about one solve per search; the looser bound E 2^deep would leave 88 and
+    78 solves at (3,3), 238 and 338 at (4,4)."""
+    count = [0]
+    solve = norms.best_ratio
+
+    def counted(inst):
+        count[0] += 1
+        return solve(inst)
+
+    monkeypatch.setattr(norms, "best_ratio", counted)
+    solves = [0, 0]
+    for i in range(20):
+        phi = random_hh_spectrum(depth, np.random.default_rng(1750 + 10 * depth[0] + i))
+        for k, search in enumerate((lmo_d_norm, lmo_char_norm)):
+            before = count[0]
+            search(phi)
+            solves[k] += count[0] - before
+    assert solves[0] <= tail_solves and solves[1] <= rect_solves
 
 
 def test_pruned_max_keeps_the_first_index_among_ties():
