@@ -306,6 +306,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_commutator(args) -> int:
+    if args.mode == "dyadic" and not args.output:
+        raise ValidationError("--mode dyadic writes a grid file and requires --output")
     phi = load_grid(args.phi)
     b = load_grid(args.b)
     if args.mode == "dyadic":
@@ -346,7 +348,7 @@ def cmd_hilbert(args) -> int:
     else:
         if args.seed is None:
             raise ValidationError("Monte-Carlo mode requires --seed")
-        if args.samples > 100_000:  # one sampled grid holds about 1.5 KB
+        if args.samples > 100_000:  # one sample holds about 0.6 KB: its seed and bits
             raise ValidationError(f"--samples must be at most 100000, got {args.samples}")
         pairs = mc_hilbert(f, xs, args.samples, args.seed,
                            k_coarse=args.k_coarse, k_fine=args.k_fine)

@@ -35,6 +35,10 @@ LN2 = math.log(2.0)
 #: un-normalised shift S h_I = h_{I+} - h_{I-} (equals 4 sqrt(2) / pi)
 AVERAGING_FACTOR = 4.0 * math.sqrt(2.0) / math.pi
 
+# levels x grids x points per block of mc_hilbert samples: the point kernel holds
+# about ten float64 temporaries of this size, so memory stays flat in the samples
+_BLOCK_ELEMENTS = 1 << 16
+
 
 class StepFunction1D:
     """Compactly supported, piecewise-constant function on the line.
@@ -113,6 +117,19 @@ def _shift_values(pos, length):
     return np.where((pos < 0.25) | (pos >= 0.75), 1.0, -1.0) * np.sqrt(2.0 / length)
 
 
+def _check_levels(k_coarse: int, k_fine: int):
+    if not (k_coarse >= 1 and k_fine >= 1 and k_coarse + k_fine <= 53):
+        raise ValidationError("need k_coarse, k_fine >= 1 and k_coarse + k_fine <= 53")
+
+
+def _level_offsets(bits, k_coarse: int, k_fine: int) -> np.ndarray:
+    """Offsets x_j = sum_{i > j} 2^-i * bit_i of levels -k_coarse..k_fine along the last
+    axis (bits[..., idx] is the bit of level idx - k_coarse + 1): exact suffix sums."""
+    terms = np.ldexp(bits, -np.arange(1 - k_coarse, k_fine + 1))
+    sums = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return np.concatenate((sums, np.zeros(sums.shape[:-1] + (1,))), axis=-1)
+
+
 class RandomDyadicGrid:
     """Translated/dilated dyadic system truncated to levels
     [-k_coarse, k_fine]; level j intervals have length r * 2^-j and offset
@@ -121,10 +138,7 @@ class RandomDyadicGrid:
     __slots__ = ("k_coarse", "k_fine", "r", "bits", "offsets")
 
     def __init__(self, k_coarse: int, k_fine: int, r: float, bits):
-        if k_coarse < 1 or k_fine < 1:
-            raise ValidationError("k_coarse and k_fine must be >= 1")
-        if k_coarse + k_fine > 53:
-            raise ValidationError("k_coarse + k_fine must be at most 53 (exact float64 offsets)")
+        _check_levels(k_coarse, k_fine)
         if not (1.0 <= r < 2.0):
             raise ValidationError("dilation must lie in [1, 2)")
         bits = np.asarray(bits, dtype=np.int64)
@@ -132,14 +146,8 @@ class RandomDyadicGrid:
             raise ValidationError("need one shift bit per level in (-k_coarse, k_fine]")
         if not ((bits == 0) | (bits == 1)).all():
             raise ValidationError("shift bits must be 0 or 1")
-        self.k_coarse = k_coarse
-        self.k_fine = k_fine
-        self.r = float(r)
-        self.bits = bits
-        # x_j = sum_{i > j} 2^-i * bit_i, bits[idx] being the bit of level
-        # idx - k_coarse + 1: suffix sums from the finest level down
-        terms = np.ldexp(bits, -np.arange(1 - k_coarse, k_fine + 1))
-        self.offsets = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+        self.k_coarse, self.k_fine, self.r, self.bits = k_coarse, k_fine, float(r), bits
+        self.offsets = _level_offsets(bits, k_coarse, k_fine)
 
     def levels(self):
         return range(-self.k_coarse, self.k_fine + 1)
@@ -155,21 +163,26 @@ class RandomDyadicGrid:
         return _left_ends(x, self.r, self.level_shift(j), base), self.r * base
 
 
-def _sample_from(rng, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
-    if k_coarse < 1 or k_fine < 1:  # before the draw, which needs a size >= 0
-        raise ValidationError("k_coarse and k_fine must be >= 1")
-    bits = rng.integers(0, 2, size=k_coarse + k_fine)
-    r = float(2.0 ** rng.random())
-    if r >= 2.0:  # guard the half-open interval against rounding
-        r = 1.0
-    return RandomDyadicGrid(k_coarse, k_fine, r, bits)
+def _draw_grids(seeds, k_coarse: int, k_fine: int):
+    """Shift bits (n, levels) and dilations (n, 1) of one grid per seed,
+    each drawn from its own ``default_rng(seed)``: the bits, then r."""
+    _check_levels(k_coarse, k_fine)  # once per batch, before the draw
+    bits = np.empty((len(seeds), k_coarse + k_fine), dtype=np.int64)
+    r = np.empty((len(seeds), 1))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        bits[row] = rng.integers(0, 2, size=k_coarse + k_fine)
+        r[row] = 2.0 ** rng.random()
+    r[r >= 2.0] = 1.0  # guard the half-open interval against rounding
+    return bits, r
 
 
 def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     """Draw a grid: fair shift bits per level, dilation with density
     1/(r ln 2) on [1,2) (i.e. r = 2^u with u uniform).  Deterministic in
     the seed; :func:`standard_grid` is the undilated, unshifted grid."""
-    return _sample_from(np.random.default_rng(seed), k_coarse, k_fine)
+    bits, r = _draw_grids([seed], k_coarse, k_fine)
+    return RandomDyadicGrid(k_coarse, k_fine, r[0, 0], bits[0])
 
 
 def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
@@ -179,13 +192,13 @@ def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
 def _sampled_grids(seed, n: int, k_coarse: int, k_fine: int):
     """One grid per child of ``SeedSequence(seed).spawn(n)``, in spawn
     order, each drawn from its own stream."""
-    return [_sample_from(np.random.default_rng(child), k_coarse, k_fine)
-            for child in np.random.SeedSequence(seed).spawn(n)]
+    bits, r = _draw_grids(np.random.SeedSequence(seed).spawn(n), k_coarse, k_fine)
+    return [RandomDyadicGrid(k_coarse, k_fine, ri, row) for ri, row in zip(r[:, 0], bits)]
 
 
-def _check_window(f: StepFunction1D, g: RandomDyadicGrid):
+def _check_window(f: StepFunction1D, k_coarse: int):
     lo, hi = f.support
-    radius = 2.0 ** g.k_coarse
+    radius = 2.0 ** k_coarse
     if abs(lo) > radius or abs(hi) > radius:
         raise WindowOverflowError("window overflow")
 
@@ -197,7 +210,7 @@ def grid_shift_apply(f: StepFunction1D, g: RandomDyadicGrid) -> StepFunction1D:
     inside carry a coefficient, so S f is constant between their quarter
     points; each piece holds :func:`shift_evaluate` at its midpoint.
     """
-    _check_window(f, g)
+    _check_window(f, g.k_coarse)
     base = np.ldexp(1.0, -np.arange(-g.k_coarse, g.k_fine + 1))[:, None, None, None]
     # candidates k - 1 and k per breakpoint and level; each quarter point is r times an
     # exact dyadic number, so a point that two levels share is one float
@@ -209,33 +222,31 @@ def grid_shift_apply(f: StepFunction1D, g: RandomDyadicGrid) -> StepFunction1D:
     points = np.unique(np.moveaxis(quarters, 2, -1)[carries])
     if points.size == 0:
         return StepFunction1D.zero()
-    return StepFunction1D(points, _shift_sums(f, [g], 0.5 * (points[:-1] + points[1:]))[0])
+    return StepFunction1D(points, _shift_sums(f, g.k_coarse, g.r, g.offsets[None],
+                                              0.5 * (points[:-1] + points[1:]))[0])
 
 
-def _shift_sums(f: StepFunction1D, grids, xs) -> np.ndarray:
-    """(S f)(x) for each grid (rows) and point (columns) of grids sharing
-    their levels, one level at a time; intervals with no breakpoint inside
-    or a zero coefficient add +0.0."""
-    _check_window(f, grids[0])
-    r = np.array([[g.r] for g in grids])
-    offsets = np.stack([g.offsets for g in grids])
-    x = np.asarray(xs, dtype=float)[None, :]
+def _shift_sums(f: StepFunction1D, k_coarse: int, r, offsets, xs) -> np.ndarray:
+    """(S f)(x) for each grid (rows of offsets, (grids, levels), and of r,
+    broadcast to (grids, 1)) and point (columns) in one levels x grids x points
+    broadcast; intervals with no breakpoint inside or a zero coefficient add +0.0."""
+    _check_window(f, k_coarse)
+    x = np.asarray(xs, dtype=float)
     if not np.isfinite(x).all():
         raise ValidationError("evaluation points must be finite")
-    total = np.zeros((len(grids), x.shape[1]))
-    for j, shift in zip(grids[0].levels(), offsets.T[:, :, None]):
-        base = 2.0 ** (-j)
-        left = _left_ends(x, r, shift, base)
-        length = r * base
-        coef = f.haar_coefficient(left, left + length / 2.0, left + length)
-        keep = f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
-        total += np.where(keep, coef * _shift_values((x - left) / length, length), 0.0)
-    return total
+    base = np.ldexp(1.0, k_coarse - np.arange(offsets.shape[1]))[:, None, None]
+    left = _left_ends(x, r, offsets.T[:, :, None], base)
+    length = r * base
+    coef = f.haar_coefficient(left, left + length / 2.0, left + length)
+    keep = f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
+    terms = np.where(keep, coef * _shift_values((x - left) / length, length), 0.0)
+    # levels in order, coarse to fine, from +0.0 (np.sum may pair them up instead)
+    return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
 def shift_evaluate(f: StepFunction1D, g: RandomDyadicGrid, x: float) -> float:
     """(S f)(x) evaluated directly at one point of one grid."""
-    return float(_shift_sums(f, [g], [x])[0, 0])
+    return float(_shift_sums(f, g.k_coarse, g.r, g.offsets[None], [x])[0, 0])
 
 
 def analytic_hilbert_step(f: StepFunction1D, x: float) -> float:
@@ -263,7 +274,12 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     xs = [float(x) for x in xs]
     if np.isin(xs, f.breakpoints).any():
         raise EvaluationAtJumpError("evaluation at jump")
-    samples = _shift_sums(f, _sampled_grids(seed, n_samples, k_coarse, k_fine), xs)
+    bits, r = _draw_grids(np.random.SeedSequence(seed).spawn(n_samples), k_coarse, k_fine)
+    step = max(1, _BLOCK_ELEMENTS // ((k_coarse + k_fine + 1) * max(len(xs), 1)))
+    samples = np.concatenate([
+        _shift_sums(f, k_coarse, r[i:i + step],
+                    _level_offsets(bits[i:i + step], k_coarse, k_fine), xs)
+        for i in range(0, n_samples, step)])
     scaled = AVERAGING_FACTOR * LN2 * samples
     est = scaled.mean(axis=0)
     err = scaled.std(axis=0, ddof=1) / math.sqrt(n_samples)
@@ -401,8 +417,7 @@ def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
     drawn = _sampled_grids(seed, 2 * n_grids, 2, j_hi + 2)
     grids = list(zip(drawn[0::2], drawn[1::2]))
 
-    outputs = []
-    rows = []
+    outputs, rows = [], []
     scale = (AVERAGING_FACTOR * LN2) ** 2
     unit1 = np.linspace(0.0, 1.0, (1 << phi.depth[0]) + 1)
     unit2 = np.linspace(0.0, 1.0, (1 << phi.depth[1]) + 1)

@@ -95,21 +95,27 @@ def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None
     return best_ratio_bruteforce(_crop(grid_closure_instance(phi), cells)[0])
 
 
-def _rect_energies(phi: HaarSpectrum2D):
-    """(E, U, levels) over the basis-index pairs (b1, b2) >= 1, each the
-    dyadic rectangle R = I x J: E the hh energy of the rectangles inside R,
-    levels the level sum of R itself and U the sum over generations g of
-    the largest phi_Q^2 / |Q| of a generation-g rectangle Q inside R.  The
-    rectangles of one generation are disjoint, so those inside an Omega
-    weigh at most that largest ratio times |Omega|, and
-    E / |R| <= ||phi restricted to R||^2 <= U.  The peaks are stacked by
-    one generation axis at a time: depth[1] * n1 * n2 floats at most."""
+def _energy_levels(phi: HaarSpectrum2D):
+    """(phi_R^2, E, levels) over the basis-index pairs (b1, b2) >= 1, each
+    the dyadic rectangle R = I x J: E the hh energy of the rectangles
+    inside R and levels the level sum of R itself."""
     sq = np.square(phi.hh_only().coeffs)
-    lv1, lv2 = (level_of_basis_index(n) for n in sq.shape)
-    levels = np.add.outer(lv1, lv2)
-    energy, upper, ratio = sq, np.zeros_like(sq), sq * 2.0 ** levels
+    energy, levels = sq, np.add.outer(*(level_of_basis_index(n) for n in sq.shape))
     for axis in (0, 1):
         energy = _subtree_reduce(energy, np.add, axis)
+    return sq, energy, levels
+
+
+def _rect_energies(phi: HaarSpectrum2D):
+    """(E, U, levels) of :func:`_energy_levels`, with U[b1, b2] the sum over
+    generations g of the largest phi_Q^2 / |Q| of a generation-g rectangle Q
+    inside R.  The rectangles of one generation are disjoint, so those
+    inside an Omega weigh at most that largest ratio times |Omega|, and
+    E / |R| <= ||phi restricted to R||^2 <= U.  The peaks are stacked by
+    one generation axis at a time: depth[1] * n1 * n2 floats at most."""
+    sq, energy, levels = _energy_levels(phi)
+    lv2 = level_of_basis_index(sq.shape[1])
+    upper, ratio = np.zeros_like(sq), sq * 2.0 ** levels
     # by t-generation g2: the largest ratio of generation g2 below each column
     peak = _subtree_reduce(np.where(np.equal.outer(np.arange(phi.depth[1]), lv2)[:, None],
                                     ratio, 0.0), np.maximum, 2)
@@ -125,7 +131,7 @@ def _rect_energies(phi: HaarSpectrum2D):
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
     """Rectangle-restricted variant: Omega ranges over single dyadic
     rectangles only.  Always <= the open-set norm."""
-    energy, _, levels = _rect_energies(phi)
+    _, energy, levels = _energy_levels(phi)
     return float((energy * 2.0 ** levels).max())
 
 

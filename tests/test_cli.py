@@ -359,6 +359,8 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
                  id="opnorm-projection-negative-depth"),
     pytest.param(["opnorm", "--kind", "paraproduct", "--sig", "pi"],
                  id="opnorm-paraproduct-no-symbol"),
+    pytest.param(["commutator", "--mode", "dyadic", "--phi", "{grid}", "--b", "{grid}"],
+                 id="commutator-dyadic-no-output"),
     pytest.param(["bmo", "--input", "{dir}"], id="bmo-input-directory"),
     pytest.param(["bmo", "--input", "{grid}", "--output", "{dir}"], id="bmo-output-directory"),
     pytest.param(["sigma", "--input", "{grid}", "--k", "1,1", "--output", "{dir}"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prodbmo import hilbert
 from prodbmo.calibration import random_hh_symbol
 from prodbmo.core import GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
 from prodbmo.errors import (
@@ -350,10 +351,11 @@ def _scalar_shift_evaluate(f, g, x):
     return total
 
 
-@pytest.mark.parametrize("k", [(4, 4), (6, 6), (12, 12)])
+@pytest.mark.parametrize("k", [(4, 4), (6, 6), (12, 12), (1, 52), (30, 23)])
 def test_mc_and_shift_evaluate_match_scalar_reference(k):
     """The one-pass average equals the per-grid, per-point loop bit for bit,
-    on the grids of ``sample_grid`` over the spawned seed sequence."""
+    on the grids of ``sample_grid`` over the spawned seed sequence, up to
+    the extremes of the 53-level window."""
     f = StepFunction1D([-0.75, 0.1, 0.4, 1.2], [0.7, -1.1, 2.0])
     xs = [-5.0, -0.75 - 1e-9, 0.1 + 1e-12, 0.25, 0.4 - 2e-10, 1.2 + 1e-9, 3.5, 9.0]
     seed, n = 2024, 40
@@ -365,6 +367,16 @@ def test_mc_and_shift_evaluate_match_scalar_reference(k):
     expect = list(zip(scaled.mean(axis=0).tolist(),
                       (scaled.std(axis=0, ddof=1) / math.sqrt(n)).tolist()))
     assert mc_hilbert(f, xs, n, seed, k_coarse=k[0], k_fine=k[1]) == expect
+
+
+def test_mc_sample_blocks_do_not_change_the_result(monkeypatch):
+    """Samples split into uneven blocks (7 samples of 25 levels x 8 points,
+    then 5) give the unsplit result bit for bit."""
+    f = StepFunction1D([-0.75, 0.1, 0.4, 1.2], [0.7, -1.1, 2.0])
+    xs = [-5.0, -0.7, 0.15, 0.25, 0.39, 1.3, 3.5, 9.0]
+    whole = mc_hilbert(f, xs, 40, 2024)
+    monkeypatch.setattr(hilbert, "_BLOCK_ELEMENTS", 7 * 25 * 8 + 13)
+    assert mc_hilbert(f, xs, 40, 2024) == whole
 
 
 # ---------------------------------------------------------------------------
