@@ -348,7 +348,7 @@ def cmd_hilbert(args) -> int:
     else:
         if args.seed is None:
             raise ValidationError("Monte-Carlo mode requires --seed")
-        if args.samples > 100_000:  # one sample holds about 0.6 KB: its seed and bits
+        if args.samples > 100_000:  # a sample holds about 0.1 KB with three points
             raise ValidationError(f"--samples must be at most 100000, got {args.samples}")
         pairs = mc_hilbert(f, xs, args.samples, args.seed,
                            k_coarse=args.k_coarse, k_fine=args.k_fine)

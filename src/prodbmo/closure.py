@@ -29,10 +29,13 @@ from .errors import NonConvergenceError, ValidationError
 _MAX_ROUNDS = 1000
 #: relative improvement below which a Dinkelbach round settles the ratio
 _REL_TOL = 1e-13
-#: rect -> cell arcs above which best_ratio refuses a network; a solve holds about
-#: 225 bytes per arc plus 475 per rectangle or atom: 2.2 GB for a dense symbol's
-#: network at the cap, 5 GB for a tail network (one rectangle per 1.8 arcs)
+#: rect -> cell arcs above which best_ratio refuses a network
 _MAX_ARCS = 1 << 23
+#: bytes a solve may hold, about 225 per arc plus 475 per rectangle or atom (measured
+#: with ru_maxrss); what the arc cap allows a dense symbol's network, which has few
+#: rectangles per arc: a tail network, with up to one rectangle and one atom per
+#: arc, would reach 5-10 GB under the arc cap alone
+_MAX_BYTES = 2.2e9
 
 
 class _FlowNetwork:
@@ -43,8 +46,9 @@ class _FlowNetwork:
     def __init__(self, n_nodes, tails, heads):
         self.n = n_nodes
         starts = np.column_stack((tails, heads)).ravel()  # the node each arc leaves
-        bounds = np.cumsum(np.bincount(starts, minlength=n_nodes))[:-1]
-        self.head = [arcs.tolist() for arcs in np.split(np.argsort(starts, kind="stable"), bounds)]
+        order = np.argsort(starts, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(starts, minlength=n_nodes)).tolist()
+        self.head = [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
         self.to = np.column_stack((heads, tails)).ravel().tolist()
 
     def max_flow(self, s, t, eps):
@@ -227,8 +231,12 @@ def best_ratio(inst: ClosureInstance):
     if active.size == 0:
         return 0.0, None
     atoms, atom_of = _atoms(inst, active)
-    if (n_arcs := int(atoms.arc_counts.sum())) > _MAX_ARCS:  # before the arcs are built
-        raise ValidationError(f"closure network of {n_arcs} arcs exceeds {_MAX_ARCS}")
+    # checked before the arcs are built
+    n_arcs, n_nodes = int(atoms.arc_counts.sum()), active.size + int(np.prod(atoms.shape))
+    if n_arcs > _MAX_ARCS or 225 * n_arcs + 475 * n_nodes > _MAX_BYTES:
+        raise ValidationError(
+            f"closure network of {n_arcs} arcs and {n_nodes} rectangles and atoms exceeds "
+            f"{_MAX_ARCS} arcs or about {_MAX_BYTES / 1e9:.1f} GB")
     first, required = atoms._arcs
     nr, nc = first.size, atoms.n_cells
     total_w = float(atoms.rect_weights.sum())

@@ -93,9 +93,12 @@ class StepFunction1D:
         return float((self.values ** 2 * np.diff(self.breakpoints)).sum())
 
     def haar_coefficient(self, left, mid, right):
-        """<f, h_I> for I = [left, right) split at mid; elementwise on arrays."""
-        f = self.cdf
-        return (f(right) - 2.0 * f(mid) + f(left)) / np.sqrt(right - left)
+        """<f, h_I> for I = [left, right) split at mid; elementwise on arrays.
+        An interval shorter than the float spacing at its ends (right == left)
+        has +0.0."""
+        f, width = self.cdf, np.sqrt(right - left)
+        coef = f(right) - 2.0 * f(mid) + f(left)
+        return np.divide(coef, width, out=np.zeros_like(coef), where=width > 0.0)[()]
 
     def has_breakpoint_inside(self, left, right):
         """Whether a breakpoint lies in (left, right); elementwise on arrays."""
@@ -274,12 +277,14 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     xs = [float(x) for x in xs]
     if np.isin(xs, f.breakpoints).any():
         raise EvaluationAtJumpError("evaluation at jump")
-    bits, r = _draw_grids(np.random.SeedSequence(seed).spawn(n_samples), k_coarse, k_fine)
+    _check_levels(k_coarse, k_fine)
+    seeds = np.random.SeedSequence(seed)
     step = max(1, _BLOCK_ELEMENTS // ((k_coarse + k_fine + 1) * max(len(xs), 1)))
-    samples = np.concatenate([
-        _shift_sums(f, k_coarse, r[i:i + step],
-                    _level_offsets(bits[i:i + step], k_coarse, k_fine), xs)
-        for i in range(0, n_samples, step)])
+    blocks = []
+    for i in range(0, n_samples, step):  # spawn counts on: the children of spawn(n_samples)
+        bits, r = _draw_grids(seeds.spawn(min(step, n_samples - i)), k_coarse, k_fine)
+        blocks.append(_shift_sums(f, k_coarse, r, _level_offsets(bits, k_coarse, k_fine), xs))
+    samples = np.concatenate(blocks)
     scaled = AVERAGING_FACTOR * LN2 * samples
     est = scaled.mean(axis=0)
     err = scaled.std(axis=0, ddof=1) / math.sqrt(n_samples)

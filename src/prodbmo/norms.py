@@ -96,36 +96,41 @@ def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None
 
 
 def _energy_levels(phi: HaarSpectrum2D):
-    """(phi_R^2, E, levels) over the basis-index pairs (b1, b2) >= 1, each
-    the dyadic rectangle R = I x J: E the hh energy of the rectangles
-    inside R and levels the level sum of R itself."""
+    """(phi_R^2 / |R|, E, levels) over the basis-index pairs (b1, b2) >= 1,
+    each the dyadic rectangle R = I x J: E the hh energy of the rectangles
+    inside R and levels the level sum of R itself (|R| = 2^-levels)."""
     sq = np.square(phi.hh_only().coeffs)
     energy, levels = sq, np.add.outer(*(level_of_basis_index(n) for n in sq.shape))
     for axis in (0, 1):
         energy = _subtree_reduce(energy, np.add, axis)
-    return sq, energy, levels
+    return sq * 2.0 ** levels, energy, levels
 
 
 def _rect_energies(phi: HaarSpectrum2D):
-    """(E, U, levels) of :func:`_energy_levels`, with U[b1, b2] the sum over
-    generations g of the largest phi_Q^2 / |Q| of a generation-g rectangle Q
-    inside R.  The rectangles of one generation are disjoint, so those
-    inside an Omega weigh at most that largest ratio times |Omega|, and
-    E / |R| <= ||phi restricted to R||^2 <= U.  The peaks are stacked by
-    one generation axis at a time: depth[1] * n1 * n2 floats at most."""
-    sq, energy, levels = _energy_levels(phi)
-    lv2 = level_of_basis_index(sq.shape[1])
-    upper, ratio = np.zeros_like(sq), sq * 2.0 ** levels
+    """(E, U, levels) of :func:`_energy_levels` and :func:`_generation_bound`."""
+    ratio, energy, levels = _energy_levels(phi)
+    return energy, _generation_bound(ratio, phi.depth[1]), levels
+
+
+def _generation_bound(ratio, t_depth: int):
+    """U[b1, b2]: the sum over generations g of the largest ratio
+    phi_Q^2 / |Q| of a generation-g rectangle Q inside R.  The rectangles
+    of one generation are disjoint, so those inside an Omega weigh at most
+    that largest ratio times |Omega|, and E / |R| <= ||phi restricted to
+    R||^2 <= U.  The peaks are stacked by one generation axis at a time:
+    t_depth * n1 * n2 floats at most."""
+    lv2 = level_of_basis_index(ratio.shape[1])
+    upper = np.zeros_like(ratio)
     # by t-generation g2: the largest ratio of generation g2 below each column
-    peak = _subtree_reduce(np.where(np.equal.outer(np.arange(phi.depth[1]), lv2)[:, None],
+    peak = _subtree_reduce(np.where(np.equal.outer(np.arange(t_depth), lv2)[:, None],
                                     ratio, 0.0), np.maximum, 2)
-    stack, lo = np.empty((0, *peak.shape)), len(sq) >> 1
+    stack, lo = np.empty((0, *peak.shape)), len(ratio) >> 1
     while lo:  # by s-generation g1 >= the level of rows [lo, 2 lo): the peaks below each row
         stack = np.concatenate((peak[None, :, lo:2 * lo],
                                 np.maximum(stack[:, :, 0::2], stack[:, :, 1::2])))
         upper[lo:2 * lo] = stack.sum(axis=(0, 1))
         lo >>= 1
-    return energy, upper, levels
+    return upper
 
 
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
@@ -160,17 +165,20 @@ def lmo_directional_norm(phi: HaarSpectrum2D, axis: int) -> float:
 def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     """max over tail generations (j1, j2) of (j1+1)(j2+1) * ||Q_(j1,j2) phi||_BMO;
     a pinned axis stays at level 0 (weight 1, no projection in that axis).
-    A tail's squared norm lies between its hh energy and the largest upper
-    bound U of the dyadic rectangles of its generation: they tile the
-    square, and each holds the tail's rectangles inside it."""
+    A tail's squared norm is at least its hh energy (Omega the square) and
+    the largest phi_Q^2 / |Q| of its rectangles (Omega = Q), and at most
+    the largest upper bound U of the dyadic rectangles of its generation:
+    they tile the square, and each holds the tail's rectangles inside it."""
     phi, e = _unit_scaled(phi)
-    (energy, upper, _), inst = _rect_energies(phi), grid_closure_instance(phi)
+    (ratio, energy, _), inst = _energy_levels(phi), grid_closure_instance(phi)
+    upper = _generation_bound(ratio, phi.depth[1])
     tails, bounds = [], []
     for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
         gen = np.s_[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]  # the rectangles of (j1, j2)
-        w, total = (j1 + 1) * (j2 + 1), float(energy[gen].sum())
+        w = (j1 + 1) * (j2 + 1)
+        lower = max(float(energy[gen].sum()), float(ratio[(1 << j1):, (1 << j2):].max()))
         tails.append((w, (j1, j2)))
-        bounds.append((w * math.sqrt(total), w * math.sqrt(upper[gen].max())))
+        bounds.append((w * math.sqrt(lower), w * math.sqrt(upper[gen].max())))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
         best_ratio(_crop(inst, tail=tails[n][1])[0])[0]))
     return math.ldexp(best, e)
@@ -178,12 +186,15 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
 
 def _pruned_max(bounds, value):
     """(max, first n attaining it) of value(n) >= 0 over the candidates n,
-    given (lower, upper) bounds on each: tried by decreasing lower bound,
-    and evaluated only when the upper bound can reach the best so far."""
+    given bounds lower <= value(n) <= upper on each: tried by decreasing
+    lower bound, evaluated only when the upper bound can reach the best so
+    far, and settled at the bound, with no evaluation, when the two are
+    equal."""
     best, best_n = 0.0, 0
     for n in sorted(range(len(bounds)), key=lambda n: (-bounds[n][0], n)):
-        if bounds[n][1] * (1.0 + 1e-12) > best:  # slack for the rounding of the bounds
-            val = value(n)
+        lower, upper = bounds[n]
+        if upper * (1.0 + 1e-12) > best:  # slack for the rounding of the bounds
+            val = lower if lower == upper else value(n)
             if val > best or (val == best and n < best_n):
                 best, best_n = val, n
     return best, best_n

@@ -1,6 +1,7 @@
 """Random dyadic systems, the grid shift, and the averaged Hilbert transform."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,18 @@ def test_mc_and_shift_evaluate_match_scalar_reference(k):
     expect = list(zip(scaled.mean(axis=0).tolist(),
                       (scaled.std(axis=0, ddof=1) / math.sqrt(n)).tolist()))
     assert mc_hilbert(f, xs, n, seed, k_coarse=k[0], k_fine=k[1]) == expect
+
+
+def test_intervals_below_the_float_spacing_add_zero_without_a_warning():
+    """At the top of the 53-level window the finest intervals at |x| >= 1
+    are shorter than the float spacing at their ends (right == left): their
+    coefficient is +0.0, with no 0/0."""
+    f = StepFunction1D([-0.75, 0.1, 0.4, 1.2], [0.7, -1.1, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef = f.haar_coefficient(np.array([9.0]), np.array([9.0]), np.array([9.0]))
+        assert coef.tolist() == [0.0] and math.copysign(1.0, coef[0]) == 1.0
+        mc_hilbert(f, [-5.0, 9.0], 40, 2024, k_coarse=1, k_fine=52)
 
 
 def test_mc_sample_blocks_do_not_change_the_result(monkeypatch):

@@ -538,8 +538,9 @@ def test_lmo_searches_solve_about_one_closure_per_symbol(depth, tail_solves, rec
 
 
 def test_pruned_max_keeps_the_first_index_among_ties():
-    """Candidates run by decreasing lower bound; an upper bound below the
-    best skips a candidate, and an equal value at a lower index wins."""
+    """Candidates run by decreasing lower bound; equal bounds settle a
+    candidate without evaluating it, an upper bound below the best skips
+    one, and an equal value at a lower index wins."""
     values = [5.0, 5.0, 2.0, 0.0]
     seen = []
 
@@ -548,7 +549,50 @@ def test_pruned_max_keeps_the_first_index_among_ties():
         return values[n]
 
     assert _pruned_max([(1.0, 5.0), (5.0, 5.0), (2.0, 2.0), (0.0, 0.0)], value) == (5.0, 0)
-    assert seen == [1, 0]
+    assert seen == [0]
+    seen.clear()  # a lower bound below the upper one, if only by one ulp, is evaluated
+    assert _pruned_max([(4.0, 4.0), (math.nextafter(5.0, 0.0), 5.0)], value) == (5.0, 1)
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("d1", range(1, 7))
+def test_equal_bounds_settle_a_candidate_at_its_solved_value(d1, monkeypatch):
+    """Wherever a candidate's lower and upper bounds are equal, the closure
+    solve that _pruned_max skips gives back that same float, and every
+    candidate it solves lies between its bounds, for both searches, all four
+    beta and both directional norms, on Gaussian, sparse, integer-tied and
+    staircase symbols of depth (d1, 1..6)."""
+    settled = []
+    pruned_max = norms._pruned_max
+    slack = 1.0 + 1e-12
+
+    def checked(bounds, value):
+        def enclosed(n):
+            lower, upper = bounds[n]
+            solved = value(n)
+            assert lower <= solved * slack and solved <= upper * slack
+            return solved
+
+        settled.extend((lower, value(n)) for n, (lower, upper) in enumerate(bounds)
+                       if lower == upper)
+        return pruned_max(bounds, enclosed)
+
+    monkeypatch.setattr(norms, "_pruned_max", checked)
+    rng = np.random.default_rng(1900 + d1)
+    for d2 in range(1, 7):
+        shape = (1 << d1, 1 << d2)
+        gauss = np.zeros(shape)
+        gauss[1:, 1:] = rng.standard_normal((shape[0] - 1, shape[1] - 1))
+        tied = rng.integers(-2, 3, shape) * (rng.random(shape) < 0.6)
+        s, t = (DyadicInterval(j, int(rng.integers(1 << j)))
+                for j in (int(rng.integers(d1 + 1)), int(rng.integers(d2 + 1))))
+        stair = haar_forward_2d(extremal_bmo_function(DyadicRect(s, t), (d1, d2))).coeffs
+        for c in (gauss, gauss * (rng.random(shape) < 0.2), tied, stair):
+            phi = HaarSpectrum2D((d1, d2), c)
+            lmo_d_norm(phi), lmo_directional_norm(phi, 1), lmo_directional_norm(phi, 2)
+            for beta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+                lmo_beta_char_norm(phi, beta)
+    assert settled and all(lower == solved for lower, solved in settled)
 
 
 def test_lmo_and_grid_bmo_homogeneous_at_extreme_amplitudes():
@@ -768,6 +812,18 @@ def test_best_ratio_refuses_more_arcs_than_the_cap(monkeypatch):
     with pytest.raises(ValidationError, match="1024 arcs"):
         bmo_d_norm_sq(phi)
     monkeypatch.setattr(closure, "_MAX_ARCS", 1024)
+    assert bmo_d_norm_sq(phi)[0] > 0.0
+
+
+def test_best_ratio_refuses_a_network_above_its_memory_estimate(monkeypatch):
+    """A network is also refused by its memory estimate, 225 bytes per arc
+    plus 475 per rectangle or atom, before it is built: the dense (4,4)
+    symbol's 1,024 arcs, 225 rectangles and 64 atoms come to 367,675 bytes."""
+    phi = random_hh_spectrum((4, 4), np.random.default_rng(71))
+    monkeypatch.setattr(closure, "_MAX_BYTES", 367_674)
+    with pytest.raises(ValidationError, match="1024 arcs and 289 rectangles and atoms"):
+        bmo_d_norm_sq(phi)
+    monkeypatch.setattr(closure, "_MAX_BYTES", 367_675)
     assert bmo_d_norm_sq(phi)[0] > 0.0
 
 
