@@ -437,39 +437,41 @@ def mean_pyramid(values: np.ndarray):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _axis_pattern(n: int, j: int, beta: int) -> np.ndarray:
-    """Per-cell values of the level-j outer factor, same for every position.
+def _axis_pattern(n: int, j: int, beta: int):
+    """(slots, values) of the level-j outer factor on an axis of n cells:
+    slots[cell] is the hh-block slot (basis index - 1) of the level-j
+    interval holding the cell, and values the factor there.
 
     beta == 0: Haar, -2^(j/2) on the left half of each interval, + on the
     right.  beta == 1: normalised indicator, constant 2^j.
     """
+    slots = (1 << j) - 1 + (np.arange(n) >> (n.bit_length() - 1 - j))
     if beta == 1:
-        return np.full(n, float(1 << j))
+        return slots, np.full(n, float(1 << j))
     w = n >> j
     tile = np.empty(w)
     tile[: w // 2] = -(2.0 ** (j / 2.0))
     tile[w // 2:] = 2.0 ** (j / 2.0)
-    return np.tile(tile, 1 << j)
+    return slots, np.tile(tile, 1 << j)
 
 
 def _generation_sum(shape, a, b, beta) -> np.ndarray:
     """Cell values of sum_R a_R b_R b1_I (x) b2_J over the hh rectangles
     R = I x J, generation by generation, as an array of ``shape``.
 
-    a(j1, j2) and b(j1, j2) return the (..., 2^j1, 2^j2) coefficient blocks
-    of generation (j1, j2); beta picks the outer factor per axis (0: Haar,
-    1: normalised indicator).  Generations whose product vanishes are skipped.
+    a and b hold the coefficients in the basis-index layout (only the hh
+    block is read); beta picks the outer factor per axis (0: Haar, 1:
+    normalised indicator).  Generations whose product vanishes are skipped.
     """
     out = np.zeros(shape)
     n1, n2 = shape[-2:]
+    coef = a[..., 1:, 1:] * b[..., 1:, 1:]
     for j1 in range(n1.bit_length() - 1):
+        rows, p1 = _axis_pattern(n1, j1, beta[0])
         for j2 in range(n2.bit_length() - 1):
-            coef = a(j1, j2) * b(j1, j2)
-            if coef.any():
-                expanded = np.repeat(np.repeat(coef, n1 >> j1, axis=-2), n2 >> j2, axis=-1)
-                p1 = _axis_pattern(n1, j1, beta[0])
-                p2 = _axis_pattern(n2, j2, beta[1])
-                out += expanded * (p1[:, None] * p2[None, :])
+            if coef[..., (1 << j1) - 1:(2 << j1) - 1, (1 << j2) - 1:(2 << j2) - 1].any():
+                cols, p2 = _axis_pattern(n2, j2, beta[1])
+                out += coef[..., rows[:, None], cols] * (p1[:, None] * p2[None, :])
     return out
 
 
@@ -586,7 +588,7 @@ def square_function(c: HaarSpectrum2D) -> GridFunction2D:
     """S[f] = (sum_R chi_R / |R| * |f_R|^2)^(1/2) over the hh block, squared
     after :func:`_unit_scaled`."""
     c, e = _unit_scaled(c)
-    squares = _generation_sum(c.coeffs.shape, c.generation_block, c.generation_block, (1, 1))
+    squares = _generation_sum(c.coeffs.shape, c.coeffs, c.coeffs, (1, 1))
     return GridFunction2D(c.depth, np.ldexp(np.sqrt(squares), e))
 
 

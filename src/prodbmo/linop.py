@@ -14,6 +14,8 @@ singular value decomposition (assembly caps the dimension at 256).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import (MAX_LEVEL, GridFunction2D, HaarSpectrum2D, _basis_order, _check_same_depth,
@@ -83,6 +85,18 @@ class DenseOperator:
         return DenseOperator(self.depth, self.matrix - other.matrix)
 
 
+@lru_cache(maxsize=32)
+def _probe(depth, space):
+    """Read-only (probe, x, y): the dim basis vectors stacked with 2.5 x - 0.75 y
+    for two seeded draws, as coefficients or, for space="grid", cell values."""
+    x, y = np.random.default_rng(177).standard_normal((2, 1 << (depth[0] + depth[1])))
+    spec = vector_to_spectrum(np.vstack((np.eye(len(x)), 2.5 * x - 0.75 * y)), depth)
+    probe = haar_inverse_2d(spec).values if space == "grid" else spec.coeffs
+    for a in (probe, x, y):
+        a.flags.writeable = False
+    return probe, x, y
+
+
 def assemble(op, depth, space: str = "grid") -> DenseOperator:
     """Assemble the dense matrix of a linear operator at the given depth.
 
@@ -104,19 +118,13 @@ def assemble(op, depth, space: str = "grid") -> DenseOperator:
     if space not in ("grid", "spectrum"):
         raise ValidationError("space must be 'grid' or 'spectrum'")
 
-    rng = np.random.default_rng(177)
-    x = rng.standard_normal(dim)
-    y = rng.standard_normal(dim)
-    spec = vector_to_spectrum(np.vstack((np.eye(dim), 2.5 * x - 0.75 * y)), depth)
+    probe, x, y = _probe(depth, space)
+    kind = GridFunction2D if space == "grid" else HaarSpectrum2D
+    out = op(kind(depth, probe.copy()))
+    if not isinstance(out, kind):
+        raise ValidationError(f"operator must return a {kind.__name__}")
     if space == "grid":
-        out = op(haar_inverse_2d(spec))
-        if not isinstance(out, GridFunction2D):
-            raise ValidationError("operator must return a GridFunction2D")
         out = haar_forward_2d(out)
-    else:
-        out = op(spec)
-        if not isinstance(out, HaarSpectrum2D):
-            raise ValidationError("operator must return a HaarSpectrum2D")
     images = spectrum_to_vector(out)
     if images.shape != (dim + 1, dim) or not np.isfinite(images).all():
         raise ValidationError("operator must map each input row to finite values")

@@ -12,6 +12,7 @@ the decay of the tail projections Q_j.  Natural logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -170,7 +171,8 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     the largest upper bound U of the dyadic rectangles of its generation:
     they tile the square, and each holds the tail's rectangles inside it."""
     phi, e = _unit_scaled(phi)
-    (ratio, energy, _), inst = _energy_levels(phi), grid_closure_instance(phi)
+    ratio, energy, _ = _energy_levels(phi)
+    inst = functools.cache(lambda: grid_closure_instance(phi))  # built at the first solve
     upper = _generation_bound(ratio, phi.depth[1])
     tails, bounds = [], []
     for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
@@ -180,7 +182,7 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
         tails.append((w, (j1, j2)))
         bounds.append((w * math.sqrt(lower), w * math.sqrt(upper[gen].max())))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
-        best_ratio(_crop(inst, tail=tails[n][1])[0])[0]))
+        best_ratio(_crop(inst(), tail=tails[n][1])[0])[0]))
     return math.ldexp(best, e)
 
 
@@ -228,7 +230,8 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    (energy, upper, levels), inst = _rect_energies(phi), grid_closure_instance(phi)
+    energy, upper, levels = _rect_energies(phi)
+    inst = functools.cache(lambda: grid_closure_instance(phi))  # built at the first solve
     n1, n2 = energy.shape
     # per axis: the basis index of every interval, weighted (log(4 * 2^j))^2, or of the
     # unit interval alone, weighted 1; the candidates run with the s-axis outer
@@ -240,7 +243,7 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     e = w * energy[s, t]
     bounds = np.column_stack((e * 2.0 ** levels[s, t], w * upper[s, t])).tolist()
     best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
-        _crop(inst, (_interval_cells(n1)[s[n]], _interval_cells(n2)[t[n]]))[0])[0])
+        _crop(inst(), (_interval_cells(n1)[s[n]], _interval_cells(n2)[t[n]]))[0])[0])
     return best, DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
                             DyadicInterval.from_basis_index(int(t[n])))
 

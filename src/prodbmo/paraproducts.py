@@ -82,41 +82,38 @@ def signature_by_name(name: str) -> Signature:
         raise UnsupportedSignatureError(f"unknown signature name {name!r}")
 
 
-def _levels(v: np.ndarray, kind: int, axis: int):
-    """Per-level views of v along ``axis``: the block means at levels 0..J
-    (kind 1) or the Haar coefficient slices of levels 0..J-1 (kind 0)."""
-    if kind:
-        return block_means(v, axis)
-    levels = range(v.shape[axis].bit_length() - 1)
-    return [v.swapaxes(0, axis)[(1 << j):(2 << j)].swapaxes(0, axis) for j in levels]
-
-
-def _factor_blocks(x, kind):
-    """Per-generation blocks of <x, d1_I (x) d2_J>, as a function of (j1, j2).
+def _factor_coeffs(x, kind) -> np.ndarray:
+    """<x, d1_I (x) d2_J> in the basis-index layout, (..., n1, n2), with
+    slot b the interval of basis index b >= 1 per axis.
 
     x is a grid function or a spectrum; kind = (k1, k2) picks d per axis,
-    0 for the Haar function and 1 for the normalised indicator.  A spectrum
-    of kind (0, 0) is read directly.  The Haar axes are analysed before any
-    block means are taken; that order fixes the last-bit rounding.
+    0 for the Haar function and 1 for the normalised indicator (the block
+    mean; slot 0 repeats the level-0 mean).  A spectrum of kind (0, 0) is
+    read directly.  The Haar axes are analysed before any block means are
+    taken, and the s-axis means before the t-axis ones; that order fixes
+    the last-bit rounding.
     """
     if isinstance(x, HaarSpectrum2D):
         if kind == (0, 0):
-            return x.generation_block
+            return x.coeffs
         x = haar_inverse_2d(x)
     v = x.values
     for axis in (-1, -2):
         if not kind[axis]:
             v = _analysis(v, axis)
-    table = [_levels(row, kind[1], -1) for row in _levels(v, kind[0], -2)]
-    return lambda j1, j2: table[j1][j2]
+    for axis in (-2, -1):
+        if kind[axis]:
+            means = block_means(v, axis)
+            v = np.concatenate((means[0], *means[:-1]), axis)
+    return v
 
 
 def _bilinear(phi: HaarSpectrum2D, phi_kind, f: GridFunction2D, f_kind, beta) -> GridFunction2D:
     """sum_R <phi, a1_I (x) a2_J> <f, d1_I (x) d2_J> b1_I(s) b2_J(t) over the
     hh rectangles, each factor picked per axis by its kind (see
-    :func:`_factor_blocks`); exact at the common depth."""
+    :func:`_factor_coeffs`); exact at the common depth."""
     _check_same_depth(phi, f)
-    a, b = _factor_blocks(phi, phi_kind), _factor_blocks(f, f_kind)
+    a, b = _factor_coeffs(phi, phi_kind), _factor_coeffs(f, f_kind)
     out = _generation_sum(np.broadcast_shapes(phi.coeffs.shape, f.values.shape), a, b, beta)
     return GridFunction2D(f.depth, out)
 

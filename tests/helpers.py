@@ -7,6 +7,8 @@ from prodbmo.core import (
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
+    _analysis,
+    block_means,
     haar_inverse_2d,
 )
 
@@ -117,3 +119,66 @@ def verify_against(dense, op, space="grid", n_samples=20, tol=1e-11, seed=7):
             f"matrix/functional mismatch {worst} exceeds tolerance {tol}"
         )
     return worst
+
+
+# ---------------------------------------------------------------------------
+# reference generation sum: per-generation blocks expanded by np.repeat
+# ---------------------------------------------------------------------------
+
+def reference_factor_blocks(x, kind):
+    """(j1, j2) -> the (..., 2^j1, 2^j2) block of <x, d1_I (x) d2_J>, kind
+    per axis 0 for the Haar function and 1 for the normalised indicator;
+    Haar axes are analysed first, then the s-axis and t-axis block means."""
+    def levels(v, k, axis):
+        if k:
+            return block_means(v, axis)
+        return [v.swapaxes(0, axis)[(1 << j):(2 << j)].swapaxes(0, axis)
+                for j in range(v.shape[axis].bit_length() - 1)]
+
+    if isinstance(x, HaarSpectrum2D):
+        if tuple(kind) == (0, 0):
+            return x.generation_block
+        x = haar_inverse_2d(x)
+    v = x.values
+    for axis in (-1, -2):
+        if not kind[axis]:
+            v = _analysis(v, axis)
+    table = [levels(row, kind[1], -1) for row in levels(v, kind[0], -2)]
+    return lambda j1, j2: table[j1][j2]
+
+
+def reference_axis_pattern(n, j, beta):
+    """Per-cell values of the level-j outer factor (0: Haar, 1: normalised
+    indicator) on an axis of n cells."""
+    if beta == 1:
+        return np.full(n, float(1 << j))
+    w = n >> j
+    tile = np.empty(w)
+    tile[: w // 2] = -(2.0 ** (j / 2.0))
+    tile[w // 2:] = 2.0 ** (j / 2.0)
+    return np.tile(tile, 1 << j)
+
+
+def reference_generation_sum(shape, a, b, beta):
+    """sum over the hh generations of a(j1, j2) * b(j1, j2), each block
+    repeated to the cells of its rectangles and weighted by the outer
+    factors; generations whose product vanishes are skipped."""
+    out = np.zeros(shape)
+    n1, n2 = shape[-2:]
+    for j1 in range(n1.bit_length() - 1):
+        for j2 in range(n2.bit_length() - 1):
+            coef = a(j1, j2) * b(j1, j2)
+            if coef.any():
+                expanded = np.repeat(np.repeat(coef, n1 >> j1, axis=-2), n2 >> j2, axis=-1)
+                p1 = reference_axis_pattern(n1, j1, beta[0])
+                p2 = reference_axis_pattern(n2, j2, beta[1])
+                out += expanded * (p1[:, None] * p2[None, :])
+    return out
+
+
+def reference_bilinear(phi, phi_kind, f, f_kind, beta):
+    """Cell values of the bilinear form of :mod:`prodbmo.paraproducts` by
+    the reference generation sum."""
+    shape = np.broadcast_shapes(phi.coeffs.shape, f.values.shape)
+    return reference_generation_sum(shape, reference_factor_blocks(phi, phi_kind),
+                                    reference_factor_blocks(f, f_kind), beta)

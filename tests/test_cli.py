@@ -1,5 +1,6 @@
 """CLI surface: file round-trips, exit codes, deterministic experiment runs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,36 @@ def test_experiment_lemma_core_and_determinism(tmp_path, capsys):
     assert len(lines) - 1 == 2 * 9  # trials x (depth+1)^2
     for line in lines[1:]:
         assert line.split(",")[-1] == "1"
+
+
+#: the six seeded experiment commands of the README and the sha256 of their CSVs
+README_EXPERIMENT_DIGESTS = {
+    "lemma-core --depth 3 --trials 20 --seed 7":
+        "cfe876904d21ac176c17448356f3117d51501f3e19de9c50ca9e65052d16c1e0",
+    "nine-part --depth 2 --trials 50 --seed 1":
+        "e7230f4e9f367803a3888c9affea8037cc6288c94008634ceb4d3d0fc4984ea4",
+    "lmo-equivalence --depth 3 --trials 200 --seed 5":
+        "0cb1536a02e570fea79075725e49811b07e45741a508b05c50b38ac32ddd45c7",
+    "growth --depth 3 --trials 1 --seed 0":
+        "8f34c8434e484fd75c60045360d5d5bf00868c594af54a584c5b09e5e4946afe",
+    "paraproduct-bound --depth 3 --trials 100 --seed 2":
+        "9aa3af13dd97c8617edc640f4e19c60a3e7b37f80c8e320b9a9498fb37cac3ae",
+    "commutator-bound --depth 2 --trials 50 --seed 3":
+        "c7058bc3a75f2e4249b2f0697907e719e41a191e1b5d30ba9250d54f6cf266fc",
+}
+
+
+@pytest.mark.parametrize("command", README_EXPERIMENT_DIGESTS)
+def test_readme_experiment_csvs_are_byte_identical(tmp_path, capsys, command):
+    """Seeded commands stay byte-identical: each README experiment writes the
+    CSV it wrote when the digests were pinned.  Measured with numpy 2.4.6 on
+    scipy-openblas 0.3.31 (OpenBLAS, Haswell kernels, 64-bit ints), the same
+    with OPENBLAS_NUM_THREADS=1 or unset; another numpy or BLAS build may
+    round the SVD or the flow sums differently in the last digit."""
+    out = tmp_path / "out.csv"
+    assert cli_dispatch(["experiment", *command.split(), "--output", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == README_EXPERIMENT_DIGESTS[command]
 
 
 @pytest.mark.parametrize("name,flags", [

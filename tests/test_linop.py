@@ -154,6 +154,20 @@ def test_assemble_calls_op_once(space):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("space", ["grid", "spectrum"])
+def test_assemble_hands_op_a_fresh_probe(space):
+    """The stacked probe is built once per (depth, space); an op that writes
+    into its argument must not change what the next assembly sees."""
+    def op(x):
+        data = x.values if space == "grid" else x.coeffs
+        data *= 2.0
+        return x
+
+    first, second = (assemble(op, (2, 3), space=space).matrix for _ in range(2))
+    assert np.array_equal(first, second)
+    assert np.array_equal(first, 2.0 * assemble(lambda x: x, (2, 3), space=space).matrix)
+
+
 @pytest.mark.parametrize("depth", [(1, 1), (2, 3), (3, 3)])
 def test_assemble_equals_column_loop(depth):
     rng = np.random.default_rng(31)

@@ -13,6 +13,8 @@ from helpers import (
     random_hh_grid,
     random_hh_spectrum,
     random_spectrum,
+    reference_bilinear,
+    reference_generation_sum,
 )
 from prodbmo.core import (
     DyadicInterval,
@@ -26,10 +28,12 @@ from prodbmo.core import (
     dyadic_rect_mean,
     haar_forward_2d,
     haar_inverse_2d,
+    _unit_scaled,
     square_function,
 )
 from prodbmo.errors import DepthMismatchError, UnsupportedSignatureError
 from prodbmo.paraproducts import (
+    _AXIS_FACTORS,
     ALL_NINE_TAGS,
     COARSER,
     DELTA,
@@ -313,6 +317,44 @@ def test_nine_part_corner_blocks_are_the_named_paraproducts():
         assert np.abs(
             nine_part_apply(tag, phi, f).values - paraproduct(sig, phi, f).values
         ).max() < 1e-12
+
+
+def _generation_sum_inputs(depth, leads, case, rng):
+    """(phi, f) with leading axes leads = (phi's, f's): Gaussian, with the
+    hh generation (J1 - 1, 0) of phi all zero, or with about half of the
+    entries of each -0.0."""
+    n1, n2 = 1 << depth[0], 1 << depth[1]
+    c = rng.standard_normal(leads[0] + (n1, n2))
+    v = rng.standard_normal(leads[1] + (n1, n2))
+    if case == "zero generation":
+        c[..., n1 >> 1:, 1:2] = 0.0
+    if case == "negative zero":
+        c[rng.random(c.shape) < 0.5] = -0.0
+        v[rng.random(v.shape) < 0.5] = -0.0
+    return HaarSpectrum2D(depth, c), GridFunction2D(depth, v)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "zero generation", "negative zero"])
+@pytest.mark.parametrize("leads", [((), ()), ((), (3,)), ((2, 1), (3,))],
+                         ids=["single", "batched f", "batched both"])
+@pytest.mark.parametrize("depth", [(1, 1), (2, 3), (4, 2), (4, 4)])
+def test_generation_sum_is_byte_identical_to_the_repeat_reference(depth, leads, case):
+    """The basis-layout generation sum keeps every product and sum of the
+    per-generation np.repeat loop in its order: the outputs of the four
+    paraproducts, the nine blocks and the square function agree bit for bit."""
+    phi, f = _generation_sum_inputs(depth, leads, case, np.random.default_rng(61))
+    for sig in (PI, DELTA, PI_01, PI_10):
+        ref = reference_bilinear(phi, (0, 0), f, sig.delta, sig.beta)
+        assert paraproduct(sig, phi, f).values.tobytes() == ref.tobytes()
+    for tag in ALL_NINE_TAGS:
+        (p1, f1, o1), (p2, f2, o2) = _AXIS_FACTORS[tag.s_relation], _AXIS_FACTORS[tag.t_relation]
+        ref = reference_bilinear(phi, (p1, p2), f, (f1, f2), (o1, o2))
+        assert nine_part_apply(tag, phi, f).values.tobytes() == ref.tobytes()
+    unit, e = _unit_scaled(phi)
+    squares = reference_generation_sum(unit.coeffs.shape, unit.generation_block,
+                                       unit.generation_block, (1, 1))
+    ref = np.ldexp(np.sqrt(squares), e)
+    assert square_function(phi).values.tobytes() == ref.tobytes()
 
 
 def _display_sum(phi, f, coef_mode, square_axis):
