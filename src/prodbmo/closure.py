@@ -18,8 +18,10 @@ graph gives the largest optimal set.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import NonConvergenceError, ValidationError
 _MAX_ROUNDS = 1000
 #: relative improvement below which a Dinkelbach round settles the ratio
 _REL_TOL = 1e-13
-#: rect -> cell arcs above which best_ratio refuses a network
+#: rect -> cell arcs above which best_ratio refuses a network; also bounds the cached arcs
 _MAX_ARCS = 1 << 23
 #: bytes a solve may hold, about 225 per arc plus 475 per rectangle or atom (measured
 #: with ru_maxrss); what the arc cap allows a dense symbol's network, which has few
@@ -40,20 +42,18 @@ _MAX_BYTES = 2.2e9
 
 class _FlowNetwork:
     """Dinic max-flow on real capacities ``cap``, set before each solve, over
-    fixed arcs: arc 2k runs tails[k] -> heads[k] and arc 2k + 1 is its
-    reverse; every node lists the arcs leaving it in id order."""
+    fixed arcs read from arrays into lists: arc e runs into to[e], arc e ^ 1
+    is its reverse, and node u leaves by arcs order[ends[u - 1]:ends[u]]."""
 
-    def __init__(self, n_nodes, tails, heads):
-        self.n = n_nodes
-        starts = np.column_stack((tails, heads)).ravel()  # the node each arc leaves
-        order = np.argsort(starts, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(starts, minlength=n_nodes)).tolist()
+    def __init__(self, order, ends, to):
+        order, ends = order.tolist(), ends.tolist()
+        self.n = len(ends)
         self.head = [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        self.to = np.column_stack((heads, tails)).ravel().tolist()
+        self.to = to.tolist()
 
     def max_flow(self, s, t, eps):
         """(flow, levels of the last BFS): level >= 0 marks the min cut's source side."""
-        flow = 0.0
+        flow = 0  # exact on exact capacities such as Fraction
         while True:
             level = self._bfs(s, t, eps)
             if level[t] < 0:
@@ -111,6 +111,32 @@ class _FlowNetwork:
                 u = self.to[e ^ 1]  # tail of the edge we arrived through
 
 
+def _arc_cells(ranges, shape):
+    """(first, cells): each rectangle's first arc and the cell of every arc,
+    rectangle by rectangle and row-major within one."""
+    sizes = [r[:, 1] - r[:, 0] for r in ranges]
+    counts = reduce(np.multiply, sizes)
+    first = np.cumsum(counts) - counts
+    rect = np.repeat(np.arange(counts.size), counts)
+    local = np.arange(rect.size) - first[rect]
+    coords = []
+    for r, size in zip(ranges[::-1], sizes[::-1]):
+        coords.append(r[rect, 0] + local % size[rect])
+        local = local // size[rect]
+    return first, np.ravel_multi_index(coords[::-1], shape)
+
+
+def _ratio(cell_areas, first, cells, rect_weights, cell_mask):
+    """ClosureInstance.ratio of the rectangles with arcs (first, cells); the
+    kernel best_ratio shares."""
+    area = np.where(cell_mask, cell_areas, 0.0).sum(axis=-1)
+    if not (area > 0.0).all():
+        raise ValidationError("ratio of an empty cell set")
+    inside = np.logical_and.reduceat(cell_mask[..., cells], first, axis=-1)
+    total = np.cumsum(inside * rect_weights, axis=-1)
+    return (total[..., -1] if first.size else 0.0) / area
+
+
 @dataclass
 class ClosureInstance:
     """Weighted rectangles on a product grid of cells, numbered row-major.
@@ -154,18 +180,7 @@ class ClosureInstance:
 
     @cached_property
     def _arcs(self):
-        """(first, cells): each rectangle's first arc and the cell of every
-        arc, rectangle by rectangle and row-major within one."""
-        sizes = [r[:, 1] - r[:, 0] for r in self.ranges]
-        counts = self.arc_counts
-        first = np.cumsum(counts) - counts
-        rect = np.repeat(np.arange(counts.size), counts)
-        local = np.arange(rect.size) - first[rect]
-        coords = []
-        for r, size in zip(self.ranges[::-1], sizes[::-1]):
-            coords.append(r[rect, 0] + local % size[rect])
-            local = local // size[rect]
-        return first, np.ravel_multi_index(coords[::-1], self.shape)
+        return _arc_cells(self.ranges, self.shape)
 
     @cached_property
     def rect_cells(self):
@@ -176,50 +191,83 @@ class ClosureInstance:
     def ratio(self, cell_mask: np.ndarray):
         """g(Omega) for Omega given as a boolean cell mask, or for each mask
         along the last axis; contained weights are summed in rectangle order."""
-        area = np.where(cell_mask, self.cell_areas, 0.0).sum(axis=-1)
-        if not (area > 0.0).all():
-            raise ValidationError("ratio of an empty cell set")
-        first, cells = self._arcs
-        inside = np.logical_and.reduceat(cell_mask[..., cells], first, axis=-1)
-        total = np.cumsum(inside * self.rect_weights, axis=-1)
-        return (total[..., -1] if first.size else 0.0) / area
+        return _ratio(self.cell_areas, *self._arcs, self.rect_weights, cell_mask)
 
 
-def _atoms(inst: ClosureInstance, active):
-    """(instance, atom_of): the active rectangles on the atoms of inst, each
-    axis cut only at their range ends, and per axis the atom of each cell.
-    An active rectangle covers an atom wholly or not at all, and no min cut
-    uses a rect -> cell arc, so the minimal min cut is a union of atoms."""
-    widths, ranges, atom_of = [], [], []
-    for w, r in zip(inst.widths, inst.ranges):
-        cut = np.bincount(np.append(r[active], 0), minlength=len(w) + 1) > 0
-        index = np.cumsum(cut) - 1  # at each cut, the atom starting there
-        atom_of.append(index[:-1])
-        widths.append(np.bincount(index[:-1], weights=w))
-        ranges.append(index[r[active]])
-    return ClosureInstance(tuple(widths), tuple(ranges), inst.rect_weights[active]), atom_of
+class _Structures(OrderedDict):
+    """Solve structures by geometry, least recently used first, and the arcs they hold."""
+
+    arcs = 0
+
+    def clear(self):
+        super().clear()
+        self.arcs = 0
 
 
-def _best_box(inst: ClosureInstance):
-    """Cell mask of the best product of per-axis intervals that occur as
-    rectangle ranges; any such box is a feasible set, so its ratio starts
-    Dinkelbach at or below the optimum."""
-    index, inside, sides = [], [], []
-    for w, r in zip(inst.widths, inst.ranges):
+_STRUCTURES = _Structures()
+
+
+def _structure(inst: ClosureInstance, active):
+    """The weight-free part of a solve of inst's active rectangles, read-only and
+    built once per geometry (cell widths, active ranges), after the size refusal
+    of every call.  The solve runs on the atoms, each axis cut only at the active
+    range ends: an active rectangle covers an atom wholly or not at all, and no min
+    cut uses a rect -> cell arc, so the minimal min cut is a union of atoms."""
+    ranges = [r[active] for r in inst.ranges]
+    key = tuple(a.tobytes() for a in (*inst.widths, *ranges))
+    s = _STRUCTURES.get(key)
+    if s is None:
+        s = SimpleNamespace(widths=[], ranges=[], atom_of=[])
+        for w, r in zip(inst.widths, ranges):
+            cut = np.bincount(np.append(r, 0), minlength=len(w) + 1) > 0
+            index = np.cumsum(cut) - 1  # at each cut, the atom starting there
+            s.atom_of.append(index[:-1])
+            s.widths.append(np.bincount(index[:-1], weights=w))
+            s.ranges.append(index[r])
+        s.shape = tuple(len(w) for w in s.widths)
+        s.n_arcs = int(reduce(np.multiply, [r[:, 1] - r[:, 0] for r in s.ranges]).sum())
+        s.n_nodes = active.size + int(np.prod(s.shape))
+    if s.n_arcs > _MAX_ARCS or 225 * s.n_arcs + 475 * s.n_nodes > _MAX_BYTES:
+        raise ValidationError(
+            f"closure network of {s.n_arcs} arcs and {s.n_nodes} rectangles and atoms exceeds "
+            f"{_MAX_ARCS} arcs or about {_MAX_BYTES / 1e9:.1f} GB")
+    if key in _STRUCTURES:
+        _STRUCTURES.move_to_end(key)
+        return s
+    s.first, s.cells = _arc_cells(s.ranges, s.shape)
+    s.cell_areas = reduce(np.multiply.outer, s.widths).ravel()
+    # nodes: source 0, rectangles 1..nr, cells nr+1..nr+nc, sink nr+nc+1;
+    # arcs: every source -> rect, then every rect -> cell, then every cell -> sink
+    nr, nc = s.first.size, s.cell_areas.size
+    out_arcs = np.concatenate(([nr], np.diff(s.first, append=s.cells.size), np.ones(nc, int)))
+    tails = np.repeat(np.arange(1 + nr + nc), out_arcs)
+    heads = np.concatenate((np.arange(1, 1 + nr), 1 + nr + s.cells, np.full(nc, 1 + nr + nc)))
+    # arc 2k: tails[k] -> heads[k]; a stable sort by the node left keeps arcs in id order
+    starts = np.column_stack((tails, heads)).ravel()
+    s.order = np.argsort(starts, kind="stable")
+    s.ends = np.cumsum(np.bincount(starts, minlength=2 + nr + nc))
+    s.to = np.column_stack((heads, tails)).ravel()
+    # best box tables: per axis the distinct range intervals, their containments and cells
+    index, s.inside, s.sides = [], [], []
+    for w, r in zip(s.widths, s.ranges):
         present = np.bincount(code := r[:, 0] * (len(w) + 1) + r[:, 1]) > 0
-        lo, hi = np.divmod(np.flatnonzero(present), len(w) + 1)  # the distinct intervals
+        lo, hi = np.divmod(np.flatnonzero(present), len(w) + 1)
         index.append((np.cumsum(present) - 1)[code])
-        inside.append(((lo <= lo[:, None]) & (hi[:, None] <= hi)).astype(float))  # [v, u]: v in u
+        s.inside.append(((lo <= lo[:, None]) & (hi[:, None] <= hi)).astype(float))  # [v, u]
         cells = np.arange(len(w))
-        sides.append((lo[:, None] <= cells) & (cells < hi[:, None]))  # [u, cell]
-    shape = tuple(len(m) for m in inside)
-    grid = np.bincount(np.ravel_multi_index(index, shape), inst.rect_weights, np.prod(shape))
-    grid = grid.reshape(shape)
-    for axis, m in enumerate(inside):  # contained weight of every box, one axis at a time
-        grid = np.moveaxis(np.moveaxis(grid, axis, -1) @ m, -1, axis)
-    area = reduce(np.multiply.outer, [side @ w for side, w in zip(sides, inst.widths)])
-    best = np.unravel_index(np.argmax(grid / area), shape)
-    return reduce(np.logical_and.outer, [side[u] for side, u in zip(sides, best)]).ravel()
+        s.sides.append((lo[:, None] <= cells) & (cells < hi[:, None]))  # [u, cell]
+    s.box_area = reduce(np.multiply.outer, [side @ w for side, w in zip(s.sides, s.widths)])
+    s.box = np.ravel_multi_index(index, s.box_area.shape)
+    s.ix = np.ix_(*s.atom_of)
+    for v in vars(s).values():
+        for a in v if isinstance(v, (list, tuple)) else (v,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    _STRUCTURES[key] = s
+    _STRUCTURES.arcs += s.to.size // 2
+    while _STRUCTURES.arcs > _MAX_ARCS:  # the flow-network arcs held
+        _STRUCTURES.arcs -= _STRUCTURES.popitem(last=False)[1].to.size // 2
+    return s
 
 
 def best_ratio(inst: ClosureInstance):
@@ -230,53 +278,45 @@ def best_ratio(inst: ClosureInstance):
     active = np.flatnonzero(inst.rect_weights > 0.0)
     if active.size == 0:
         return 0.0, None
-    atoms, atom_of = _atoms(inst, active)
-    # checked before the arcs are built
-    n_arcs, n_nodes = int(atoms.arc_counts.sum()), active.size + int(np.prod(atoms.shape))
-    if n_arcs > _MAX_ARCS or 225 * n_arcs + 475 * n_nodes > _MAX_BYTES:
-        raise ValidationError(
-            f"closure network of {n_arcs} arcs and {n_nodes} rectangles and atoms exceeds "
-            f"{_MAX_ARCS} arcs or about {_MAX_BYTES / 1e9:.1f} GB")
-    first, required = atoms._arcs
-    nr, nc = first.size, atoms.n_cells
-    total_w = float(atoms.rect_weights.sum())
-    # nodes: source 0, rectangles 1..nr, cells nr+1..nr+nc, sink nr+nc+1;
-    # arcs: every source -> rect, then every rect -> cell, then every cell -> sink
-    rect_nodes, cell_nodes = np.arange(1, 1 + nr), np.arange(1 + nr, 1 + nr + nc)
-    net = _FlowNetwork(
-        2 + nr + nc,
-        np.concatenate((np.zeros(nr, dtype=np.int64),
-                        np.repeat(rect_nodes, np.diff(first, append=required.size)), cell_nodes)),
-        np.concatenate((rect_nodes, 1 + nr + required, np.full(nc, 1 + nr + nc))),
-    )
+    s = _structure(inst, active)
+    weights = inst.rect_weights[active]
+    ratio = partial(_ratio, s.cell_areas, s.first, s.cells, weights)
+    nr, nc, n_req = s.first.size, s.cell_areas.size, s.cells.size
+    total_w = float(weights.sum())
     # cutting every source arc costs total_w, so no min cut uses a rect -> cell arc
-    base_cap = [0.0] * (2 * (nr + required.size + nc))
-    base_cap[0:2 * nr:2] = atoms.rect_weights.tolist()
-    base_cap[2 * nr:-2 * nc:2] = [2.0 * total_w] * required.size
+    base_cap = [0.0] * (2 * (nr + n_req + nc))
+    base_cap[0:2 * nr:2] = weights.tolist()
+    base_cap[2 * nr:-2 * nc:2] = [2.0 * total_w] * n_req
     eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
-    best_mask = _best_box(atoms)
-    lam = atoms.ratio(best_mask)
+    # Dinkelbach starts at the best box, a feasible set, so at or below the optimum
+    grid = np.bincount(s.box, weights, s.box_area.size).reshape(s.box_area.shape)
+    for axis, m in enumerate(s.inside):  # contained weight of every box, one axis at a time
+        grid = np.moveaxis(np.moveaxis(grid, axis, -1) @ m, -1, axis)
+    best = np.unravel_index(np.argmax(grid / s.box_area), s.box_area.shape)
+    best_mask = reduce(np.logical_and.outer, [side[u] for side, u in zip(s.sides, best)]).ravel()
+    lam = ratio(best_mask)
+    net = _FlowNetwork(s.order, s.ends, s.to)
     for _ in range(_MAX_ROUNDS):
         # only the last arcs, cell -> sink, depend on lam; the cut's source side is closed
         net.cap = list(base_cap)
-        net.cap[-2 * nc::2] = (lam * atoms.cell_areas).tolist()
+        net.cap[-2 * nc::2] = (lam * s.cell_areas).tolist()
         flow, level = net.max_flow(0, net.n - 1, eps)
         if total_w - flow <= _REL_TOL * total_w:
             # lam is optimal; the cells that cannot reach the sink in the residual
             # graph (a BFS from the sink over reversed arcs) form the largest optimal set
             net.cap[0::2], net.cap[1::2] = net.cap[1::2], net.cap[0::2]
-            best_mask |= np.array(net._bfs(net.n - 1, 0, eps)[-1 - nc:-1]) < 0
-            lam = atoms.ratio(best_mask)
+            best_mask = best_mask | (np.array(net._bfs(net.n - 1, 0, eps)[-1 - nc:-1]) < 0)
+            lam = ratio(best_mask)
             break
         mask = np.array(level[-1 - nc:-1]) >= 0
-        new_lam = atoms.ratio(mask) if mask.any() else 0.0
+        new_lam = ratio(mask) if mask.any() else 0.0
         if new_lam <= lam * (1.0 + _REL_TOL):
             lam, best_mask = max(lam, new_lam), (mask if new_lam > lam else best_mask)
             break
         lam, best_mask = new_lam, mask
     else:
         raise NonConvergenceError("ratio iteration failed to settle", last_estimate=lam)
-    return float(lam), best_mask.reshape(atoms.shape)[np.ix_(*atom_of)].ravel()
+    return float(lam), best_mask.reshape(s.shape)[s.ix].ravel()
 
 
 def best_ratio_bruteforce(inst: ClosureInstance) -> float:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import indicator_values_1d, random_grid, random_hh_spectrum
-from prodbmo import closure, norms
+from prodbmo import closure, hilbert, norms
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
@@ -148,6 +149,114 @@ def test_closure_ratio_matches_per_rectangle_loop():
                 if w != 0.0 and mask[cells].all():
                     total += w
             assert inst.ratio(mask) == total / areas.ravel()[mask].sum()
+
+
+def test_max_flow_is_exact_on_fraction_capacities():
+    """The flow total starts at an exact 0, so exact capacities give an exact
+    max flow: s -> a 1/2, s -> b 1/3, a -> b 1/7, a -> t 1/5, b -> t 2/3,
+    whose min cut {s, a} costs 1/3 + 1/7 + 1/5 = 71/105."""
+    caps = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(2, 3)]
+    # arcs 0 s->a, 2 s->b, 4 a->b, 6 a->t, 8 b->t and each odd arc the reverse
+    net = _FlowNetwork(np.array([0, 2, 1, 4, 6, 3, 5, 8, 7, 9]), np.array([2, 5, 8, 10]),
+                       np.array([1, 0, 2, 0, 2, 1, 3, 1, 3, 2]))
+    net.cap = [c for cap in caps for c in (cap, Fraction(0))]
+    flow, level = net.max_flow(0, 3, 0)
+    assert type(flow) is Fraction and flow == Fraction(71, 105)
+    assert [v >= 0 for v in level] == [True, True, False, False]
+
+
+def _solved_cold(instances):
+    """best_ratio of each instance, each on an empty structure cache."""
+    out = []
+    for inst in instances:
+        closure._STRUCTURES.clear()
+        out.append(best_ratio(inst))
+    closure._STRUCTURES.clear()
+    return out
+
+
+def _assert_same_solves(instances, expected):
+    for inst, (value, mask) in zip(instances, expected):
+        got, got_mask = best_ratio(inst)
+        assert got == value
+        assert (got_mask is None and mask is None) or np.array_equal(got_mask, mask)
+
+
+def test_structure_cache_is_transparent(monkeypatch):
+    """Solved cold and then warm, every value and mask is ==: Gaussian and
+    30%-sparse symbols at depths 2-5 with their LMO tail and dyadic-rectangle
+    crops, random instances on 1-3 axes, and one sampled product block."""
+    rng = np.random.default_rng(2101)
+    instances = []
+    for depth in [(2, 2), (2, 3), (3, 3), (4, 2), (4, 4), (5, 3), (5, 5)]:
+        for keep in (1.0, 0.3):
+            coeffs = random_hh_spectrum(depth, rng).coeffs
+            inst = norms.grid_closure_instance(
+                HaarSpectrum2D(depth, coeffs * (rng.random(coeffs.shape) < keep)))
+            n1, n2 = inst.shape
+            instances += [inst, norms._crop(inst, tail=(1, 1))[0],
+                          norms._crop(inst, [(0, n1 // 2), (n2 // 2, n2)])[0]]
+    for shape in [(7,), (3, 4), (2, 3, 2)]:
+        ranges = []
+        for n in shape:
+            lo = rng.integers(0, n, size=9)
+            ranges.append(np.column_stack((lo, rng.integers(lo + 1, n + 1))))
+        instances.append(ClosureInstance(tuple(rng.random(n) + 0.1 for n in shape),
+                                         tuple(ranges), rng.random(9) * (rng.random(9) < 0.7)))
+    recorded = []
+    monkeypatch.setattr(hilbert, "best_ratio", lambda inst: recorded.append(inst) or (0.0, None))
+    hilbert.product_grid_bmo_sq(random_grid((3, 3), rng), hilbert.sample_grid(3, 2, 5),
+                                hilbert.sample_grid(4, 2, 5))
+    assert len(recorded) == 1
+    instances += recorded
+    cold = _solved_cold(instances)
+    _assert_same_solves(instances, cold)  # fills the cache
+    held = dict(closure._STRUCTURES)
+    _assert_same_solves(instances, cold)
+    assert len(held) > 40 and closure._STRUCTURES.keys() == held.keys()
+    assert all(closure._STRUCTURES[key] is s for key, s in held.items())
+
+
+def test_structure_cache_reads_the_weights_of_each_solve():
+    """Instances on one grid and one set of rectangles, with other weights
+    and other zero patterns (so other active sets, some of one size), solved
+    in sequence, equal their cold answers."""
+    rng = np.random.default_rng(2102)
+    base = norms.grid_closure_instance(random_hh_spectrum((3, 3), rng))
+    n = base.rect_weights.size
+    weights = [rng.standard_normal(n) ** 2 * (rng.random(n) < keep)
+               for keep in [1.0, 0.5, 1.0, 0.2, 0.0, 0.7]]
+    weights += [weights[1][::-1], 3.0 * weights[1], np.roll(weights[3], 1), weights[0][::-1]]
+    instances = [ClosureInstance(base.widths, base.ranges, w) for w in weights]
+    _assert_same_solves(instances, _solved_cold(instances))
+
+
+def test_cached_structures_are_read_only():
+    closure._STRUCTURES.clear()
+    bmo_d_norm_sq(random_hh_spectrum((3, 3), np.random.default_rng(2103)))
+    (structure,) = closure._STRUCTURES.values()
+    arrays = [a for v in vars(structure).values()
+              for a in (v if isinstance(v, (list, tuple)) else (v,)) if isinstance(a, np.ndarray)]
+    assert len(arrays) > 15
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_structure_cache_holds_at_most_the_arc_cap(monkeypatch):
+    """The cache drops its least recently used geometries to hold at most
+    _MAX_ARCS flow-network arcs (two entries of `to` per arc)."""
+    monkeypatch.setattr(closure, "_MAX_ARCS", 2000)
+    closure._STRUCTURES.clear()
+    rng = np.random.default_rng(2104)
+    for _ in range(20):
+        coeffs = random_hh_spectrum((3, 3), rng).coeffs
+        phi = HaarSpectrum2D((3, 3), coeffs * (rng.random(coeffs.shape) < 0.5))
+        bmo_d_norm_sq(phi)
+        held = sum(s.to.size // 2 for s in closure._STRUCTURES.values())
+        assert held == closure._STRUCTURES.arcs <= 2000
+    assert 1 < len(closure._STRUCTURES) < 20
+    closure._STRUCTURES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -805,26 +914,40 @@ def test_closure_returns_the_largest_optimal_set(depth):
 def test_best_ratio_refuses_more_arcs_than_the_cap(monkeypatch):
     """The rect -> cell arcs are counted on the atoms before the network is
     built: a dense (4,4) symbol solves on 8 x 8 atoms with 32 x 32 = 1,024
-    arcs, refused under a cap of 1,000 and solved under one of 1,024.  The
-    default cap solves the (9,9) staircase (test_bmo_of_staircase)."""
+    arcs, refused under a cap of 1,000, also once its geometry is cached, and
+    solved under one of 1,024.  The default cap solves the (9,9) staircase
+    (test_bmo_of_staircase)."""
     phi = random_hh_spectrum((4, 4), np.random.default_rng(71))
+    closure._STRUCTURES.clear()
     monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
     with pytest.raises(ValidationError, match="1024 arcs"):
         bmo_d_norm_sq(phi)
     monkeypatch.setattr(closure, "_MAX_ARCS", 1024)
     assert bmo_d_norm_sq(phi)[0] > 0.0
+    monkeypatch.undo()
+    bmo_d_norm_sq(phi)
+    assert [s.n_arcs for s in closure._STRUCTURES.values()] == [1024]
+    monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
+    with pytest.raises(ValidationError, match="1024 arcs"):
+        bmo_d_norm_sq(phi)
 
 
 def test_best_ratio_refuses_a_network_above_its_memory_estimate(monkeypatch):
     """A network is also refused by its memory estimate, 225 bytes per arc
     plus 475 per rectangle or atom, before it is built: the dense (4,4)
-    symbol's 1,024 arcs, 225 rectangles and 64 atoms come to 367,675 bytes."""
+    symbol's 1,024 arcs, 225 rectangles and 64 atoms come to 367,675 bytes.
+    The refusal holds once the geometry is cached too."""
     phi = random_hh_spectrum((4, 4), np.random.default_rng(71))
+    closure._STRUCTURES.clear()
     monkeypatch.setattr(closure, "_MAX_BYTES", 367_674)
     with pytest.raises(ValidationError, match="1024 arcs and 289 rectangles and atoms"):
         bmo_d_norm_sq(phi)
     monkeypatch.setattr(closure, "_MAX_BYTES", 367_675)
     assert bmo_d_norm_sq(phi)[0] > 0.0
+    assert [s.n_arcs for s in closure._STRUCTURES.values()] == [1024]
+    monkeypatch.setattr(closure, "_MAX_BYTES", 367_674)
+    with pytest.raises(ValidationError, match="1024 arcs and 289 rectangles and atoms"):
+        bmo_d_norm_sq(phi)
 
 
 def test_local_growth_report_zero_function():
