@@ -43,13 +43,16 @@ _MAX_BYTES = 2.2e9
 class _FlowNetwork:
     """Dinic max-flow on real capacities ``cap``, set before each solve, over
     fixed arcs read from arrays into lists: arc e runs into to[e], arc e ^ 1
-    is its reverse, and node u leaves by arcs order[ends[u - 1]:ends[u]]."""
+    is its reverse, and node u leaves by arcs order[ends[u - 1]:ends[u]].
+    ``phases`` and ``paths`` count the blocking-flow phases and augmenting
+    paths of every max_flow call on the network."""
 
     def __init__(self, order, ends, to):
         order, ends = order.tolist(), ends.tolist()
         self.n = len(ends)
         self.head = [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
         self.to = to.tolist()
+        self.phases = self.paths = 0
 
     def max_flow(self, s, t, eps):
         """(flow, levels of the last BFS): level >= 0 marks the min cut's source side."""
@@ -58,57 +61,60 @@ class _FlowNetwork:
             level = self._bfs(s, t, eps)
             if level[t] < 0:
                 return flow, level
+            self.phases += 1
             it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, float("inf"), level, it, eps)
-                if pushed <= 0.0:
-                    break
+            while (pushed := self._dfs(s, t, level, it, eps)) > 0.0:
                 flow += pushed
+                self.paths += 1
 
     def _bfs(self, s, t, eps):
+        """Levels from s over arcs of cap > eps; stops once t is labelled, as
+        no node past t's level lies on a shortest path (t = -1 runs in full)."""
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for e in self.head[u]:
-                v = self.to[e]
-                if level[v] < 0 and self.cap[e] > eps:
-                    level[v] = level[u] + 1
+        for u in queue:  # the list grows while it is walked
+            next_level = level[u] + 1
+            for e in head[u]:
+                v = to[e]
+                if level[v] < 0 and cap[e] > eps:
+                    level[v] = next_level
+                    if v == t:
+                        return level
                     queue.append(v)
         return level
 
-    def _dfs(self, s, t, limit, level, it, eps):
+    def _dfs(self, s, t, level, it, eps):
         # iterative walk: extend a path along admissible edges, push on arrival
+        head, to, cap = self.head, self.to, self.cap
         path = []
         u = s
-        while True:
-            if u == t:
-                pushed = limit
-                for e in path:
-                    pushed = min(pushed, self.cap[e])
-                for e in path:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                return pushed
-            advanced = False
-            while it[u] < len(self.head[u]):
-                e = self.head[u][it[u]]
-                v = self.to[e]
-                if self.cap[e] > eps and level[v] == level[u] + 1:
-                    path.append(e)
-                    u = v
-                    advanced = True
+        while u != t:
+            arcs, i, next_level = head[u], it[u], level[u] + 1
+            n = len(arcs)
+            while i < n:
+                e = arcs[i]
+                if level[to[e]] == next_level and cap[e] > eps:
                     break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    return 0.0
+                i += 1
+            it[u] = i
+            if i < n:
+                path.append(e)
+                u = to[e]
+            elif u == s:
+                return 0.0
+            else:
                 level[u] = -1  # dead end, prune
-                e = path.pop()
-                u = self.to[e ^ 1]  # tail of the edge we arrived through
+                u = to[path.pop() ^ 1]  # tail of the edge we arrived through
+        pushed = float("inf")
+        for e in path:
+            if cap[e] < pushed:
+                pushed = cap[e]
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        return pushed
 
 
 def _arc_cells(ranges, shape):
@@ -290,8 +296,10 @@ def best_ratio(inst: ClosureInstance):
     eps = 2e-15 * total_w  # 1e-15 of the rect -> cell capacity
     # Dinkelbach starts at the best box, a feasible set, so at or below the optimum
     grid = np.bincount(s.box, weights, s.box_area.size).reshape(s.box_area.shape)
-    for axis, m in enumerate(s.inside):  # contained weight of every box, one axis at a time
-        grid = np.moveaxis(np.moveaxis(grid, axis, -1) @ m, -1, axis)
+    nd = grid.ndim  # contained weight of every box, one axis at a time, moved last and back
+    for axis, m in enumerate(s.inside):
+        grid = (grid.transpose([*range(axis), *range(axis + 1, nd), axis]) @ m).transpose(
+            [*range(axis), nd - 1, *range(axis, nd - 1)])
     best = np.unravel_index(np.argmax(grid / s.box_area), s.box_area.shape)
     best_mask = reduce(np.logical_and.outer, [side[u] for side, u in zip(s.sides, best)]).ravel()
     lam = ratio(best_mask)
@@ -305,8 +313,9 @@ def best_ratio(inst: ClosureInstance):
             # lam is optimal; the cells that cannot reach the sink in the residual
             # graph (a BFS from the sink over reversed arcs) form the largest optimal set
             net.cap[0::2], net.cap[1::2] = net.cap[1::2], net.cap[0::2]
-            best_mask = best_mask | (np.array(net._bfs(net.n - 1, 0, eps)[-1 - nc:-1]) < 0)
-            lam = ratio(best_mask)
+            union = best_mask | (np.array(net._bfs(net.n - 1, -1, eps)[-1 - nc:-1]) < 0)
+            if not np.array_equal(union, best_mask):  # else lam is already ratio(best_mask)
+                lam, best_mask = ratio(union), union
             break
         mask = np.array(level[-1 - nc:-1]) >= 0
         new_lam = ratio(mask) if mask.any() else 0.0

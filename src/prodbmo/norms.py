@@ -43,13 +43,23 @@ LN2 = math.log(2.0)
 # closure instances from spectra
 # ---------------------------------------------------------------------------
 
-def grid_closure_instance(phi: HaarSpectrum2D):
-    """Cells and weighted rectangles of the hh block, in the enumeration order."""
-    n1, n2 = phi.coeffs.shape
-    rows, cols = (b[n1 + n2 - 1:] for b in _basis_order(phi.depth))
-    return ClosureInstance((np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2)),
-                           (_interval_cells(n1)[rows], _interval_cells(n2)[cols]),
-                           np.square(phi.coeffs[rows, cols]))
+def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
+    """Cells and weighted rectangles of the hh block, in the enumeration order;
+    restricted to a dyadic rectangle, only the rectangles inside it, on its cells.
+
+    Those are the enumeration at the rectangle's depth below the grid: on a side
+    of basis index B, basis index b at level j below it is b + (B - 1) * 2^j.
+    """
+    shape = phi.coeffs.shape
+    cells = _dyadic_cells(restrict_to, phi.depth) if restrict_to else [(0, n) for n in shape]
+    sub = [hi - lo for lo, hi in cells]
+    rows, cols = (b[sub[0] + sub[1] - 1:] for b in
+                  _basis_order(tuple(m.bit_length() - 1 for m in sub)))
+    b1, b2 = (b + (((n + lo) // m - 1) << level_of_basis_index(m)[b]) if m < n else b
+              for b, (lo, _), m, n in zip((rows, cols), cells, sub, shape))  # B = (n + lo) / m
+    return ClosureInstance(tuple(np.full(m, 1.0 / n) for m, n in zip(sub, shape)),
+                           (_interval_cells(sub[0])[rows], _interval_cells(sub[1])[cols]),
+                           np.square(phi.coeffs[b1, b2]))
 
 
 def _crop(inst: ClosureInstance, cells=None, tail=(0, 0)):
@@ -81,12 +91,12 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     that of the symbol's weighted rectangles inside it, with the cell areas
     of the full grid.
     """
-    inst = grid_closure_instance(phi)
-    sub, cells = _crop(inst, restrict_to and _dyadic_cells(restrict_to, phi.depth))
-    value, local_mask = best_ratio(sub)
-    grid_mask = np.zeros(inst.shape, dtype=bool)
+    inst = grid_closure_instance(phi, restrict_to)
+    value, local_mask = best_ratio(inst)
+    grid_mask = np.zeros(phi.coeffs.shape, dtype=bool)
     if local_mask is not None:
-        grid_mask[cells] = local_mask.reshape(sub.shape)
+        cells = _dyadic_cells(restrict_to, phi.depth) if restrict_to else [(0, None)] * 2
+        grid_mask[tuple(slice(*c) for c in cells)] = local_mask.reshape(inst.shape)
     return value, grid_mask
 
 

@@ -182,3 +182,82 @@ def reference_bilinear(phi, phi_kind, f, f_kind, beta):
     shape = np.broadcast_shapes(phi.coeffs.shape, f.values.shape)
     return reference_generation_sum(shape, reference_factor_blocks(phi, phi_kind),
                                     reference_factor_blocks(f, f_kind), beta)
+
+
+# ---------------------------------------------------------------------------
+# reference max-flow kernel: the closure solver's earlier Dinic loops
+# ---------------------------------------------------------------------------
+
+class ReferenceFlowNetwork:
+    """The closure solver's Dinic loops as they were before their rewrite for
+    speed, unchanged but for the phase and path counters: every BFS runs in
+    full and every bottleneck is taken by ``min``.  Same constructor and
+    ``cap`` contract as ``prodbmo.closure._FlowNetwork``."""
+
+    def __init__(self, order, ends, to):
+        order, ends = order.tolist(), ends.tolist()
+        self.n = len(ends)
+        self.head = [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        self.to = to.tolist()
+        self.phases = self.paths = 0
+
+    def max_flow(self, s, t, eps):
+        """(flow, levels of the last BFS): level >= 0 marks the min cut's source side."""
+        flow = 0  # exact on exact capacities such as Fraction
+        while True:
+            level = self._bfs(s, t, eps)
+            if level[t] < 0:
+                return flow, level
+            self.phases += 1
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, float("inf"), level, it, eps)
+                if pushed <= 0.0:
+                    break
+                flow += pushed
+                self.paths += 1
+
+    def _bfs(self, s, t, eps):
+        level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for e in self.head[u]:
+                v = self.to[e]
+                if level[v] < 0 and self.cap[e] > eps:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def _dfs(self, s, t, limit, level, it, eps):
+        # iterative walk: extend a path along admissible edges, push on arrival
+        path = []
+        u = s
+        while True:
+            if u == t:
+                pushed = limit
+                for e in path:
+                    pushed = min(pushed, self.cap[e])
+                for e in path:
+                    self.cap[e] -= pushed
+                    self.cap[e ^ 1] += pushed
+                return pushed
+            advanced = False
+            while it[u] < len(self.head[u]):
+                e = self.head[u][it[u]]
+                v = self.to[e]
+                if self.cap[e] > eps and level[v] == level[u] + 1:
+                    path.append(e)
+                    u = v
+                    advanced = True
+                    break
+                it[u] += 1
+            if not advanced:
+                if u == s:
+                    return 0.0
+                level[u] = -1  # dead end, prune
+                e = path.pop()
+                u = self.to[e ^ 1]  # tail of the edge we arrived through

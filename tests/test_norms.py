@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import indicator_values_1d, random_grid, random_hh_spectrum
+from helpers import ReferenceFlowNetwork, indicator_values_1d, random_grid, random_hh_spectrum
 from prodbmo import closure, hilbert, norms
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
@@ -19,6 +19,7 @@ from prodbmo.core import (
     GridFunction2D,
     HaarSpectrum2D,
     ProjectionSelector,
+    _dyadic_cells,
     apply_projection,
     haar_forward_2d,
     square_function,
@@ -163,6 +164,101 @@ def test_max_flow_is_exact_on_fraction_capacities():
     flow, level = net.max_flow(0, 3, 0)
     assert type(flow) is Fraction and flow == Fraction(71, 105)
     assert [v >= 0 for v in level] == [True, True, False, False]
+
+
+def _kernel_sweep():
+    """Closure instances on which the flow kernel is compared with the
+    reference: Gaussian, 30%-sparse, integer-tied and staircase symbols at
+    depths 2-6, each whole, tail-cropped and cropped to a dyadic rectangle,
+    and one random 3-axis instance."""
+    rng = np.random.default_rng(2201)
+    instances = []
+    for depth in [(2, 2), (3, 2), (2, 4), (3, 3), (4, 4), (5, 3), (6, 6)]:
+        gauss = random_hh_spectrum(depth, rng).coeffs
+        stair = haar_forward_2d(extremal_bmo_function(
+            DyadicRect.from_levels(depth[0], 1, depth[1], 2), depth)).hh_only().coeffs
+        symbols = [stair, gauss] if depth == (6, 6) else [
+            stair, gauss, gauss * (rng.random(gauss.shape) < 0.3), np.rint(2.0 * gauss)]
+        for coeffs in symbols:
+            inst = norms.grid_closure_instance(HaarSpectrum2D(depth, coeffs))
+            n1, n2 = inst.shape
+            instances += [inst, norms._crop(inst, tail=(1, 1))[0],
+                          norms._crop(inst, [(0, n1 // 2), (n2 // 2, n2)])[0]]
+    ranges = []
+    for n in (3, 4, 3):
+        lo = rng.integers(0, n, size=12)
+        ranges.append(np.column_stack((lo, rng.integers(lo + 1, n + 1))))
+    instances.append(ClosureInstance(tuple(rng.random(n) + 0.1 for n in (3, 4, 3)),
+                                     tuple(ranges), rng.random(12) * (rng.random(12) < 0.8)))
+    return instances
+
+
+def _same_max_flow(net, reference, s, t, eps):
+    """net's max flow, after the reference kernel, run from the same
+    capacities, gave the same flow, last-BFS levels, residual capacities
+    and phase and path counts."""
+    reference.cap = list(net.cap)
+    flow, level = _FlowNetwork.max_flow(net, s, t, eps)
+    ref_flow, ref_level = reference.max_flow(s, t, eps)
+    assert type(flow) is type(ref_flow) and flow == ref_flow and level == ref_level
+    assert net.cap == reference.cap
+    assert (net.phases, net.paths) == (reference.phases, reference.paths)
+    return flow, level
+
+
+class _CheckedFlowNetwork(_FlowNetwork):
+    """The package kernel, each max flow checked against the reference."""
+
+    solves = []
+
+    def __init__(self, order, ends, to):
+        super().__init__(order, ends, to)
+        self.reference = ReferenceFlowNetwork(order, ends, to)
+
+    def max_flow(self, s, t, eps):
+        self.solves.append(self)
+        return _same_max_flow(self, self.reference, s, t, eps)
+
+
+def test_flow_kernel_matches_the_reference_kernel(monkeypatch):
+    """The Dinic loops, rewritten for speed, push the same paths as the
+    reference loops in tests/helpers.py: on every max flow of a seeded sweep
+    the flow, the last BFS's levels, the residual capacities and the phase
+    and path counts are equal, and best_ratio's values and masks are ==."""
+    instances = _kernel_sweep()
+    monkeypatch.setattr(closure, "_FlowNetwork", ReferenceFlowNetwork)
+    expected = _solved_cold(instances)
+    monkeypatch.setattr(closure, "_FlowNetwork", _CheckedFlowNetwork)
+    monkeypatch.setattr(_CheckedFlowNetwork, "solves", [])
+    _assert_same_solves(instances, expected)
+    nets = _CheckedFlowNetwork.solves
+    assert len(nets) > 70 and sum(net.phases > 1 for net in nets) > 40
+    assert sum(net.paths for net in nets) > 10_000
+
+
+def test_flow_kernel_matches_the_reference_on_fraction_capacities():
+    """Exact capacities take the same paths through both kernels: the
+    hand-sized network of the exact max-flow test and a (3,3) grid network
+    whose weights, rect -> cell capacities and lam are Fractions."""
+    arcs = (np.array([0, 2, 1, 4, 6, 3, 5, 8, 7, 9]), np.array([2, 5, 8, 10]),
+            np.array([1, 0, 2, 0, 2, 1, 3, 1, 3, 2]))
+    net = _FlowNetwork(*arcs)
+    caps = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(2, 3)]
+    net.cap = [c for cap in caps for c in (cap, Fraction(0))]
+    assert _same_max_flow(net, ReferenceFlowNetwork(*arcs), 0, 3, 0)[0] == Fraction(71, 105)
+    inst = norms.grid_closure_instance(random_hh_spectrum((3, 3), np.random.default_rng(2202)))
+    active = np.flatnonzero(inst.rect_weights > 0.0)
+    s = closure._structure(inst, active)
+    weights = [Fraction(w) for w in inst.rect_weights[active]]
+    nr, nc, n_req = s.first.size, s.cell_areas.size, s.cells.size
+    lam = Fraction(best_ratio(inst)[0]) * Fraction(9, 10)
+    net = _FlowNetwork(s.order, s.ends, s.to)
+    net.cap = [Fraction(0)] * (2 * (nr + n_req + nc))
+    net.cap[0:2 * nr:2] = weights
+    net.cap[2 * nr:-2 * nc:2] = [2 * sum(weights)] * n_req
+    net.cap[-2 * nc::2] = [lam * Fraction(a) for a in s.cell_areas]
+    flow, level = _same_max_flow(net, ReferenceFlowNetwork(s.order, s.ends, s.to), 0, net.n - 1, 0)
+    assert type(flow) is Fraction and 0 < flow < sum(weights) and net.paths > nr
 
 
 def _solved_cold(instances):
@@ -424,6 +520,27 @@ def test_restricted_norm_equals_norm_of_open_set_projection(depth):
                     apply_projection(phi, ProjectionSelector.open_set(_cells_of(r, depth))))
                 assert value == ref_value
                 assert np.array_equal(mask, ref_mask)
+
+
+def test_restricted_instance_equals_the_crop_of_the_full_instance():
+    """A restricted grid_closure_instance builds only the rectangles inside R,
+    yet its widths, ranges and weights are tobytes()-equal to the crop of the
+    full instance, in the same order, for every dyadic R at depths up to (3,4)."""
+    rng = np.random.default_rng(2203)
+    for depth in itertools.product(range(1, 4), range(1, 5)):
+        c = random_hh_spectrum(depth, rng).coeffs
+        phi = HaarSpectrum2D(depth, c * (rng.random(c.shape) < 0.7))
+        full = norms.grid_closure_instance(phi)
+        for l1, l2 in itertools.product(range(depth[0] + 1), range(depth[1] + 1)):
+            for i1, i2 in itertools.product(range(1 << l1), range(1 << l2)):
+                r = DyadicRect.from_levels(l1, i1, l2, i2)
+                got = norms.grid_closure_instance(phi, r)
+                want = norms._crop(full, _dyadic_cells(r, depth))[0]
+                for a, b in zip((*got.widths, *got.ranges, got.rect_weights),
+                                (*want.widths, *want.ranges, want.rect_weights)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    with pytest.raises(ValidationError, match="finer than the grid"):
+        norms.grid_closure_instance(phi, DyadicRect.from_levels(4, 0, 0, 0))
 
 
 def test_disjoint_supports_take_the_largest_norm():
