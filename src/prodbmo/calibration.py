@@ -67,8 +67,9 @@ CALIBRATED = {
     # ratios M(phi) / ||phi||_bmo at depth (2,2); observed [0.103, 0.524]
     "delta_bound_lo": 0.05,
     "delta_bound_hi": 0.80,
-    # shared constant of the iterated-commutator experiment at (2,2), (3,3);
-    # observed <= 1.332 across seeds
+    # shared constant of the iterated-commutator experiment at (2,2), (3,3), a bound
+    # over Gaussian draws (observed <= 1.332 across seeds), not a worst case: the
+    # witness phi = b = h_[0,1)^2 reads 2.0000000000000004, 1 ulp above, at depths 1-4
     "shift_commutator_bound": 2.00,
 }
 

@@ -11,6 +11,8 @@ from prodbmo.core import (
     block_means,
     haar_inverse_2d,
 )
+from prodbmo.paraproducts import nine_part_apply
+from prodbmo.shifts import AmbientEmbedding, shift_grid
 
 
 def random_spectrum(depth, rng):
@@ -261,3 +263,34 @@ class ReferenceFlowNetwork:
                 level[u] = -1  # dead end, prune
                 e = path.pop()
                 u = self.to[e ^ 1]  # tail of the edge we arrived through
+
+
+# ---------------------------------------------------------------------------
+# reference iterated shift commutator: eight separate grid shifts
+# ---------------------------------------------------------------------------
+
+def _s1(g):
+    return shift_grid(g, 1)
+
+
+def _s2(g):
+    return shift_grid(g, 2)
+
+
+def reference_double_commutator(m, x):
+    """[S1, [S2, m]] x as the shifts module evaluated it before its staged
+    form: ``double_commutator(_s1, _s2, m, x)``, each of the eight shifts a
+    full Haar analysis, coefficient move and synthesis of one grid."""
+    return _s1(_s2(m(x))) - _s1(m(_s2(x))) - _s2(m(_s1(x))) + m(_s2(_s1(x)))
+
+
+def reference_iterated_commutator_apply(phi, b):
+    """``shifts.iterated_commutator_apply`` by the eight-shift reference."""
+    emb = AmbientEmbedding.for_source(phi.depth)
+    return reference_double_commutator(emb.embed_grid(phi).multiply, emb.embed_grid(b))
+
+
+def reference_part_commutator_apply(tag, phi_ambient, b_ambient):
+    """``shifts.part_commutator_apply`` by the eight-shift reference."""
+    return reference_double_commutator(
+        lambda g: nine_part_apply(tag, phi_ambient, g), b_ambient)

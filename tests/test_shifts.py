@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_inner, random_hh_grid, random_hh_spectrum
+from helpers import (
+    grid_inner,
+    haar_values_1d,
+    indicator_values_1d,
+    random_hh_grid,
+    random_hh_spectrum,
+    reference_double_commutator,
+    reference_iterated_commutator_apply,
+    reference_part_commutator_apply,
+)
+from prodbmo import shifts
+from prodbmo.calibration import CALIBRATED
 from prodbmo.core import (
     DyadicInterval,
     DyadicRect,
@@ -18,7 +29,7 @@ from prodbmo.core import (
 )
 from prodbmo.errors import InsufficientHeadroomError
 from prodbmo.linop import assemble, commutator, spectrum_to_vector, vector_to_spectrum
-from prodbmo.norms import bmo_d_norm_sq, lmo_d_norm
+from prodbmo.norms import bmo_d_norm_sq, bmo_norm_of_grid, lmo_d_norm
 from prodbmo.paraproducts import ALL_NINE_TAGS, nine_part_apply
 from prodbmo.shifts import (
     AmbientEmbedding,
@@ -208,6 +219,110 @@ def test_commutator_splits_over_nine_parts():
         total = total + part_commutator_apply(tag, phi_amb, b_amb)
     whole = iterated_commutator_apply(phi, b)
     assert np.abs(total.values - whole.values).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the staged evaluation against the eight-shift reference
+# ---------------------------------------------------------------------------
+
+def _symbol_grid(kind, depth, rng):
+    shape = (1 << depth[0], 1 << depth[1])
+    if kind == "gaussian":
+        return GridFunction2D(depth, rng.standard_normal(shape))
+    if kind == "sparse":  # 30% of the hh coefficients non-zero
+        c = random_hh_spectrum(depth, rng)
+        c.coeffs[rng.random(shape) >= 0.3] = 0.0
+        return haar_inverse_2d(c)
+    if kind == "integer":
+        return GridFunction2D(depth, rng.integers(-3, 4, shape).astype(float))
+    v = rng.standard_normal(shape)  # "negative_zero"
+    v[rng.random(shape) < 0.5] = -0.0
+    return GridFunction2D(depth, v)
+
+
+def _assert_same_bytes(got, want):
+    assert got.depth == want.depth
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sparse", "integer", "negative_zero"])
+@pytest.mark.parametrize("depth", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 4)])
+def test_staged_commutator_is_bit_identical_to_the_eight_shift_reference(depth, kind):
+    rng = np.random.default_rng([depth[0], depth[1], len(kind)])
+    emb = AmbientEmbedding.for_source(depth)
+    for _ in range(2):
+        phi, b = _symbol_grid(kind, depth, rng), _symbol_grid(kind, depth, rng)
+        if kind == "negative_zero":
+            assert np.signbit(phi.values[phi.values == 0]).any()
+        _assert_same_bytes(iterated_commutator_apply(phi, b),
+                           reference_iterated_commutator_apply(phi, b))
+        phi_amb, b_amb = haar_forward_2d(emb.embed_grid(phi)), emb.embed_grid(b)
+        for tag in ALL_NINE_TAGS:
+            _assert_same_bytes(part_commutator_apply(tag, phi_amb, b_amb),
+                               reference_part_commutator_apply(tag, phi_amb, b_amb))
+
+
+def _outer(s_vals, t_vals):
+    return GridFunction2D((3, 3), np.outer(s_vals, t_vals))
+
+
+_UNIT = DyadicInterval(0, 0)
+_FINE = DyadicInterval(2, 1)  # the deepest level of a depth-3 axis
+_ONES = np.ones(8)
+
+#: (symbol p, input x) on the unembedded depth-(3,3) grid.  For M the
+#: multiplication by p, each case named after a stage fails the headroom
+#: check of that one batched shift of the staged evaluation only: stage 1 shifts (M x, x) by S2
+#: and x by S1, stage 2 (S2 M x, M S2 x) by S1 and (M S1 x, S1 x) by S2.  The
+#: last case has one free level per axis, and no shift fails.
+_HEADROOM_CASES = {
+    "any (Gaussian)": lambda rng: (
+        GridFunction2D((3, 3), rng.standard_normal((8, 8))),
+        GridFunction2D((3, 3), rng.standard_normal((8, 8)))),
+    "stage 1 S2": lambda rng: (
+        GridFunction2D.constant((3, 3), 1.0), _outer(_ONES, haar_values_1d(_FINE, 8))),
+    "stage 1 S1": lambda rng: (
+        GridFunction2D.constant((3, 3), 1.0), _outer(haar_values_1d(_FINE, 8), _ONES)),
+    "stage 2 S1": lambda rng: (
+        _outer(haar_values_1d(_FINE, 8), _ONES),
+        _outer(haar_values_1d(_UNIT, 8), haar_values_1d(_UNIT, 8))),
+    "stage 2 S2": lambda rng: (
+        _outer(indicator_values_1d(DyadicInterval(1, 0), 8), haar_values_1d(_FINE, 8)),
+        _outer(1.0 + haar_values_1d(_UNIT, 8), haar_values_1d(_UNIT, 8))),
+    "none": lambda rng: tuple(
+        AmbientEmbedding((2, 2), (3, 3)).embed_grid(
+            GridFunction2D((2, 2), rng.standard_normal((4, 4))))
+        for _ in range(2)),
+}
+
+
+def _assert_same_outcome(staged, reference):
+    """Run both evaluations; both raise InsufficientHeadroomError or both
+    return the same bytes.  Returns whether the reference raised."""
+    def outcome(fn):
+        try:
+            return fn()
+        except InsufficientHeadroomError:
+            return None
+    want, got = outcome(reference), outcome(staged)
+    assert (got is None) == (want is None)
+    if want is not None:
+        _assert_same_bytes(got, want)
+    return want is None
+
+
+@pytest.mark.parametrize("case", list(_HEADROOM_CASES))
+def test_staged_commutator_checks_headroom_where_the_reference_does(case):
+    """Every shift of the staged evaluation keeps its headroom check: on an
+    unembedded grid it raises exactly when the eight-shift reference does."""
+    p, x = _HEADROOM_CASES[case](np.random.default_rng(17))
+    raised = _assert_same_outcome(lambda: shifts._grid_double_commutator(p.multiply, x),
+                                  lambda: reference_double_commutator(p.multiply, x))
+    assert raised == (case != "none")
+    p_spec = haar_forward_2d(p)
+    for tag in ALL_NINE_TAGS:
+        _assert_same_outcome(lambda: part_commutator_apply(tag, p_spec, x),
+                             lambda: reference_part_commutator_apply(tag, p_spec, x))
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +590,15 @@ def test_commutator_bmo_experiment_shared_constant():
             out = iterated_commutator_apply(phi, b)
             num = math.sqrt(bmo_d_norm_sq(haar_forward_2d(out))[0])
             assert num <= bound * denom
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_commutator_witness_reads_one_ulp_above_the_calibrated_constant(d):
+    """phi = b = h_[0,1)^2 at depth (d, d): the commutator bound ratio is
+    pinned to its double, 1 ulp above the calibrated 2.00, which is a
+    maximum over Gaussian draws and not a worst case."""
+    h = haar_inverse_2d(HaarSpectrum2D.zeros((d, d)).with_hh_coef(UNIT_SQUARE, 1.0))
+    out = iterated_commutator_apply(h, h)
+    ratio = bmo_norm_of_grid(out) / (lmo_d_norm(haar_forward_2d(h)) * bmo_norm_of_grid(h))
+    assert ratio == 2.0000000000000004
+    assert ratio == math.nextafter(CALIBRATED["shift_commutator_bound"], math.inf)
