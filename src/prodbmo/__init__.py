@@ -43,7 +43,6 @@ from .norms import (
     lmo_char_norm,
     lmo_d_norm,
     lmo_directional_norm,
-    local_growth_report,
 )
 from .shifts import (
     AmbientEmbedding,

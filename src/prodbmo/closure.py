@@ -31,12 +31,10 @@ from .errors import NonConvergenceError, ValidationError
 _MAX_ROUNDS = 1000
 #: relative improvement below which a Dinkelbach round settles the ratio
 _REL_TOL = 1e-13
-#: rect -> cell arcs above which best_ratio refuses a network; also bounds the cached arcs
-_MAX_ARCS = 1 << 23
-#: bytes a solve may hold, about 225 per arc plus 475 per rectangle or atom (measured
-#: with ru_maxrss); what the arc cap allows a dense symbol's network, which has few
-#: rectangles per arc: a tail network, with up to one rectangle and one atom per
-#: arc, would reach 5-10 GB under the arc cap alone
+#: bytes a solve may hold, estimated as 225 per rect -> cell arc plus 475 per
+#: rectangle or atom (measured with ru_maxrss); best_ratio refuses a network above
+#: it, and it bounds the summed estimates of the cached structures, which over-count
+#: their traced memory
 _MAX_BYTES = 2.2e9
 
 
@@ -201,13 +199,14 @@ class ClosureInstance:
 
 
 class _Structures(OrderedDict):
-    """Solve structures by geometry, least recently used first, and the arcs they hold."""
+    """Solve structures by geometry, least recently used first, and the sum of
+    their memory estimates."""
 
-    arcs = 0
+    bytes = 0
 
     def clear(self):
         super().clear()
-        self.arcs = 0
+        self.bytes = 0
 
 
 _STRUCTURES = _Structures()
@@ -233,10 +232,11 @@ def _structure(inst: ClosureInstance, active):
         s.shape = tuple(len(w) for w in s.widths)
         s.n_arcs = int(reduce(np.multiply, [r[:, 1] - r[:, 0] for r in s.ranges]).sum())
         s.n_nodes = active.size + int(np.prod(s.shape))
-    if s.n_arcs > _MAX_ARCS or 225 * s.n_arcs + 475 * s.n_nodes > _MAX_BYTES:
+        s.bytes = 225 * s.n_arcs + 475 * s.n_nodes
+    if s.bytes > _MAX_BYTES:
         raise ValidationError(
             f"closure network of {s.n_arcs} arcs and {s.n_nodes} rectangles and atoms exceeds "
-            f"{_MAX_ARCS} arcs or about {_MAX_BYTES / 1e9:.1f} GB")
+            f"about {_MAX_BYTES / 1e9:.1f} GB")
     if key in _STRUCTURES:
         _STRUCTURES.move_to_end(key)
         return s
@@ -270,9 +270,9 @@ def _structure(inst: ClosureInstance, active):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
     _STRUCTURES[key] = s
-    _STRUCTURES.arcs += s.to.size // 2
-    while _STRUCTURES.arcs > _MAX_ARCS:  # the flow-network arcs held
-        _STRUCTURES.arcs -= _STRUCTURES.popitem(last=False)[1].to.size // 2
+    _STRUCTURES.bytes += s.bytes
+    while _STRUCTURES.bytes > _MAX_BYTES:
+        _STRUCTURES.bytes -= _STRUCTURES.popitem(last=False)[1].bytes
     return s
 
 

@@ -34,7 +34,7 @@ from .core import (
     level_of_basis_index,
     square_function,
 )
-from .errors import DegenerateRectangleError, ValidationError
+from .errors import ValidationError
 
 LN2 = math.log(2.0)
 
@@ -294,15 +294,8 @@ def extremal_bmo_function(rect: DyadicRect, depth) -> GridFunction2D:
 
 
 # ---------------------------------------------------------------------------
-# local growth factors and report
+# 1-d dyadic BMO, the tensor-product tests' reference for the closure solver
 # ---------------------------------------------------------------------------
-
-def growth_s(length: float) -> float:
-    """s(I) = log(1/|I|) + 1 for |I| <= 1, else 1."""
-    if length <= 0:
-        raise DegenerateRectangleError("degenerate rectangle")
-    return math.log(1.0 / length) + 1.0 if length <= 1.0 else 1.0
-
 
 def dyadic_bmo_1d_sq(values: np.ndarray) -> float:
     """1-d dyadic BMO square of a cell-value array: max over dyadic
@@ -318,78 +311,3 @@ def dyadic_bmo_1d_sq(values: np.ndarray) -> float:
             acc += (c[(1 << j):(2 << j)] ** 2).reshape(1 << g, -1).sum(axis=1)
         best = max(best, float(acc.max()) * (1 << g))
     return best
-
-
-def _aligned_cell_range(lo: float, hi: float, n: int):
-    """Cell index range of [lo, hi) intersected with [0, 1); endpoints inside
-    the unit interval must be aligned with the cell grid."""
-    lo_c = min(max(lo, 0.0), 1.0)
-    hi_c = min(max(hi, 0.0), 1.0)
-    if hi_c <= lo_c:
-        return 0, 0
-    a = lo_c * n
-    b = hi_c * n
-    ia, ib = round(a), round(b)
-    if abs(a - ia) > 1e-9 or abs(b - ib) > 1e-9:
-        raise ValidationError("rectangle is not aligned with the fine grid")
-    return int(ia), int(ib)
-
-
-def local_growth_report(b: GridFunction2D, rectangles):
-    """Growth ratios of means and restrictions of b over (possibly
-    non-dyadic, grid-aligned) rectangles, each normalised by the growth
-    factor s(.) and the BMO norm of b.
-
-    Rectangles are ((s_lo, s_hi), (t_lo, t_hi)) in real coordinates; parts
-    outside the unit square are treated by zero extension.
-    """
-    n1, n2 = b.values.shape
-    cw1, cw2 = 1.0 / n1, 1.0 / n2
-    bmo_sq = bmo_d_norm_sq(haar_forward_2d(b))[0]
-    bnorm = math.sqrt(bmo_sq)
-    rows = []
-    for (s_lo, s_hi), (t_lo, t_hi) in rectangles:
-        if not (s_hi > s_lo and t_hi > t_lo):
-            raise DegenerateRectangleError("degenerate rectangle")
-        len_i = s_hi - s_lo
-        len_j = t_hi - t_lo
-        ia, ib = _aligned_cell_range(s_lo, s_hi, n1)
-        ja, jb = _aligned_cell_range(t_lo, t_hi, n2)
-        patch = b.values[ia:ib, ja:jb]
-
-        mean_r = patch.sum() * cw1 * cw2 / (len_i * len_j) if patch.size else 0.0
-
-        # m_I b as a function of t (zero extension in s)
-        mi = b.values[ia:ib, :].sum(axis=0) * cw1 / len_i
-        # m_J b as a function of s (zero extension in t)
-        mj = b.values[:, ja:jb].sum(axis=1) * cw2 / len_j
-
-        restr_l2 = float((patch ** 2).sum() * cw1 * cw2)
-
-        # || chi_I P_J b ||_2^2 with P_J b = chi_J(t) (b - m_J b(s))
-        inside = float(((patch - mj[ia:ib, None]) ** 2).sum() * cw1 * cw2)
-        outside_j = max(len_j - (jb - ja) * cw2, 0.0)
-        strip_proj = inside + outside_j * float((mj[ia:ib] ** 2).sum() * cw1)
-
-        strip_mean = float((mj[ia:ib] ** 2).sum() * cw1)
-
-        s_i, s_j = growth_s(len_i), growth_s(len_j)
-        if bnorm == 0.0:
-            r1 = r2 = r3 = r4 = r5 = 0.0
-        else:
-            r1 = abs(mean_r) / (s_i * s_j * bnorm)
-            r2 = math.sqrt(dyadic_bmo_1d_sq(mi)) / (s_i * bnorm)
-            r3 = restr_l2 / (s_i ** 2 * s_j ** 2 * len_i * len_j * bmo_sq)
-            r4 = strip_proj / (s_i ** 2 * len_i * len_j * bmo_sq)
-            r5 = strip_mean / (s_j ** 2 * s_i ** 2 * len_i * bmo_sq)
-        rows.append(
-            {
-                "rect": ((s_lo, s_hi), (t_lo, t_hi)),
-                "mean_ratio": r1,
-                "slice_bmo_ratio": r2,
-                "restriction_ratio": r3,
-                "strip_projection_ratio": r4,
-                "strip_mean_ratio": r5,
-            }
-        )
-    return rows

@@ -95,10 +95,11 @@ def test_bmo_exact_matches_worked_example(tmp_path, capsys):
     assert sorted(res["omega_cells"]) == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
-def test_bmo_above_the_arc_cap_exit_2(tmp_path, capsys, monkeypatch):
-    """A symbol whose closure network exceeds the arc cap is refused as a
-    validation error, before the network is built."""
-    monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
+def test_bmo_above_the_memory_estimate_exit_2(tmp_path, capsys, monkeypatch):
+    """A symbol whose closure network exceeds the memory estimate is refused
+    as a validation error, before the network is built: the dense (4,4)
+    network of 1,024 arcs is estimated at 367,675 bytes."""
+    monkeypatch.setattr(closure, "_MAX_BYTES", 367_674)
     src = tmp_path / "phi.json"
     values = np.random.default_rng(5).standard_normal((16, 16))
     save_function_file(str(src), (4, 4), values, kind="grid")
@@ -327,6 +328,12 @@ def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags
                  id="overflowing-depth"),
     pytest.param("bmo", json.dumps({"depth": [1, 1], "kind": "bogus", "values": [0.0] * 4}),
                  id="unknown-kind"),
+    pytest.param("bmo", '{"depth": [1, 1], "values": [NaN, 0, 0, 0]}', id="grid-nan"),
+    pytest.param("bmo", '{"depth": [1, 1], "values": [0, Infinity, 0, 0]}', id="grid-inf"),
+    pytest.param("bmo", '{"depth": [1, 1], "kind": "spectrum", "values": [NaN, 0, 0, 0]}',
+                 id="spectrum-nan"),
+    pytest.param("bmo", '{"depth": [1, 1], "kind": "spectrum", "values": [0, 0, 0, -Infinity]}',
+                 id="spectrum-inf"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, command, text):
     path = tmp_path / "in.json"

@@ -487,6 +487,38 @@ def test_averaged_commutator_report_smoke():
     assert control > 0.0
 
 
+def test_averaged_commutator_factorises_on_tensor_products():
+    """For phi = phi1 x phi2 and b = b1 x b2, each grid pair's commutator is
+    ([S1, M_phi1] b1) x ([S2, M_phi2] b2), so its squared L2 norm is the
+    product of the two one-axis ones, computed here on the same meshes."""
+    depth, n_grids, seed = 2, 4, 59
+    rng = np.random.default_rng(seed)
+    phi1, phi2, b1, b2 = rng.standard_normal((4, 1 << depth))
+    phi = GridFunction2D((depth, depth), np.outer(phi1, phi2))
+    b = GridFunction2D((depth, depth), np.outer(b1, b2))
+    rows, _, _ = averaged_commutator_bmo_report(phi, b, n_grids, seed)
+    unit = np.linspace(0.0, 1.0, (1 << depth) + 1)
+
+    def axis_l2(g, f, x):
+        """||[S, M_f] x||^2 on the mesh of g's system, f and x zero outside [0, 1)."""
+        axis_sys = _AxisSystem(g, depth + 2)
+        edges = _mesh_for_axis(axis_sys, unit)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        cell = np.clip((mids * (1 << depth)).astype(int), 0, (1 << depth) - 1)
+        inside = (mids >= 0.0) & (mids < 1.0)
+        fm, xm = np.where(inside, f[cell], 0.0), np.where(inside, x[cell], 0.0)
+        shift = _MeshShift(axis_sys, edges).apply_axis0
+        out = shift(fm * xm) - fm * shift(xm)
+        return float((out ** 2 * np.diff(edges)).sum())
+
+    drawn = hilbert._sampled_grids(seed, 2 * n_grids, 2, depth + 4)
+    assert len(rows) == n_grids
+    for row, g1, g2 in zip(rows, drawn[0::2], drawn[1::2]):
+        expected = axis_l2(g1, phi1, b1) * axis_l2(g2, phi2, b2)
+        assert expected > 0.0
+        assert row["grid_commutator_output_l2"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_seeded_sampled_outputs_are_pinned():
     """Pinned seeded outputs: a change in how the grids are drawn from the
     seed (stream per sample, draw order, pairing) moves them.  mc_hilbert

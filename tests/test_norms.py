@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from prodbmo.core import (
     haar_forward_2d,
     square_function,
 )
-from prodbmo.errors import DegenerateRectangleError, ValidationError
+from prodbmo.errors import ValidationError
 from prodbmo.norms import (
     _pruned_max,
     _rect_energies,
@@ -34,14 +35,12 @@ from prodbmo.norms import (
     bmo_rect_norm_sq,
     dyadic_bmo_1d_sq,
     extremal_bmo_function,
-    growth_s,
     h1_norm,
     lmo_beta_char_norm,
     lmo_char_details,
     lmo_char_norm,
     lmo_d_norm,
     lmo_directional_norm,
-    local_growth_report,
 )
 
 UNIT_SQUARE = DyadicRect.from_levels(0, 0, 0, 0)
@@ -339,19 +338,44 @@ def test_cached_structures_are_read_only():
             a[...] = 0
 
 
-def test_structure_cache_holds_at_most_the_arc_cap(monkeypatch):
-    """The cache drops its least recently used geometries to hold at most
-    _MAX_ARCS flow-network arcs (two entries of `to` per arc)."""
-    monkeypatch.setattr(closure, "_MAX_ARCS", 2000)
+def test_structure_cache_holds_at_most_the_byte_bound(monkeypatch):
+    """The cache drops its least recently used geometries to hold structures
+    whose memory estimates sum to at most _MAX_BYTES; the half-sparse (3,3)
+    structures here are estimated at 27-44 KB each."""
+    monkeypatch.setattr(closure, "_MAX_BYTES", 200_000)
     closure._STRUCTURES.clear()
     rng = np.random.default_rng(2104)
     for _ in range(20):
         coeffs = random_hh_spectrum((3, 3), rng).coeffs
         phi = HaarSpectrum2D((3, 3), coeffs * (rng.random(coeffs.shape) < 0.5))
         bmo_d_norm_sq(phi)
-        held = sum(s.to.size // 2 for s in closure._STRUCTURES.values())
-        assert held == closure._STRUCTURES.arcs <= 2000
+        held = sum(s.bytes for s in closure._STRUCTURES.values())
+        assert held == closure._STRUCTURES.bytes <= 200_000
     assert 1 < len(closure._STRUCTURES) < 20
+    closure._STRUCTURES.clear()
+
+
+def test_structure_cache_estimate_bounds_its_memory():
+    """The summed estimates of the cached structures are at least the memory
+    that caching them takes, traced from an empty cache over 200 distinct
+    30%-sparse (3,3) symbols and one dense (6,6) symbol."""
+    rng = np.random.default_rng(2105)
+    phis = []
+    for _ in range(200):
+        coeffs = random_hh_spectrum((3, 3), rng).coeffs
+        phis.append(HaarSpectrum2D((3, 3), coeffs * (rng.random(coeffs.shape) < 0.3)))
+    phis.append(random_hh_spectrum((6, 6), rng))
+    closure._STRUCTURES.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for phi in phis:
+            bmo_d_norm_sq(phi)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(closure._STRUCTURES) == len(phis)
+    assert closure._STRUCTURES.bytes >= grown > 0
     closure._STRUCTURES.clear()
 
 
@@ -901,18 +925,6 @@ def test_extremal_norm_uniformly_bounded_small_sweep():
     assert worst < 2.0
 
 
-def test_growth_factor_properties():
-    assert growth_s(1.0) == 1.0
-    assert growth_s(2.0) == 1.0
-    assert growth_s(0.25) == pytest.approx(math.log(4.0) + 1.0)
-    xs = np.linspace(0.01, 1.0, 50)
-    vals = [growth_s(x) for x in xs]
-    assert all(v >= 1.0 for v in vals)
-    assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
-    with pytest.raises(DegenerateRectangleError):
-        growth_s(0.0)
-
-
 def test_dyadic_bmo_1d():
     # one coarse coefficient: mass 1 on [0,1)
     h = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -1028,27 +1040,6 @@ def test_closure_returns_the_largest_optimal_set(depth):
     assert np.array_equal(swapped_mask, mask.T)
 
 
-def test_best_ratio_refuses_more_arcs_than_the_cap(monkeypatch):
-    """The rect -> cell arcs are counted on the atoms before the network is
-    built: a dense (4,4) symbol solves on 8 x 8 atoms with 32 x 32 = 1,024
-    arcs, refused under a cap of 1,000, also once its geometry is cached, and
-    solved under one of 1,024.  The default cap solves the (9,9) staircase
-    (test_bmo_of_staircase)."""
-    phi = random_hh_spectrum((4, 4), np.random.default_rng(71))
-    closure._STRUCTURES.clear()
-    monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
-    with pytest.raises(ValidationError, match="1024 arcs"):
-        bmo_d_norm_sq(phi)
-    monkeypatch.setattr(closure, "_MAX_ARCS", 1024)
-    assert bmo_d_norm_sq(phi)[0] > 0.0
-    monkeypatch.undo()
-    bmo_d_norm_sq(phi)
-    assert [s.n_arcs for s in closure._STRUCTURES.values()] == [1024]
-    monkeypatch.setattr(closure, "_MAX_ARCS", 1000)
-    with pytest.raises(ValidationError, match="1024 arcs"):
-        bmo_d_norm_sq(phi)
-
-
 def test_best_ratio_refuses_a_network_above_its_memory_estimate(monkeypatch):
     """A network is also refused by its memory estimate, 225 bytes per arc
     plus 475 per rectangle or atom, before it is built: the dense (4,4)
@@ -1065,38 +1056,6 @@ def test_best_ratio_refuses_a_network_above_its_memory_estimate(monkeypatch):
     monkeypatch.setattr(closure, "_MAX_BYTES", 367_674)
     with pytest.raises(ValidationError, match="1024 arcs and 289 rectangles and atoms"):
         bmo_d_norm_sq(phi)
-
-
-def test_local_growth_report_zero_function():
-    rows = local_growth_report(
-        GridFunction2D.zeros((2, 2)), [((0.0, 1.0), (0.0, 1.0))]
-    )
-    for key, v in rows[0].items():
-        if key != "rect":
-            assert v == 0.0
-
-
-def test_local_growth_zero_extension_halves_mean():
-    rng = np.random.default_rng(137)
-    b = GridFunction2D((2, 2), rng.standard_normal((4, 4)))
-    rows = local_growth_report(
-        b, [((0.0, 1.0), (0.0, 1.0)), ((0.0, 2.0), (0.0, 1.0))]
-    )
-    # s(2) = s(1) = 1, so the ratio halves exactly with the doubled length
-    assert rows[1]["mean_ratio"] == pytest.approx(rows[0]["mean_ratio"] / 2.0)
-
-
-def test_local_growth_degenerate_rectangle():
-    with pytest.raises(DegenerateRectangleError):
-        local_growth_report(GridFunction2D.zeros((2, 2)), [((0.5, 0.5), (0.0, 1.0))])
-
-
-def test_local_growth_extremal_bounded():
-    r = DyadicRect.from_levels(2, 0, 2, 0)
-    b = extremal_bmo_function(r, (3, 3))
-    rows = local_growth_report(b, [((0.0, 0.25), (0.0, 0.25))])
-    # the mean ratio on the defining rectangle stays below the sweep constant
-    assert 0.0 < rows[0]["mean_ratio"] < 8.0
 
 
 def _extremal_growth_sweep(depth):
