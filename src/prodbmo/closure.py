@@ -178,11 +178,6 @@ class ClosureInstance:
         return reduce(np.multiply.outer, self.widths).ravel()
 
     @cached_property
-    def arc_counts(self):
-        """Per rectangle, the number of cells it requires."""
-        return reduce(np.multiply, [r[:, 1] - r[:, 0] for r in self.ranges])
-
-    @cached_property
     def _arcs(self):
         return _arc_cells(self.ranges, self.shape)
 

@@ -12,7 +12,6 @@ the decay of the tail projections Q_j.  Natural logarithms throughout.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -43,9 +42,10 @@ LN2 = math.log(2.0)
 # closure instances from spectra
 # ---------------------------------------------------------------------------
 
-def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
+def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None, tail=(0, 0)):
     """Cells and weighted rectangles of the hh block, in the enumeration order;
-    restricted to a dyadic rectangle, only the rectangles inside it, on its cells.
+    restricted to a dyadic rectangle, only the rectangles inside it, on its cells;
+    and only those of generation >= tail, the levels counted inside the rectangle.
 
     Those are the enumeration at the rectangle's depth below the grid: on a side
     of basis index B, basis index b at level j below it is b + (B - 1) * 2^j.
@@ -55,32 +55,14 @@ def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     sub = [hi - lo for lo, hi in cells]
     rows, cols = (b[sub[0] + sub[1] - 1:] for b in
                   _basis_order(tuple(m.bit_length() - 1 for m in sub)))
+    keep = np.logical_and(*(level_of_basis_index(m)[b] >= j
+                            for b, m, j in zip((rows, cols), sub, tail)))
+    rows, cols = rows[keep], cols[keep]
     b1, b2 = (b + (((n + lo) // m - 1) << level_of_basis_index(m)[b]) if m < n else b
               for b, (lo, _), m, n in zip((rows, cols), cells, sub, shape))  # B = (n + lo) / m
     return ClosureInstance(tuple(np.full(m, 1.0 / n) for m, n in zip(sub, shape)),
                            (_interval_cells(sub[0])[rows], _interval_cells(sub[1])[cols]),
                            np.square(phi.coeffs[b1, b2]))
-
-
-def _crop(inst: ClosureInstance, cells=None, tail=(0, 0)):
-    """(instance, cells): the weighted rectangles of a grid instance that lie
-    inside the per-axis cell ranges (lo, hi) (the whole grid if None) and
-    have generation >= tail, on those cells, and the cells as slices.
-
-    Every cell keeps its area, so a ratio inside a dyadic rectangle is the
-    full grid's; inst itself when nothing is cut.  A range one cell thick
-    holds no weighted rectangle.
-    """
-    if cells is None and tail == (0, 0):
-        return inst, (slice(None), slice(None))
-    cells = cells or [(0, len(w)) for w in inst.widths]
-    keep = True
-    for (lo, hi), j, w, r in zip(cells, tail, inst.widths, inst.ranges):
-        keep = keep & (lo <= r[:, 0]) & (r[:, 1] <= hi) & (r[:, 1] - r[:, 0] <= len(w) >> j)
-    cells = tuple(slice(*c) for c in cells)
-    return ClosureInstance(tuple(w[c] for w, c in zip(inst.widths, cells)),
-                           tuple(r[keep] - c.start for r, c in zip(inst.ranges, cells)),
-                           inst.rect_weights[keep]), cells
 
 
 def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
@@ -102,8 +84,7 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
 
 def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None) -> float:
     """Exhaustive maximum over all non-empty cell subsets (oracle)."""
-    cells = restrict_to and _dyadic_cells(restrict_to, phi.depth)
-    return best_ratio_bruteforce(_crop(grid_closure_instance(phi), cells)[0])
+    return best_ratio_bruteforce(grid_closure_instance(phi, restrict_to))
 
 
 def _energy_levels(phi: HaarSpectrum2D):
@@ -115,12 +96,6 @@ def _energy_levels(phi: HaarSpectrum2D):
     for axis in (0, 1):
         energy = _subtree_reduce(energy, np.add, axis)
     return sq * 2.0 ** levels, energy, levels
-
-
-def _rect_energies(phi: HaarSpectrum2D):
-    """(E, U, levels) of :func:`_energy_levels` and :func:`_generation_bound`."""
-    ratio, energy, levels = _energy_levels(phi)
-    return energy, _generation_bound(ratio, phi.depth[1]), levels
 
 
 def _generation_bound(ratio, t_depth: int):
@@ -182,7 +157,6 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     they tile the square, and each holds the tail's rectangles inside it."""
     phi, e = _unit_scaled(phi)
     ratio, energy, _ = _energy_levels(phi)
-    inst = functools.cache(lambda: grid_closure_instance(phi))  # built at the first solve
     upper = _generation_bound(ratio, phi.depth[1])
     tails, bounds = [], []
     for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
@@ -192,8 +166,11 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
         tails.append((w, (j1, j2)))
         bounds.append((w * math.sqrt(lower), w * math.sqrt(upper[gen].max())))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
-        best_ratio(_crop(inst(), tail=tails[n][1])[0])[0]))
-    return math.ldexp(best, e)
+        best_ratio(grid_closure_instance(phi, tail=tails[n][1]))[0]))
+    try:
+        return math.ldexp(best, e)
+    except OverflowError:  # past float range, as the other norms
+        return math.inf
 
 
 def _pruned_max(bounds, value):
@@ -240,8 +217,8 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    energy, upper, levels = _rect_energies(phi)
-    inst = functools.cache(lambda: grid_closure_instance(phi))  # built at the first solve
+    ratio, energy, levels = _energy_levels(phi)
+    upper = _generation_bound(ratio, phi.depth[1])
     n1, n2 = energy.shape
     # per axis: the basis index of every interval, weighted (log(4 * 2^j))^2, or of the
     # unit interval alone, weighted 1; the candidates run with the s-axis outer
@@ -252,10 +229,13 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     w = np.multiply.outer(*weights).ravel()
     e = w * energy[s, t]
     bounds = np.column_stack((e * 2.0 ** levels[s, t], w * upper[s, t])).tolist()
+
+    def rect(n):
+        return DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
+                          DyadicInterval.from_basis_index(int(t[n])))
     best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
-        _crop(inst(), (_interval_cells(n1)[s[n]], _interval_cells(n2)[t[n]]))[0])[0])
-    return best, DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
-                            DyadicInterval.from_basis_index(int(t[n])))
+        grid_closure_instance(phi, rect(n)))[0])
+    return best, rect(n)
 
 
 def h1_norm(f: GridFunction2D) -> float:

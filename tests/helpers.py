@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from prodbmo.closure import ClosureInstance
 from prodbmo.core import (
     DyadicInterval,
     DyadicRect,
@@ -184,6 +185,19 @@ def reference_bilinear(phi, phi_kind, f, f_kind, beta):
     shape = np.broadcast_shapes(phi.coeffs.shape, f.values.shape)
     return reference_generation_sum(shape, reference_factor_blocks(phi, phi_kind),
                                     reference_factor_blocks(f, f_kind), beta)
+
+
+def reference_crop(inst, cells, tail):
+    """The weighted rectangles of a full grid instance that lie inside the
+    per-axis cell ranges (lo, hi) and have generation >= tail, counted inside
+    those ranges, on those cells, each cell keeping its area: the reference
+    for restricted and tail instances."""
+    keep = True
+    for (lo, hi), j, r in zip(cells, tail, inst.ranges):
+        keep = keep & (lo <= r[:, 0]) & (r[:, 1] <= hi) & (r[:, 1] - r[:, 0] <= (hi - lo) >> j)
+    return ClosureInstance(tuple(w[lo:hi] for w, (lo, hi) in zip(inst.widths, cells)),
+                           tuple(r[keep] - lo for r, (lo, _) in zip(inst.ranges, cells)),
+                           inst.rect_weights[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -135,24 +135,69 @@ def test_lmo_methods(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bmo", "--method", "exact"], ["bmo", "--method", "rect"], ["bmo", "--method", "brute"],
-    ["lmo", "--method", "char"],
+    ["lmo", "--method", "char"], ["lmo", "--method", "def"], ["lmo", "--method", "dir"],
 ])
 def test_overflowing_result_exit_3(tmp_path, capsys, argv):
-    """Squares of hh coefficients near 1e200 overflow float64: the command
-    fails as numerical instead of printing Infinity or NaN, which is not JSON,
-    and without a numpy RuntimeWarning ahead of its message."""
+    """Squares of hh coefficients near 1e200, and norms of coefficients at
+    1e308, overflow float64: the command fails as numerical instead of
+    printing Infinity or NaN, which is not JSON, and without a numpy
+    RuntimeWarning ahead of its message."""
     src, out = tmp_path / "phi.json", tmp_path / "res.json"
-    c = np.zeros((4, 4))
-    c[1:, 1:] = 1e200 * np.arange(1, 10).reshape(3, 3)
-    save_function_file(str(src), (2, 2), c, kind="spectrum")
-    for extra in ([], ["--output", str(out)]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli_dispatch([*argv, "--input", str(src), *extra]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "numerical failure" in captured.err
-        assert "Traceback" not in captured.err
+    payloads = [np.full((3, 3), 1e308)]
+    if argv[-1] not in ("def", "dir"):  # these two print a norm, not its square
+        payloads.append(1e200 * np.arange(1, 10).reshape(3, 3))
+    for hh in payloads:
+        c = np.zeros((4, 4))
+        c[1:, 1:] = hh
+        save_function_file(str(src), (2, 2), c, kind="spectrum")
+        for extra in ([], ["--output", str(out)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli_dispatch([*argv, "--input", str(src), *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "numerical failure" in captured.err
+            assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+def _function_payload(depth, value, kind="grid"):
+    return json.dumps({"depth": list(depth), "kind": kind,
+                       "values": [value] * (1 << sum(depth))})
+
+
+def test_file_reading_commands_keep_the_exit_contract(tmp_path, capsys):
+    """Every command that reads a function file, on extreme, odd-sized and
+    malformed payloads, exits 0, 2 or 3 without an uncaught exception or a
+    warning."""
+    payloads = [
+        _function_payload((2, 2), 1e308, "spectrum"), _function_payload((2, 2), 1.7e308),
+        _function_payload((2, 2), 5e-324), _function_payload((1, 3), 0.5),
+        _function_payload((4, 4), -2.0), "null", "[1, 2, 3]",
+        json.dumps({"depth": [2.5, 2], "values": [0.0] * 16}),
+    ]
+    commands = [
+        ["bmo", "--input", "{f}", "--method", m, *r] for m in ("exact", "brute", "rect")
+        for r in ([], ["--restrict", "1,0,1,1"])
+    ] + [["lmo", "--input", "{f}", "--method", m] for m in ("def", "char", "dir", "beta")] + [
+        ["haar", "--forward", "--input", "{f}", "--output", "{out}"],
+        ["sigma", "--input", "{f}", "--k", "0,0", "--output", "{out}"],
+        ["paraproduct", "--sig", "pi", "--symbol", "{f}", "--input", "{f}", "--output", "{out}"],
+        ["commutator", "--mode", "dyadic", "--phi", "{f}", "--b", "{f}", "--output", "{out}"],
+        ["commutator", "--mode", "report", "--phi", "{f}", "--b", "{f}"],
+    ]
+    codes = set()
+    for n, text in enumerate(payloads):
+        path = tmp_path / f"in{n}.json"
+        path.write_text(text)
+        for command in commands:
+            argv = [a.format(f=path, out=tmp_path / "out.json") for a in command]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli_dispatch(argv)
+            assert code in (0, 2, 3), argv
+            codes.add(code)
+    capsys.readouterr()
+    assert codes == {0, 2, 3}
 
 
 def test_paraproduct_and_sigma_commands(tmp_path, capsys):

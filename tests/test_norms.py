@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceFlowNetwork, indicator_values_1d, random_grid, random_hh_spectrum
+from helpers import (
+    ReferenceFlowNetwork,
+    indicator_values_1d,
+    random_grid,
+    random_hh_spectrum,
+    reference_crop,
+)
 from prodbmo import closure, hilbert, norms
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
@@ -27,8 +33,9 @@ from prodbmo.core import (
 )
 from prodbmo.errors import ValidationError
 from prodbmo.norms import (
+    _energy_levels,
+    _generation_bound,
     _pruned_max,
-    _rect_energies,
     bmo_d_norm_sq,
     bmo_d_norm_sq_bruteforce,
     bmo_norm_of_grid,
@@ -168,7 +175,7 @@ def test_max_flow_is_exact_on_fraction_capacities():
 def _kernel_sweep():
     """Closure instances on which the flow kernel is compared with the
     reference: Gaussian, 30%-sparse, integer-tied and staircase symbols at
-    depths 2-6, each whole, tail-cropped and cropped to a dyadic rectangle,
+    depths 2-6, each whole, restricted to a tail and to a dyadic rectangle,
     and one random 3-axis instance."""
     rng = np.random.default_rng(2201)
     instances = []
@@ -179,10 +186,10 @@ def _kernel_sweep():
         symbols = [stair, gauss] if depth == (6, 6) else [
             stair, gauss, gauss * (rng.random(gauss.shape) < 0.3), np.rint(2.0 * gauss)]
         for coeffs in symbols:
-            inst = norms.grid_closure_instance(HaarSpectrum2D(depth, coeffs))
-            n1, n2 = inst.shape
-            instances += [inst, norms._crop(inst, tail=(1, 1))[0],
-                          norms._crop(inst, [(0, n1 // 2), (n2 // 2, n2)])[0]]
+            phi = HaarSpectrum2D(depth, coeffs)
+            instances += [norms.grid_closure_instance(phi),
+                          norms.grid_closure_instance(phi, tail=(1, 1)),
+                          norms.grid_closure_instance(phi, DyadicRect.from_levels(1, 0, 1, 1))]
     ranges = []
     for n in (3, 4, 3):
         lo = rng.integers(0, n, size=12)
@@ -279,18 +286,17 @@ def _assert_same_solves(instances, expected):
 
 def test_structure_cache_is_transparent(monkeypatch):
     """Solved cold and then warm, every value and mask is ==: Gaussian and
-    30%-sparse symbols at depths 2-5 with their LMO tail and dyadic-rectangle
-    crops, random instances on 1-3 axes, and one sampled product block."""
+    30%-sparse symbols at depths 2-5, whole and restricted to an LMO tail and to
+    a dyadic rectangle, random instances on 1-3 axes, and one sampled product block."""
     rng = np.random.default_rng(2101)
     instances = []
     for depth in [(2, 2), (2, 3), (3, 3), (4, 2), (4, 4), (5, 3), (5, 5)]:
         for keep in (1.0, 0.3):
             coeffs = random_hh_spectrum(depth, rng).coeffs
-            inst = norms.grid_closure_instance(
-                HaarSpectrum2D(depth, coeffs * (rng.random(coeffs.shape) < keep)))
-            n1, n2 = inst.shape
-            instances += [inst, norms._crop(inst, tail=(1, 1))[0],
-                          norms._crop(inst, [(0, n1 // 2), (n2 // 2, n2)])[0]]
+            phi = HaarSpectrum2D(depth, coeffs * (rng.random(coeffs.shape) < keep))
+            instances += [norms.grid_closure_instance(phi),
+                          norms.grid_closure_instance(phi, tail=(1, 1)),
+                          norms.grid_closure_instance(phi, DyadicRect.from_levels(1, 0, 1, 1))]
     for shape in [(7,), (3, 4), (2, 3, 2)]:
         ranges = []
         for n in shape:
@@ -530,7 +536,7 @@ def _cells_of(rect, depth):
 def test_restricted_norm_equals_norm_of_open_set_projection(depth):
     """A norm restricted to R is the norm of the symbol projected onto the
     rectangles inside R, a reference built by the open-set selector and not
-    by the crop of the closure instance: value and mask are == for every
+    by the restricted closure instance: value and mask are == for every
     dyadic R, one cell thick ones included."""
     rng = np.random.default_rng(1900 + 10 * depth[0] + depth[1])
     for density in (1.0, 0.3):
@@ -547,19 +553,21 @@ def test_restricted_norm_equals_norm_of_open_set_projection(depth):
 
 
 def test_restricted_instance_equals_the_crop_of_the_full_instance():
-    """A restricted grid_closure_instance builds only the rectangles inside R,
-    yet its widths, ranges and weights are tobytes()-equal to the crop of the
-    full instance, in the same order, for every dyadic R at depths up to (3,4)."""
+    """A restricted grid_closure_instance builds only the rectangles inside R
+    of generation >= tail, yet its widths, ranges and weights are
+    tobytes()-equal to the reference crop of the full instance, in the same
+    order, for every tail in {0,1,2}^2 and every dyadic R at depths up to (3,4)."""
     rng = np.random.default_rng(2203)
     for depth in itertools.product(range(1, 4), range(1, 5)):
         c = random_hh_spectrum(depth, rng).coeffs
         phi = HaarSpectrum2D(depth, c * (rng.random(c.shape) < 0.7))
         full = norms.grid_closure_instance(phi)
         for l1, l2 in itertools.product(range(depth[0] + 1), range(depth[1] + 1)):
-            for i1, i2 in itertools.product(range(1 << l1), range(1 << l2)):
+            for i1, i2, *tail in itertools.product(range(1 << l1), range(1 << l2),
+                                                   range(3), range(3)):
                 r = DyadicRect.from_levels(l1, i1, l2, i2)
-                got = norms.grid_closure_instance(phi, r)
-                want = norms._crop(full, _dyadic_cells(r, depth))[0]
+                got = norms.grid_closure_instance(phi, r, tuple(tail))
+                want = reference_crop(full, _dyadic_cells(r, depth), tail)
                 for a, b in zip((*got.widths, *got.ranges, got.rect_weights),
                                 (*want.widths, *want.ranges, want.rect_weights)):
                     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -740,7 +748,7 @@ def test_per_generation_bounds_enclose_every_restricted_and_tail_norm(depth):
     slack = 1.0 + 1e-12
     for c in symbols:
         phi = HaarSpectrum2D(depth, c)
-        _, upper, _ = _rect_energies(phi)
+        upper = _generation_bound(_energy_levels(phi)[0], depth[1])
         weighted = [(a1, a2, a1.bit_length() + a2.bit_length() - 2, c[a1, a2] ** 2)
                     for a1, a2 in zip(*map(np.ndarray.tolist, np.nonzero(c)))]
 
