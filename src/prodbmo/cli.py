@@ -23,12 +23,12 @@ import numpy as np
 
 from . import calibration
 from .core import (
-    MAX_LEVEL,
     DyadicInterval,
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
     ProjectionSelector,
+    _check_depth,
     apply_projection,
     haar_forward_2d,
     haar_inverse_2d,
@@ -115,22 +115,19 @@ def save_function_file(path: str, depth, values, kind: str = "grid") -> None:
 
 
 def load_function_file(path: str):
+    """(depth, values, kind); values enter the package here, so NaN and inf stop here."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
-            depth = tuple(int(v) for v in payload["depth"])
-            values = np.asarray(payload["values"], dtype=float)
+            depth, values = payload["depth"], np.asarray(payload["values"], dtype=float)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"malformed function file {path}: {exc!r}") from exc
-    if len(depth) != 2 or not all(1 <= j <= MAX_LEVEL for j in depth):
-        raise ValidationError(
-            f"function file depth {list(depth)} must be two integers in 1..{MAX_LEVEL}"
-        )
+    depth = _check_depth(depth)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"function file {path} values must be finite")
     n1, n2 = 1 << depth[0], 1 << depth[1]
     if values.size != n1 * n2:
-        raise ValidationError(
-            f"function file holds {values.size} values, expected {n1 * n2}"
-        )
+        raise ValidationError(f"function file holds {values.size} values, expected {n1 * n2}")
     kind = payload.get("kind", "grid")
     if kind not in ("grid", "spectrum"):
         raise ValidationError(f"function file kind must be 'grid' or 'spectrum', got {kind!r}")
@@ -330,7 +327,7 @@ def load_step_function(path: str) -> StepFunction1D:
             payload = json.load(fh)
             breakpoints = np.asarray(payload["breakpoints"], dtype=float)
             values = np.asarray(payload["values"], dtype=float)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"malformed step-function file {path}: {exc!r}") from exc
     return StepFunction1D(breakpoints, values)
 

@@ -137,7 +137,7 @@ def _ratio(cell_areas, first, cells, rect_weights, cell_mask):
     if not (area > 0.0).all():
         raise ValidationError("ratio of an empty cell set")
     inside = np.logical_and.reduceat(cell_mask[..., cells], first, axis=-1)
-    total = np.cumsum(inside * rect_weights, axis=-1)
+    total = np.cumsum(np.where(inside, rect_weights, 0.0), axis=-1)  # no 0 * inf
     return (total[..., -1] if first.size else 0.0) / area
 
 
@@ -160,7 +160,7 @@ class ClosureInstance:
         self.shape = tuple(len(w) for w in self.widths)
         if any((w <= 0).any() for w in self.widths):
             raise ValidationError("cell widths must be positive")
-        if (self.rect_weights < 0).any():
+        if not (self.rect_weights >= 0).all():
             raise ValidationError("rectangle weights must be non-negative")
         nr = len(self.rect_weights)
         if len(self.ranges) != len(self.widths) or any(r.shape != (nr, 2) for r in self.ranges):

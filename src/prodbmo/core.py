@@ -134,16 +134,21 @@ class GenerationIndex:
         return (self.j1, self.j2)
 
 
-def _check_grid_shape(values, depth):
-    j1, j2 = depth
-    if not (1 <= j1 <= MAX_LEVEL and 1 <= j2 <= MAX_LEVEL):
-        raise ValidationError(f"depth {depth} out of supported range")
-    if values.shape[-2:] != (1 << j1, 1 << j2):
-        raise ValidationError(
-            f"values shape {values.shape} does not match depth {depth}"
-        )
-    if not np.isfinite(values).all():
-        raise ValidationError("grid values must be finite")
+def _check_depth(depth) -> tuple:
+    """The one depth check: two integers in 1..MAX_LEVEL, as a tuple."""
+    depth = tuple(depth) if np.iterable(depth) else (depth,)
+    if len(depth) != 2 or not all(isinstance(j, (int, np.integer)) and 1 <= j <= MAX_LEVEL
+                                  for j in depth):
+        raise ValidationError(f"depth {list(depth)} must be two integers in 1..{MAX_LEVEL}")
+    return depth
+
+
+def _check_grid_shape(values, depth) -> tuple:
+    """The checked depth, which the last two axes of values must match."""
+    depth = _check_depth(depth)
+    if values.shape[-2:] != (1 << depth[0], 1 << depth[1]):
+        raise ValidationError(f"values shape {values.shape} does not match depth {depth}")
+    return depth
 
 
 def _check_same_depth(a, b):
@@ -158,15 +163,16 @@ class GridFunction2D:
     Rows index s-cells, columns index t-cells; cell widths are 2^-J1 and
     2^-J2.  ``values`` may carry leading batch axes; ``integral`` and
     ``norm_l2_sq`` need a single function.  Treated as an immutable value:
-    operations return new objects.
+    operations return new objects.  Finiteness is checked where values enter
+    (the CLI loader): NaN is refused by the closure solve of every BMO and LMO
+    norm, and inf and overflow give non-finite results (CLI exit 3).
     """
 
     __slots__ = ("depth", "values")
 
     def __init__(self, depth, values):
         values = np.asarray(values, dtype=float)
-        _check_grid_shape(values, tuple(depth))
-        self.depth = tuple(depth)
+        self.depth = _check_grid_shape(values, depth)
         self.values = values
 
     @classmethod
@@ -215,15 +221,14 @@ class HaarSpectrum2D:
     (see module docstring); Parseval holds exactly:
     ||f||_2^2 == (coeffs ** 2).sum().  ``coeffs`` may carry leading batch
     axes; ``cc``, the ``*_coef`` methods and the energies need a single
-    spectrum.
+    spectrum.  Coefficients follow the finiteness rule of GridFunction2D.
     """
 
     __slots__ = ("depth", "coeffs")
 
     def __init__(self, depth, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        _check_grid_shape(coeffs, tuple(depth))
-        self.depth = tuple(depth)
+        self.depth = _check_grid_shape(coeffs, depth)
         self.coeffs = coeffs
 
     @classmethod

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (MAX_LEVEL, GridFunction2D, HaarSpectrum2D, _basis_order, _check_same_depth,
+from .core import (GridFunction2D, HaarSpectrum2D, _basis_order, _check_depth, _check_same_depth,
                    haar_forward_2d, haar_inverse_2d)
 from .errors import ValidationError
 
@@ -107,9 +107,7 @@ def assemble(op, depth, space: str = "grid") -> DenseOperator:
     basis images are the columns, and the combination's image spot-checks
     linearity, which is the caller's contract.
     """
-    depth = tuple(depth)
-    if len(depth) != 2 or not all(1 <= j <= MAX_LEVEL for j in depth):
-        raise ValidationError(f"depth {depth} out of supported range")
+    depth = _check_depth(depth)
     dim = 1 << (depth[0] + depth[1])
     if dim > MAX_DENSE_DIM:
         raise ValidationError(

@@ -182,7 +182,7 @@ def _pruned_max(bounds, value):
     best, best_n = 0.0, 0
     for n in sorted(range(len(bounds)), key=lambda n: (-bounds[n][0], n)):
         lower, upper = bounds[n]
-        if upper * (1.0 + 1e-12) > best:  # slack for the rounding of the bounds
+        if not upper * (1.0 + 1e-12) <= best:  # slack for rounding; a NaN bound is solved
             val = lower if lower == upper else value(n)
             if val > best or (val == best and n < best_n):
                 best, best_n = val, n

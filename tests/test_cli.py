@@ -200,6 +200,70 @@ def test_file_reading_commands_keep_the_exit_contract(tmp_path, capsys):
     assert codes == {0, 2, 3}
 
 
+_FILES = ["grid.json", "spectrum.json", "step.json"]  # in tmp_path, the working directory
+_OUT = ["out.json"]
+_INTS = ["-1", "0", "1", "2", "3"]
+_PAIRS = ["0,0", "1,1", "2,2", "1,2", "3,0", "-1,0", "a,b", "nan,1", "1"]
+_SIGS = ["pi", "delta", "pi01", "pi10", "bogus"]
+#: what any option value may be replaced by
+_JUNK = ["x", "1.5", "nan", "inf", "1e400", "", "missing.json", "missing/out.json"]
+
+#: every command and option of the CLI, each option with the values it is
+#: drawn from: None marks a flag and "" the positional experiment name
+FUZZ_VOCABULARY = {
+    "haar": {"--forward": None, "--inverse": None, "--input": _FILES, "--output": _OUT},
+    "bmo": {"--input": _FILES, "--method": ["exact", "brute", "rect", "bogus"],
+            "--restrict": ["1,0,1,1", "0,0,0,0", "2,3,2,3", "3,0,0,0", "1,2"], "--output": _OUT},
+    "lmo": {"--input": _FILES, "--method": ["def", "char", "dir", "beta", "bogus"],
+            "--axis": _INTS, "--beta": _PAIRS, "--output": _OUT},
+    "paraproduct": {"--sig": _SIGS, "--symbol": _FILES, "--input": _FILES, "--output": _OUT},
+    "opnorm": {"--kind": ["paraproduct", "shift", "projection", "bogus"], "--sig": _SIGS,
+               "--symbol": _FILES, "--axis": _INTS, "--depth": [*_PAIRS, "4,4", "5,5"],
+               "--selector": ["Q:0,0", "E:1,1", "D:1,0", "X:1,1", "E1,1", "Q:a,b"],
+               "--output": _OUT},
+    "sigma": {"--input": _FILES, "--k": [*_PAIRS, *_INTS], "--axis": _INTS, "--output": _OUT},
+    "commutator": {"--mode": ["dyadic", "report", "bogus"], "--phi": _FILES, "--b": _FILES,
+                   "--output": _OUT},
+    "hilbert": {"--mode": ["mc", "oracle", "bogus"], "--function": _FILES,
+                "--x": ["0.25", "0.25,2", "0.5", "nan", "inf", "1e400", "x"],
+                "--samples": ["-1", "0", "2", "16"], "--seed": _INTS,
+                "--k-coarse": _INTS, "--k-fine": _INTS, "--output": _OUT},
+    "experiment": {"": ["growth", "paraproduct-bound", "lemma-core", "nine-part",
+                        "commutator-bound", "lmo-equivalence", "bogus"],
+                   "--depth": _INTS, "--trials": ["-1", "0", "1"], "--seed": _INTS,
+                   "--output": _OUT},
+}
+
+
+def test_seeded_argument_fuzz_keeps_the_exit_contract(tmp_path, capsys, monkeypatch):
+    """300 seeded argument lists over every command and option, on (2,2) grid
+    and spectrum files, a step file, missing files and bad numbers: each
+    exits 0, 2, 3 or 64, with no uncaught exception, warning or traceback.
+    An option is given with probability 0.85, its value junk with 0.15."""
+    monkeypatch.chdir(tmp_path)
+    write_quarter_haar_grid(tmp_path / "grid.json")
+    save_function_file(str(tmp_path / "spectrum.json"), (2, 2),
+                       np.random.default_rng(3).standard_normal(16), kind="spectrum")
+    write_step_function(tmp_path / "step.json")
+    rng = np.random.default_rng(26)
+    codes = set()
+    for _ in range(300):
+        command = str(rng.choice([*FUZZ_VOCABULARY, "frobnicate"]))
+        argv = [command]
+        for option, values in FUZZ_VOCABULARY.get(command, {}).items():
+            if rng.random() < 0.85:
+                values = values if values is None or rng.random() < 0.85 else _JUNK
+                value = [] if values is None else [str(rng.choice(values))]
+                argv += value if option == "" else [option, *value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_dispatch(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 64) and "Traceback" not in err, argv
+        codes.add(code)
+    assert {0, 2, 64} <= codes
+
+
 def test_paraproduct_and_sigma_commands(tmp_path, capsys):
     phi = tmp_path / "phi.json"
     write_quarter_haar_grid(phi)
@@ -379,6 +443,8 @@ def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags
                  id="spectrum-nan"),
     pytest.param("bmo", '{"depth": [1, 1], "kind": "spectrum", "values": [0, 0, 0, -Infinity]}',
                  id="spectrum-inf"),
+    pytest.param("hilbert", '{"breakpoints": [0, 1%s], "values": [1.0]}' % ("0" * 400),
+                 id="overflowing-breakpoint"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, command, text):
     path = tmp_path / "in.json"

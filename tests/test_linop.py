@@ -348,3 +348,15 @@ def test_truncated_paraproduct_norm_identity_spot():
         for k in [(0, 0), (1, 2), (2, 2), (3, 3)]:
             lhs, rhs = lemma_core_norms(b, k)
             assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+@pytest.mark.parametrize("depth", [(1, 2, 3), (2,), 2, (1.5, 2), (2.0, 2), (0, 2), (2, 31), "22"])
+def test_malformed_depth_is_a_validation_error(depth):
+    """One depth check: two integers in 1..MAX_LEVEL, in both value types and
+    in assembly, with the same error type (a 3-tuple used to raise a
+    ValueError from unpacking, a float level a TypeError)."""
+    for build in (lambda: GridFunction2D(depth, np.zeros((2, 4))),
+                  lambda: HaarSpectrum2D(depth, np.zeros((2, 4))),
+                  lambda: assemble(lambda f: f, depth)):
+        with pytest.raises(ValidationError, match="two integers"):
+            build()

@@ -80,6 +80,46 @@ def test_closure_instance_validation():
         ClosureInstance(([1.0], [1.0]), ([[0, 1]],), [1.0])
 
 
+def test_closure_instance_refuses_nan_weights():
+    """A NaN weight is not a zero weight: it used to be dropped by the solve,
+    which returned (0.5, [True, True]) here."""
+    with pytest.raises(ValidationError):
+        ClosureInstance(([1.0, 1.0],), ([[0, 1], [0, 2]],), [math.nan, 1.0])
+
+
+def test_bruteforce_of_overflowing_weights_is_inf():
+    """Squares of 1e308 overflow to inf weights; a rectangle outside a cell
+    set adds 0, not 0 * inf = nan, so the maximum is inf, with no warning
+    under the CLI's overflow setting."""
+    phi = HaarSpectrum2D((2, 2), np.full((4, 4), 1e308))
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bmo_d_norm_sq_bruteforce(phi) == math.inf
+
+
+@pytest.mark.parametrize("depth", [(2, 2), (3, 3)])
+def test_nan_symbol_gives_no_finite_norm(depth):
+    """One NaN hh coefficient, inside QUARTER: every norm whose search reaches
+    it raises ValidationError or returns NaN, never a finite value."""
+    phi = random_hh_spectrum(depth, np.random.default_rng(26))
+    phi = phi.with_hh_coef(QUARTER, math.nan)
+    norms_of_phi = [
+        lambda: bmo_d_norm_sq(phi)[0], lambda: bmo_d_norm_sq(phi, QUARTER)[0],
+        lambda: bmo_d_norm_sq_bruteforce(phi, QUARTER), lambda: bmo_rect_norm_sq(phi),
+        lambda: lmo_d_norm(phi), lambda: lmo_directional_norm(phi, 1),
+        lambda: lmo_directional_norm(phi, 2), lambda: lmo_char_norm(phi),
+    ] + [lambda beta=beta: lmo_beta_char_norm(phi, beta)
+         for beta in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    if depth == (2, 2):
+        norms_of_phi.append(lambda: bmo_d_norm_sq_bruteforce(phi))
+    for norm in norms_of_phi:
+        try:
+            value = norm()
+        except ValidationError:
+            continue
+        assert math.isnan(value)
+
+
 def test_closure_simple_tradeoff():
     # one cheap high-weight rect vs a rect needing an extra cell
     inst = ClosureInstance(
