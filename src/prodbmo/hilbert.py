@@ -17,6 +17,7 @@ indicator piece, for the shift normalisation S h_I = h_{I+} - h_{I-}.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -166,16 +167,84 @@ class RandomDyadicGrid:
         return _left_ends(x, self.r, self.level_shift(j), base), self.r * base
 
 
-def _draw_grids(seeds, k_coarse: int, k_fine: int):
-    """Shift bits (n, levels) and dilations (n, 1) of one grid per seed,
-    each drawn from its own ``default_rng(seed)``: the bits, then r."""
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's default multiplier
+#: SeedSequence.generate_state hashes its word i with 0x8B51F9DD * 0x58F38DED^i and ^(i+1)
+_STATE_CONSTS = np.array([0x8B51F9DD * 0x58F38DED ** i & _M32 for i in range(9)], np.uint32)
+
+
+def _word_count(entropy) -> int:
+    """How many uint32 words SeedSequence makes of an int or a sequence of ints."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(-(-int(entropy).bit_length() // 32), 1)
+    return sum(_word_count(v) for v in entropy)
+
+
+def _child_pools(seq: np.random.SeedSequence, start: int, n: int) -> np.ndarray:
+    """(n, pool_size) uint32 pools of the children start, ..., start + n - 1 of
+    ``seq``, as ``seq.spawn`` makes them.  A child's entropy words are the parent's,
+    padded with zeros to the pool size, then the parent's spawn key and the child
+    index, so SeedSequence's mix_entropy reaches the index word with ``seq.pool``
+    and the hash constant 0x43B0D7E5 * 0x931E8875^(words hashed so far)."""
+    if start + n > 1 << 32:  # a larger index takes two key words
+        raise ValidationError("child indices past 2^32 - 1 are not supported")
+    size, index = seq.pool_size, np.arange(start, start + n, dtype=np.uint32)
+    hashed = size * (max(_word_count(seq.entropy), size) + _word_count(seq.spawn_key))
+    const, pool = 0x43B0D7E5 * pow(0x931E8875, hashed, 1 << 32) & _M32, seq.pool.tolist()
+    for dst in range(size):  # hashmix the index, mix it into each pool word (mod 2^32)
+        nxt = const * 0x931E8875 & _M32
+        value = (index ^ const) * nxt
+        value ^= value >> 16
+        value = (0xCA01F9DD * pool[dst] & _M32) - 0x4973F715 * value
+        pool[dst], const = value ^ value >> 16, nxt
+    return np.stack(pool, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg_states_map(outputs: int):
+    """(K, B): ``K @ limbs + B`` holds, in row k * outputs + m, limb k (16 bits,
+    before carries) of PCG64's state at its draw m + 1, from the 16-bit limbs of
+    the seed's (state, sequence).  Seeding's two steps and m + 1 draws make it
+    M^(m+2) state + G (2 sequence + 1) mod 2^128, G = 1 + M + ... + M^(m+2)."""
+    K, B = np.zeros((8, outputs, 2, 8)), np.zeros((8, outputs, 1))
+    power, total = _PCG_MULT, 1 + _PCG_MULT
+    for m in range(outputs):
+        power = power * _PCG_MULT % (1 << 128)
+        total = (total + power) % (1 << 128)
+        for v, const in enumerate((power, 2 * total % (1 << 128))):
+            for i in range(8):
+                K[i:, m, v, i] = [const >> 16 * k & 0xFFFF for k in range(8 - i)]
+        B[:, m, 0] = [total >> 16 * k & 0xFFFF for k in range(8)]
+    return K.reshape(-1, 16), B.reshape(-1, 1)
+
+
+def _draw_grids(pools, k_coarse: int, k_fine: int):
+    """Shift bits (n, levels) and dilations (n, 1) of one grid per row of
+    SeedSequence pools, bit for bit as ``default_rng`` of that sequence draws
+    them: ``integers(0, 2, size=levels)``, then ``2.0 ** random()``."""
     _check_levels(k_coarse, k_fine)  # once per batch, before the draw
-    bits = np.empty((len(seeds), k_coarse + k_fine), dtype=np.int64)
-    r = np.empty((len(seeds), 1))
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        bits[row] = rng.integers(0, 2, size=k_coarse + k_fine)
-        r[row] = 2.0 ** rng.random()
+    n, outputs = len(pools), (k_coarse + k_fine + 1) // 2 + 1
+    # generate_state(4, np.uint64): eight hashed words cycling through the pool
+    words = (pools[:, np.arange(8) % pools.shape[1]] ^ _STATE_CONSTS[:-1]) * _STATE_CONSTS[1:]
+    words ^= words >> 16
+    # PCG64 seeds state (w0 w1 : w2 w3) and sequence (w4 w5 : w6 w7), high : low; in
+    # 16-bit limbs the map's terms and sums are integers below 2^37, exact in float64
+    words = words[:, [2, 3, 0, 1, 6, 7, 4, 5]]
+    limbs = np.stack((words & 0xFFFF, words >> 16), axis=-1).reshape(n, 16)
+    K, B = _pcg_states_map(outputs)
+    state = (K @ limbs.T + B).astype(np.uint64).reshape(8, outputs, n)
+    for k in range(7):
+        state[k + 1] += state[k] >> 16
+    state = (state & 0xFFFF) << np.tile(np.arange(0, 64, 16, dtype=np.uint64), 2)[:, None, None]
+    # XSL-RR output: (high ^ low) rotated right by the state's top six bits
+    xored, rot = state[:4].sum(axis=0) ^ state[4:].sum(axis=0), state[7] >> 58
+    raw = xored >> rot | xored << (64 - rot & 63)
+    # integers(0, 2): the top bit of each output's low, then high 32-bit half
+    bits = np.stack((raw[:-1] >> 31 & 1, raw[:-1] >> 63), axis=1).reshape(2 * outputs - 2, n)
+    bits = bits.T[:, :k_coarse + k_fine].astype(np.int64, order="C")
+    # random(): the next output's top 53 bits; r = 2.0 ** u on Python floats, which
+    # np.power and np.exp2 round differently for a few percent of u
+    r = np.array([2.0 ** u for u in ((raw[-1] >> 11) * 2.0 ** -53).tolist()]).reshape(n, 1)
     r[r >= 2.0] = 1.0  # guard the half-open interval against rounding
     return bits, r
 
@@ -183,8 +252,12 @@ def _draw_grids(seeds, k_coarse: int, k_fine: int):
 def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     """Draw a grid: fair shift bits per level, dilation with density
     1/(r ln 2) on [1,2) (i.e. r = 2^u with u uniform).  Deterministic in
-    the seed; :func:`standard_grid` is the undilated, unshifted grid."""
-    bits, r = _draw_grids([seed], k_coarse, k_fine)
+    the seed (an int, a sequence of ints or a ``SeedSequence``), drawn as
+    ``default_rng(seed)`` would draw it; :func:`standard_grid` is the
+    undilated, unshifted grid."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    bits, r = _draw_grids(seed.pool[None], k_coarse, k_fine)
     return RandomDyadicGrid(k_coarse, k_fine, r[0, 0], bits[0])
 
 
@@ -195,7 +268,7 @@ def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
 def _sampled_grids(seed, n: int, k_coarse: int, k_fine: int):
     """One grid per child of ``SeedSequence(seed).spawn(n)``, in spawn
     order, each drawn from its own stream."""
-    bits, r = _draw_grids(np.random.SeedSequence(seed).spawn(n), k_coarse, k_fine)
+    bits, r = _draw_grids(_child_pools(np.random.SeedSequence(seed), 0, n), k_coarse, k_fine)
     return [RandomDyadicGrid(k_coarse, k_fine, ri, row) for ri, row in zip(r[:, 0], bits)]
 
 
@@ -254,6 +327,8 @@ def shift_evaluate(f: StepFunction1D, g: RandomDyadicGrid, x: float) -> float:
 
 def analytic_hilbert_step(f: StepFunction1D, x: float) -> float:
     """Closed form: sum over pieces of value * (1/pi) log|(x-a)/(x-b)|."""
+    if not math.isfinite(x):
+        raise ValidationError("evaluation points must be finite")
     if np.any(f.breakpoints == x):
         raise EvaluationAtJumpError("evaluation at jump")
     bp = f.breakpoints
@@ -274,6 +349,8 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     """
     if n_samples < 2:
         raise ValidationError("need at least two samples for a standard error")
+    if n_samples > 1 << 32:  # a child index past 2^32 - 1 takes two spawn-key words
+        raise ValidationError("need at most 2^32 samples")
     xs = [float(x) for x in xs]
     if np.isin(xs, f.breakpoints).any():
         raise EvaluationAtJumpError("evaluation at jump")
@@ -281,8 +358,8 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     seeds = np.random.SeedSequence(seed)
     step = max(1, _BLOCK_ELEMENTS // ((k_coarse + k_fine + 1) * max(len(xs), 1)))
     blocks = []
-    for i in range(0, n_samples, step):  # spawn counts on: the children of spawn(n_samples)
-        bits, r = _draw_grids(seeds.spawn(min(step, n_samples - i)), k_coarse, k_fine)
+    for i in range(0, n_samples, step):  # the children of spawn(n_samples), a block at a time
+        bits, r = _draw_grids(_child_pools(seeds, i, min(step, n_samples - i)), k_coarse, k_fine)
         blocks.append(_shift_sums(f, k_coarse, r, _level_offsets(bits, k_coarse, k_fine), xs))
     samples = np.concatenate(blocks)
     scaled = AVERAGING_FACTOR * LN2 * samples

@@ -23,7 +23,7 @@ from .core import (
     haar_inverse_2d,
     mean_pyramid,
 )
-from .errors import InsufficientHeadroomError, ValidationError
+from .errors import InsufficientHeadroomError, NonConvergenceError, ValidationError
 from .norms import (
     bmo_d_norm_sq,
     bmo_rect_norm_sq,
@@ -72,6 +72,8 @@ def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     out = truncating_shift(c, axis)  # checks the axis
     w = c.coeffs.swapaxes(0, axis - 3)
     if w[w.shape[0] // 2:].any():
+        if not np.isfinite(w[w.shape[0] // 2:]).all():  # overflow, not a lack of depth
+            raise NonConvergenceError("spectrum is not finite at the deepest level")
         raise InsufficientHeadroomError("insufficient depth headroom")
     return out
 

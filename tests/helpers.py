@@ -308,3 +308,21 @@ def reference_part_commutator_apply(tag, phi_ambient, b_ambient):
     """``shifts.part_commutator_apply`` by the eight-shift reference."""
     return reference_double_commutator(
         lambda g: nine_part_apply(tag, phi_ambient, g), b_ambient)
+
+
+# ---------------------------------------------------------------------------
+# reference grid draw: one numpy Generator per seed
+# ---------------------------------------------------------------------------
+
+def reference_draw_grids(seeds, k_coarse, k_fine):
+    """Shift bits (n, levels) and dilations (n, 1) of one grid per seed, each
+    drawn from its own ``default_rng(seed)``: the bits, then r.  The loop the
+    hilbert module ran before its array draw, unchanged."""
+    bits = np.empty((len(seeds), k_coarse + k_fine), dtype=np.int64)
+    r = np.empty((len(seeds), 1))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        bits[row] = rng.integers(0, 2, size=k_coarse + k_fine)
+        r[row] = 2.0 ** rng.random()
+    r[r >= 2.0] = 1.0  # guard the half-open interval against rounding
+    return bits, r

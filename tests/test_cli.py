@@ -160,6 +160,21 @@ def test_overflowing_result_exit_3(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["dyadic", "report"])
+def test_overflowing_commutator_is_a_numerical_failure(tmp_path, capsys, mode):
+    """1e308 * 1e308 overflows inside the commutator and leaves NaN at the
+    deepest level: a numerical failure (exit 3), not a lack of headroom."""
+    src, out = tmp_path / "phi.json", tmp_path / "out.json"
+    save_function_file(str(src), (2, 2), np.full((4, 4), 1e308), kind="grid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(["commutator", "--mode", mode, "--phi", str(src), "--b", str(src),
+                             "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and "headroom" not in captured.err
+    assert not out.exists()
+
+
 def _function_payload(depth, value, kind="grid"):
     return json.dumps({"depth": list(depth), "kind": kind,
                        "values": [value] * (1 << sum(depth))})

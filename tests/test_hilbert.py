@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import reference_draw_grids
 from prodbmo import hilbert
 from prodbmo.calibration import random_hh_symbol
 from prodbmo.core import GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
@@ -76,6 +77,51 @@ def test_sample_grid_deterministic():
     assert np.all(g1.bits == g2.bits)
     g3 = sample_grid(6, 4, 4)
     assert g3.r != g1.r or not np.all(g3.bits == g1.bits)
+
+
+#: seeds of one to five entropy words, and a list of them
+DRAW_SEEDS = [0, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 5, 2 ** 130 + 7, [3, 2 ** 40, 0]]
+
+
+def test_array_draw_matches_the_generator_loop():
+    """The array draw gives, bit for bit, the shift bits and dilations of a
+    ``default_rng`` per spawned child: every seed width, a spawned parent read
+    from child 5 on, every window of 2 to 53 levels, ``_sampled_grids``, and
+    ``sample_grid`` on seeds and on SeedSequence children.  The child pools are
+    those of ``SeedSequence.spawn``."""
+    spawned = np.random.SeedSequence(17).spawn(3)[2]
+    for seq, start in [(np.random.SeedSequence(s), 0) for s in DRAW_SEEDS] + [(spawned, 5)]:
+        parent = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key)
+        children = parent.spawn(start + 6)[start:]
+        pools = hilbert._child_pools(seq, start, 6)
+        assert pools.dtype == np.uint32
+        assert pools.tolist() == [child.pool.tolist() for child in children]
+        for k in range(2, 54):
+            bits, r = hilbert._draw_grids(pools, k // 2, k - k // 2)
+            ref_bits, ref_r = reference_draw_grids(children, k // 2, k - k // 2)
+            assert bits.dtype == ref_bits.dtype and (bits == ref_bits).all()
+            assert r.tobytes() == ref_r.tobytes()
+    for seed in DRAW_SEEDS:
+        grids = hilbert._sampled_grids(seed, 4, 2, 6)
+        ref_bits, ref_r = reference_draw_grids(np.random.SeedSequence(seed).spawn(4), 2, 6)
+        assert [g.bits.tolist() for g in grids] == ref_bits.tolist()
+        assert np.array([g.r for g in grids]).tobytes() == ref_r.tobytes()
+    for seed in DRAW_SEEDS + np.random.SeedSequence(4).spawn(3):
+        g = sample_grid(seed, 3, 9)
+        ref_bits, ref_r = reference_draw_grids([seed], 3, 9)
+        assert g.bits.tolist() == ref_bits[0].tolist()
+        assert np.float64(g.r).tobytes() == ref_r[0].tobytes()
+
+
+def test_child_indices_take_one_key_word():
+    """Child 2^32 - 1 is the last one drawn; a later index would take two words."""
+    seq = np.random.SeedSequence(1)
+    last = hilbert._child_pools(seq, 2 ** 32 - 3, 3)[-1]
+    assert last.tolist() == np.random.SeedSequence(1, spawn_key=(2 ** 32 - 1,)).pool.tolist()
+    with pytest.raises(ValidationError):
+        hilbert._child_pools(seq, 2 ** 32 - 3, 4)
+    with pytest.raises(ValidationError):
+        mc_hilbert(StepFunction1D.indicator(0.0, 1.0), [2.0], 2 ** 32 + 1, 0)
 
 
 def _loop_offsets(g):
@@ -263,6 +309,12 @@ def test_analytic_linearity_and_jump_error():
     )
     with pytest.raises(EvaluationAtJumpError):
         analytic_hilbert_step(f, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_analytic_hilbert_step_rejects_non_finite_points(x):
+    with pytest.raises(ValidationError, match="evaluation points must be finite"):
+        analytic_hilbert_step(StepFunction1D([0.0, 1.0], [1.0]), x)
 
 
 # ---------------------------------------------------------------------------
