@@ -77,6 +77,8 @@ class StepFunction1D:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     def evaluate(self, x: float) -> float:
+        if not math.isfinite(x):
+            raise ValidationError("evaluation points must be finite")
         bp = self.breakpoints
         if x < bp[0] or x >= bp[-1]:
             return 0.0
@@ -97,14 +99,14 @@ class StepFunction1D:
         """<f, h_I> for I = [left, right) split at mid; elementwise on arrays.
         An interval shorter than the float spacing at its ends (right == left)
         has +0.0."""
-        f, width = self.cdf, np.sqrt(right - left)
-        coef = f(right) - 2.0 * f(mid) + f(left)
+        f_right, f_mid, f_left = self.cdf(np.stack(np.broadcast_arrays(right, mid, left)))
+        coef, width = f_right - 2.0 * f_mid + f_left, np.sqrt(right - left)
         return np.divide(coef, width, out=np.zeros_like(coef), where=width > 0.0)[()]
 
     def has_breakpoint_inside(self, left, right):
         """Whether a breakpoint lies in (left, right); elementwise on arrays."""
-        bp = self.breakpoints
-        return np.searchsorted(bp, right, side="left") > np.searchsorted(bp, left, side="right")
+        bp = self.breakpoints  # the first breakpoint past left lies before right
+        return np.append(bp, np.inf)[np.searchsorted(bp, left, side="right")] < right
 
 
 def _left_ends(x, r, shift, base, step=0.0):
@@ -122,8 +124,9 @@ def _shift_values(pos, length):
 
 
 def _check_levels(k_coarse: int, k_fine: int):
-    if not (k_coarse >= 1 and k_fine >= 1 and k_coarse + k_fine <= 53):
-        raise ValidationError("need k_coarse, k_fine >= 1 and k_coarse + k_fine <= 53")
+    if not (isinstance(k_coarse, (int, np.integer)) and isinstance(k_fine, (int, np.integer))
+            and k_coarse >= 1 and k_fine >= 1 and k_coarse + k_fine <= 53):
+        raise ValidationError("need integers k_coarse, k_fine >= 1 and k_coarse + k_fine <= 53")
 
 
 def _level_offsets(bits, k_coarse: int, k_fine: int) -> np.ndarray:
@@ -262,6 +265,7 @@ def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
 
 
 def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
+    _check_levels(k_coarse, k_fine)
     return RandomDyadicGrid(k_coarse, k_fine, 1.0, np.zeros(k_coarse + k_fine, dtype=int))
 
 
@@ -305,13 +309,28 @@ def grid_shift_apply(f: StepFunction1D, g: RandomDyadicGrid) -> StepFunction1D:
 def _shift_sums(f: StepFunction1D, k_coarse: int, r, offsets, xs) -> np.ndarray:
     """(S f)(x) for each grid (rows of offsets, (grids, levels), and of r,
     broadcast to (grids, 1)) and point (columns) in one levels x grids x points
-    broadcast; intervals with no breakpoint inside or a zero coefficient add +0.0."""
+    broadcast; intervals with no breakpoint inside or a zero coefficient add +0.0,
+    so the levels past reach, which add only such terms, are skipped.  With u = 2^-53,
+    the computed ends of a level-j interval (length r 2^-j < 2^(1-j), offset in
+    [0, 2^-j)) lie within 6u (|x| + length) of an interval of that length holding x,
+    so no breakpoint lies inside if length (1 + 6u) + 6u |x| <= d, the distance from x
+    to the breakpoints (computed within a factor 1 +- u).  reach = min over x of
+    d (1 - 16u) - 16u |x| leaves room for both and for its own rounding: level j is
+    skipped if 2^(1-j) <= reach."""
     _check_window(f, k_coarse)
     x = np.asarray(xs, dtype=float)
     if not np.isfinite(x).all():
         raise ValidationError("evaluation points must be finite")
-    base = np.ldexp(1.0, k_coarse - np.arange(offsets.shape[1]))[:, None, None]
-    left = _left_ends(x, r, offsets.T[:, :, None], base)
+    bp = f.breakpoints
+    near = np.searchsorted(bp[1:-1], x) + 1  # bp[near - 1] < x <= bp[near], or an end pair
+    gap = np.minimum(np.abs(x - bp[near - 1]), np.abs(bp[near] - x))
+    reach = (gap * (1.0 - 2.0 ** -49) - 2.0 ** -49 * np.abs(x)).min(initial=2.0 ** 1023)
+    # levels l = j + k_coarse with 2^(k_coarse + 1 - l) > reach, read off reach's exponent
+    levels = max(k_coarse + 2 - math.frexp(reach)[1], 0) if reach > 0.0 else offsets.shape[1]
+    if levels == 0:  # no points, or every point beyond reach
+        return np.zeros((offsets.shape[0], x.size))
+    base = np.ldexp(1.0, k_coarse - np.arange(offsets.shape[1]))[:levels, None, None]
+    left = _left_ends(x, r, offsets.T[:levels, :, None], base)
     length = r * base
     coef = f.haar_coefficient(left, left + length / 2.0, left + length)
     keep = f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
@@ -347,8 +366,8 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     Returns a list of (estimate, stderr):
         estimate = AVERAGING_FACTOR * ln 2 * mean of (S^grid f)(x).
     """
-    if n_samples < 2:
-        raise ValidationError("need at least two samples for a standard error")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValidationError("need an integer count of at least two samples for a standard error")
     if n_samples > 1 << 32:  # a child index past 2^32 - 1 takes two spawn-key words
         raise ValidationError("need at most 2^32 samples")
     xs = [float(x) for x in xs]

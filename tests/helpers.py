@@ -12,6 +12,8 @@ from prodbmo.core import (
     block_means,
     haar_inverse_2d,
 )
+from prodbmo.errors import ValidationError
+from prodbmo.hilbert import StepFunction1D, _check_window, _left_ends, _shift_values
 from prodbmo.paraproducts import nine_part_apply
 from prodbmo.shifts import AmbientEmbedding, shift_grid
 
@@ -326,3 +328,49 @@ def reference_draw_grids(seeds, k_coarse, k_fine):
         r[row] = 2.0 ** rng.random()
     r[r >= 2.0] = 1.0  # guard the half-open interval against rounding
     return bits, r
+
+
+# ---------------------------------------------------------------------------
+# reference Monte-Carlo point kernel: every level of the window
+# ---------------------------------------------------------------------------
+
+def _reference_carries(f, left, length):
+    """<f, h_I> of the intervals [left, left + length) by three cdf calls, and
+    whether each carries it (a breakpoint inside, by two searchsorted calls,
+    and a non-zero coefficient)."""
+    right, bp = left + length, f.breakpoints
+    coef = f.cdf(right) - 2.0 * f.cdf(left + length / 2.0) + f.cdf(left)
+    width = np.sqrt(right - left)
+    coef = np.divide(coef, width, out=np.zeros_like(coef), where=width > 0.0)[()]
+    inside = np.searchsorted(bp, right, side="left") > np.searchsorted(bp, left, side="right")
+    return coef, inside & (coef != 0.0)
+
+
+def reference_shift_sums(f, k_coarse, r, offsets, xs):
+    """``hilbert._shift_sums`` as it ran before it skipped the levels past
+    reach: every level of the window evaluated, unchanged."""
+    _check_window(f, k_coarse)
+    x = np.asarray(xs, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError("evaluation points must be finite")
+    base = np.ldexp(1.0, k_coarse - np.arange(offsets.shape[1]))[:, None, None]
+    left = _left_ends(x, r, offsets.T[:, :, None], base)
+    length = r * base
+    coef, keep = _reference_carries(f, left, length)
+    terms = np.where(keep, coef * _shift_values((x - left) / length, length), 0.0)
+    # levels in order, coarse to fine, from +0.0 (np.sum may pair them up instead)
+    return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
+def reference_grid_shift_apply(f, g):
+    """``hilbert.grid_shift_apply`` on the reference carries and kernel."""
+    _check_window(f, g.k_coarse)
+    base = np.ldexp(1.0, -np.arange(-g.k_coarse, g.k_fine + 1))[:, None, None, None]
+    steps = np.array([-1.0, 0.0])[:, None, None] + np.arange(5)[:, None] / 4.0
+    quarters = _left_ends(f.breakpoints, g.r, g.offsets[:, None, None, None], base, steps)
+    carries = _reference_carries(f, quarters[:, :, 0], g.r * base[:, :, 0])[1]
+    points = np.unique(np.moveaxis(quarters, 2, -1)[carries])
+    if points.size == 0:
+        return StepFunction1D.zero()
+    return StepFunction1D(points, reference_shift_sums(f, g.k_coarse, g.r, g.offsets[None],
+                                                       0.5 * (points[:-1] + points[1:]))[0])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import reference_draw_grids
+from helpers import reference_draw_grids, reference_grid_shift_apply, reference_shift_sums
 from prodbmo import hilbert
 from prodbmo.calibration import random_hh_symbol
 from prodbmo.core import GridFunction2D, HaarSpectrum2D, haar_forward_2d, haar_inverse_2d
@@ -57,6 +57,13 @@ def test_step_function_cdf_and_eval():
     assert f.cdf(2.0) == pytest.approx(2.0 - 1.0)
     assert f.integral() == pytest.approx(0.0)
     assert f.l2_norm_sq() == pytest.approx(4.0 + 2.0)
+
+
+def test_step_function_evaluate_rejects_non_finite_points():
+    f = StepFunction1D([0.0, 0.3, 1.0], [1.0, -2.0])
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="evaluation points must be finite"):
+            f.evaluate(x)
 
 
 def test_step_haar_coefficient_closed_form():
@@ -154,6 +161,26 @@ def test_grid_rejects_bad_sizes_bits_and_levels():
     for j in (-3, 4):
         with pytest.raises(ValidationError):
             g.level_shift(j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: mc_hilbert(f, [2.0], 4.0, 1),
+    lambda f: mc_hilbert(f, [2.0], 4, 1, k_coarse=6.0),
+    lambda f: sample_grid(1, 2.0, 3),
+    lambda f: standard_grid(2.0, 3),
+    lambda f: RandomDyadicGrid(2.0, 2, 1.0, [0, 1, 0, 1]),
+], ids=["mc-samples", "mc-k_coarse", "sample_grid", "standard_grid", "RandomDyadicGrid"])
+def test_non_integer_level_and_sample_counts_are_refused(call):
+    with pytest.raises(ValidationError, match="integer"):
+        call(StepFunction1D.indicator(0.0, 1.0))
+
+
+def test_numpy_integer_level_and_sample_counts_are_accepted():
+    f, four = StepFunction1D.indicator(0.0, 1.0), np.int64(4)
+    assert mc_hilbert(f, [2.0], four, 1, k_coarse=four, k_fine=four) == mc_hilbert(
+        f, [2.0], 4, 1, k_coarse=4, k_fine=4)
+    assert standard_grid(four, np.int32(3)).offsets.tolist() == [0.0] * 8
+    assert sample_grid(1, four, 3).r == sample_grid(1, 4, 3).r
 
 
 def test_grid_interval_nesting():
@@ -442,6 +469,91 @@ def test_mc_sample_blocks_do_not_change_the_result(monkeypatch):
     whole = mc_hilbert(f, xs, 40, 2024)
     monkeypatch.setattr(hilbert, "_BLOCK_ELEMENTS", 7 * 25 * 8 + 13)
     assert mc_hilbert(f, xs, 40, 2024) == whole
+
+
+def _edge_breakpoints(k_coarse):
+    """Breakpoints at 0, about 1, about 1e3 and just inside the window's
+    radius 2^k_coarse, those the window holds."""
+    radius = 2.0 ** k_coarse
+    return [b for b in (-1.0, 0.0, 1.0 + 2.0 ** -30, 1e3 + 1.0 / 3.0, radius * (1.0 - 2.0 ** -20))
+            if abs(b) <= radius]
+
+
+def _edge_points(bp, k_coarse, k_fine):
+    """Points 1, 2, 4, ..., 64 ulps from each breakpoint (a subnormal distance
+    from 0), and 2^(1-j) (1 - ulp), 2^(1-j) and 2^(1-j) (1 + 2 ulp) from it."""
+    xs = []
+    for b in bp:
+        for k in 2 ** np.arange(7):
+            xs += [b + k * np.spacing(b), b - k * np.spacing(b)]
+        for j in range(-k_coarse, k_fine + 1):
+            for d in np.ldexp(1.0, 1 - j) * np.array([1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -51]):
+                xs += [b + d, b - d]
+    return [x for x in xs if x not in bp]
+
+
+def _edge_grids(k_coarse, k_fine, n=5):
+    """Shift bits and dilations of n sampled grids and of one with r the float below 2."""
+    bits, r = hilbert._draw_grids(hilbert._child_pools(np.random.SeedSequence(99), 0, n),
+                                  k_coarse, k_fine)
+    bits = np.vstack((bits, np.random.default_rng(7).integers(0, 2, k_coarse + k_fine)))
+    return bits, np.vstack((r, [[np.nextafter(2.0, 0.0)]]))
+
+
+@pytest.mark.parametrize("k", [(1, 52), (30, 23), (12, 12), (4, 4)])
+def test_level_skipping_kernel_matches_the_reference_bytes(k):
+    """The kernel that skips the levels past reach gives the every-level
+    reference byte for byte: points some ulps from a breakpoint at 0 (a
+    subnormal distance), about 1, 1e3 and 2^k_coarse, points 2^(1-j) (1 +- ulp)
+    away, points past every level and no points; on the step-function shift too."""
+    bp = _edge_breakpoints(k[0])
+    f = StepFunction1D(bp, np.arange(1.0, len(bp)) * (-1.5) ** np.arange(len(bp) - 1))
+    bits, r = _edge_grids(*k)
+    offsets = hilbert._level_offsets(bits, *k)
+    xs = _edge_points(bp, *k)
+    far = [2.0 ** (k[0] + 3) + 0.5, -3.0 * 2.0 ** (k[0] + 2)]
+    for block in [[x] for x in xs] + [xs[:40], far, far[:1] + xs[-1:], []]:
+        got = hilbert._shift_sums(f, k[0], r, offsets, block)
+        assert got.tobytes() == reference_shift_sums(f, k[0], r, offsets, block).tobytes()
+        assert got.shape == (len(r), len(block))
+    for ri, row in zip(r[:, 0], bits):
+        g = RandomDyadicGrid(k[0], k[1], ri, row)
+        got, ref = grid_shift_apply(f, g), reference_grid_shift_apply(f, g)
+        assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_level_skipping_keeps_the_rounding_margin():
+    """A breakpoint exactly 2^(1-j) = 512 (j = -8) from x at |x| ~ 760 lies
+    strictly inside the computed level-j interval when r is the float below 2:
+    the interval's rounded ends reach past x.  Skipping every level with
+    2^(1-j) <= d, with no margin, would drop that level's term."""
+    x, b = -760.63232421875, -248.63232421874997
+    assert b - x == 512.0
+    g = RandomDyadicGrid(12, 12, np.nextafter(2.0, 0.0),
+                         [int(c) for c in np.binary_repr(14170865, width=24)])
+    left, length = g.interval_containing(x, -8)
+    assert left < b < left + length
+    f = StepFunction1D([b, b + 1.0], [1.0])
+    ref = reference_shift_sums(f, 12, g.r, g.offsets[None], [x])
+    assert shift_evaluate(f, g, x) == ref[0, 0]
+
+
+def test_bench_like_item_skips_the_far_levels(monkeypatch):
+    """On a bench-like item (points at least 0.05 from the breakpoints of a
+    step function on [0, 1], levels (12, 12)) the kernel locates intervals on
+    at most 19 of the 25 levels."""
+    counts = []
+
+    def counting_left_ends(x, r, shift, base, step=0.0):
+        counts.append(np.shape(shift)[0])
+        return left_ends(x, r, shift, base, step)
+
+    left_ends = hilbert._left_ends
+    monkeypatch.setattr(hilbert, "_left_ends", counting_left_ends)
+    f = StepFunction1D([0.0, 0.21, 0.48, 0.8, 1.0], [0.3, -1.2, 0.8, 2.0])
+    mc_hilbert(f, [-0.3, 0.35, 1.42], 128, 5)
+    assert counts and max(counts) <= 19
 
 
 # ---------------------------------------------------------------------------
