@@ -58,7 +58,6 @@ from .hilbert import (
     grid_shift_apply,
     mc_hilbert,
     sample_grid,
-    sampled_continuous_bmo,
 )
 
 __version__ = "0.1.0"

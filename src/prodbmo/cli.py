@@ -187,14 +187,16 @@ def _fmt(v):
 
 def cmd_haar(args) -> int:
     depth, values, kind = load_function_file(args.input)
+    direction, expected = ("forward", "grid") if args.forward else ("inverse", "spectrum")
+    if kind != expected:
+        raise ValidationError(f"haar --{direction} reads a {expected} file, got kind {kind!r}")
     if args.forward:
         spec = haar_forward_2d(GridFunction2D(depth, values))
         save_function_file(args.output, depth, spec.coeffs, kind="spectrum")
     else:
         grid = haar_inverse_2d(HaarSpectrum2D(depth, values))
         save_function_file(args.output, depth, grid.values, kind="grid")
-    emit({"config": {"input": args.input, "output": args.output,
-                     "direction": "forward" if args.forward else "inverse"},
+    emit({"config": {"input": args.input, "output": args.output, "direction": direction},
           "depth": list(depth)})
     return 0
 

@@ -22,8 +22,6 @@ import math
 
 import numpy as np
 
-from .closure import ClosureInstance, best_ratio
-from .core import GridFunction2D, _check_same_depth, haar_forward_2d
 from .errors import (
     EvaluationAtJumpError,
     ValidationError,
@@ -252,6 +250,14 @@ def _draw_grids(pools, k_coarse: int, k_fine: int):
     return bits, r
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``SeedSequence(seed)``, refusing what it refuses with ``ValidationError``."""
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad seed: {exc}") from exc
+
+
 def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     """Draw a grid: fair shift bits per level, dilation with density
     1/(r ln 2) on [1,2) (i.e. r = 2^u with u uniform).  Deterministic in
@@ -259,7 +265,7 @@ def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     ``default_rng(seed)`` would draw it; :func:`standard_grid` is the
     undilated, unshifted grid."""
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+        seed = _seed_sequence(seed)
     bits, r = _draw_grids(seed.pool[None], k_coarse, k_fine)
     return RandomDyadicGrid(k_coarse, k_fine, r[0, 0], bits[0])
 
@@ -267,13 +273,6 @@ def sample_grid(seed, k_coarse: int, k_fine: int) -> RandomDyadicGrid:
 def standard_grid(k_coarse: int, k_fine: int) -> RandomDyadicGrid:
     _check_levels(k_coarse, k_fine)
     return RandomDyadicGrid(k_coarse, k_fine, 1.0, np.zeros(k_coarse + k_fine, dtype=int))
-
-
-def _sampled_grids(seed, n: int, k_coarse: int, k_fine: int):
-    """One grid per child of ``SeedSequence(seed).spawn(n)``, in spawn
-    order, each drawn from its own stream."""
-    bits, r = _draw_grids(_child_pools(np.random.SeedSequence(seed), 0, n), k_coarse, k_fine)
-    return [RandomDyadicGrid(k_coarse, k_fine, ri, row) for ri, row in zip(r[:, 0], bits)]
 
 
 def _check_window(f: StepFunction1D, k_coarse: int):
@@ -314,9 +313,10 @@ def _shift_sums(f: StepFunction1D, k_coarse: int, r, offsets, xs) -> np.ndarray:
     the computed ends of a level-j interval (length r 2^-j < 2^(1-j), offset in
     [0, 2^-j)) lie within 6u (|x| + length) of an interval of that length holding x,
     so no breakpoint lies inside if length (1 + 6u) + 6u |x| <= d, the distance from x
-    to the breakpoints (computed within a factor 1 +- u).  reach = min over x of
-    d (1 - 16u) - 16u |x| leaves room for both and for its own rounding: level j is
-    skipped if 2^(1-j) <= reach."""
+    to the breakpoints (computed within a factor 1 +- u).  reach = d (1 - 16u) - 16u |x|
+    leaves room for both and for its own rounding: level j adds nothing at x if
+    2^(1-j) <= reach.  The levels past the block's least reach are skipped, and each
+    point's own levels past reach are masked, so a far point meets no fine level."""
     _check_window(f, k_coarse)
     x = np.asarray(xs, dtype=float)
     if not np.isfinite(x).all():
@@ -324,16 +324,19 @@ def _shift_sums(f: StepFunction1D, k_coarse: int, r, offsets, xs) -> np.ndarray:
     bp = f.breakpoints
     near = np.searchsorted(bp[1:-1], x) + 1  # bp[near - 1] < x <= bp[near], or an end pair
     gap = np.minimum(np.abs(x - bp[near - 1]), np.abs(bp[near] - x))
-    reach = (gap * (1.0 - 2.0 ** -49) - 2.0 ** -49 * np.abs(x)).min(initial=2.0 ** 1023)
-    # levels l = j + k_coarse with 2^(k_coarse + 1 - l) > reach, read off reach's exponent
-    levels = max(k_coarse + 2 - math.frexp(reach)[1], 0) if reach > 0.0 else offsets.shape[1]
+    reach = gap * (1.0 - 2.0 ** -49) - 2.0 ** -49 * np.abs(x)
+    least = reach.min(initial=2.0 ** 1023)
+    # levels l = j + k_coarse with 2^(k_coarse + 1 - l) > least, read off least's exponent
+    levels = max(k_coarse + 2 - math.frexp(least)[1], 0) if least > 0.0 else offsets.shape[1]
     if levels == 0:  # no points, or every point beyond reach
         return np.zeros((offsets.shape[0], x.size))
     base = np.ldexp(1.0, k_coarse - np.arange(offsets.shape[1]))[:levels, None, None]
+    seen = 2.0 * base > reach  # the same test per point; a masked point is located at 0
+    x = np.where(seen, x, 0.0)
     left = _left_ends(x, r, offsets.T[:levels, :, None], base)
     length = r * base
     coef = f.haar_coefficient(left, left + length / 2.0, left + length)
-    keep = f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
+    keep = seen & f.has_breakpoint_inside(left, left + length) & (coef != 0.0)
     terms = np.where(keep, coef * _shift_values((x - left) / length, length), 0.0)
     # levels in order, coarse to fine, from +0.0 (np.sum may pair them up instead)
     return np.cumsum(terms, axis=0)[-1] + 0.0
@@ -374,7 +377,7 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     if np.isin(xs, f.breakpoints).any():
         raise EvaluationAtJumpError("evaluation at jump")
     _check_levels(k_coarse, k_fine)
-    seeds = np.random.SeedSequence(seed)
+    seeds = _seed_sequence(seed)
     step = max(1, _BLOCK_ELEMENTS // ((k_coarse + k_fine + 1) * max(len(xs), 1)))
     blocks = []
     for i in range(0, n_samples, step):  # the children of spawn(n_samples), a block at a time
@@ -385,164 +388,3 @@ def mc_hilbert(f: StepFunction1D, xs, n_samples: int, seed,
     est = scaled.mean(axis=0)
     err = scaled.std(axis=0, ddof=1) / math.sqrt(n_samples)
     return list(zip(est.tolist(), err.tolist()))
-
-
-# ---------------------------------------------------------------------------
-# product-grid BMO of a compactly supported grid function
-# ---------------------------------------------------------------------------
-
-class _AxisSystem:
-    """Intervals of one 1-d system at levels [0, j_hi] overlapping [0, 1),
-    held as arrays of their exact quarter points, with the closure cells
-    between their distinct ends."""
-
-    def __init__(self, g: RandomDyadicGrid, j_hi: int):
-        if j_hi + 1 > g.k_fine:
-            raise ValidationError("levels outside the grid's range")
-        # per level, the interval containing 0 and those to its right while left < 1
-        # (at most 2^j + 1 more), at quarter steps; each point is r times an exact
-        # dyadic number, so a point that two levels share is one float
-        base = np.ldexp(1.0, -np.arange(j_hi + 1))[:, None, None]
-        steps = np.arange((1 << j_hi) + 2)[:, None] + np.arange(5) / 4.0
-        quarters = _left_ends(0.0, g.r, g.offsets[g.k_coarse:g.k_coarse + j_hi + 1, None, None],
-                              base, steps)
-        inside = quarters[:, :, 0] < 1.0
-        self.levels = np.nonzero(inside)[0]
-        self.quarters = quarters[inside]
-        self.lefts = self.quarters[:, 0]
-        self.lengths = g.r * base[self.levels, 0, 0]
-        ends = self.quarters[:, [0, 4]]
-        self.edges = np.unique(ends)
-        self.ranges = np.searchsorted(self.edges, ends)
-
-    def overlap_matrix(self, edges: np.ndarray) -> np.ndarray:
-        """A[i, c] = integral of h_{I_i} over the mesh cell [edges[c], edges[c+1])."""
-        e0, e1 = edges[:-1], edges[1:]
-        a, mid, b = (self.quarters[:, q, None] for q in (0, 2, 4))
-        low = np.clip(np.minimum(e1, mid) - np.maximum(e0, a), 0.0, None)
-        high = np.clip(np.minimum(e1, b) - np.maximum(e0, mid), 0.0, None)
-        return (high - low) / np.sqrt(self.lengths[:, None])
-
-
-def _mesh_coefficients(sys1: _AxisSystem, sys2: _AxisSystem, values, edges_s, edges_t):
-    """Coefficients on the product system of a function piecewise constant
-    on the mesh edges_s x edges_t."""
-    return sys1.overlap_matrix(edges_s) @ values @ sys2.overlap_matrix(edges_t).T
-
-
-def _system_bmo_sq(sys1: _AxisSystem, sys2: _AxisSystem, coefs) -> float:
-    """Squared BMO norm of the coefficients in the product system."""
-    n1, n2 = len(sys1.ranges), len(sys2.ranges)
-    inst = ClosureInstance((np.diff(sys1.edges), np.diff(sys2.edges)),
-                           (np.repeat(sys1.ranges, n2, axis=0), np.tile(sys2.ranges, (n1, 1))),
-                           np.square(coefs).ravel())
-    return best_ratio(inst)[0]
-
-
-def product_grid_bmo_sq(b: GridFunction2D, g1: RandomDyadicGrid, g2: RandomDyadicGrid) -> float:
-    """Squared BMO norm of b computed in the product of two sampled 1-d
-    systems, at resolution matched to the grid of b."""
-    sys1 = _AxisSystem(g1, b.depth[0])
-    sys2 = _AxisSystem(g2, b.depth[1])
-    n1, n2 = b.values.shape
-    coefs = _mesh_coefficients(sys1, sys2, b.values,
-                               np.linspace(0.0, 1.0, n1 + 1), np.linspace(0.0, 1.0, n2 + 1))
-    return _system_bmo_sq(sys1, sys2, coefs)
-
-
-def sampled_continuous_bmo(b: GridFunction2D, n_grids: int, seed) -> float:
-    """Max of the dyadic BMO of b over sampled product grids; the first
-    grid is always the standard one, and samples are nested in the seed,
-    so the value is a monotone lower bound on the grid-uniform norm."""
-    if n_grids < 1:
-        raise ValidationError("need at least one grid")
-    j_max = max(b.depth) + 2
-    drawn = _sampled_grids(seed, 2 * (n_grids - 1), 2, j_max)
-    grids = [(standard_grid(2, j_max), standard_grid(2, j_max))]
-    grids += zip(drawn[0::2], drawn[1::2])
-    return max(product_grid_bmo_sq(b, g1, g2) for g1, g2 in grids)
-
-
-# ---------------------------------------------------------------------------
-# mesh functions: exact commutators with sampled-grid shifts
-# ---------------------------------------------------------------------------
-
-def _mesh_for_axis(sys_shift: _AxisSystem, unit_edges: np.ndarray) -> np.ndarray:
-    """Mesh refining the unit grid and the quarter structure of every
-    interval of the shift system (children's halves included)."""
-    return np.unique(np.concatenate((unit_edges, sys_shift.quarters.ravel())))
-
-
-def _embed_grid_on_mesh(b: GridFunction2D, edges_s, edges_t) -> np.ndarray:
-    """Cell values of b on the mesh edges_s x edges_t (zero outside [0,1)^2)."""
-    index = [np.clip(np.floor(0.5 * (e[:-1] + e[1:]) * n).astype(int) + 1, 0, n + 1)
-             for e, n in zip((edges_s, edges_t), b.values.shape)]
-    return np.pad(b.values, 1)[np.ix_(*index)]
-
-
-class _MeshShift:
-    """One-axis shift of mesh cell values in a fixed sampled system."""
-
-    def __init__(self, sys_shift: _AxisSystem, edges: np.ndarray):
-        self.analysis = sys_shift.overlap_matrix(edges)  # <., h_I> per mesh cell
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        a, ln = sys_shift.lefts[:, None], sys_shift.lengths[:, None]
-        pos = (mids - a) / ln
-        self.pattern = ((pos >= 0.0) & (pos < 1.0)) * _shift_values(pos, ln)
-
-    def apply_axis0(self, w: np.ndarray) -> np.ndarray:
-        return self.pattern.T @ (self.analysis @ w)
-
-    def apply_axis1(self, w: np.ndarray) -> np.ndarray:
-        return (w @ self.analysis.T) @ self.pattern
-
-
-def averaged_commutator_bmo_report(phi: GridFunction2D, b: GridFunction2D,
-                                   n_grids: int, seed):
-    """Empirical table for the averaged-shift iterated commutator.
-
-    The commutator [S1, [S2, M_phi]] b is computed exactly for each sampled
-    product grid (levels [0, depth+2] per axis); the Monte-Carlo average,
-    scaled by (AVERAGING_FACTOR * ln 2)^2, estimates the continuous
-    iterated commutator.  Its BMO is then sampled over the same grids.
-    Returns (rows, best, control): one row per grid holding the squared
-    L2 norm of that grid's commutator output (``grid_commutator_output_l2``),
-    the largest squared BMO norm of the scaled average over the sampled
-    product systems, and lmo_d(phi) * ||b||_BMO.
-    """
-    from .norms import bmo_norm_of_grid, lmo_d_norm  # local import, no cycle
-    from .shifts import double_commutator
-
-    _check_same_depth(phi, b)
-    j_hi = max(phi.depth) + 2
-    drawn = _sampled_grids(seed, 2 * n_grids, 2, j_hi + 2)
-    grids = list(zip(drawn[0::2], drawn[1::2]))
-
-    outputs, rows = [], []
-    scale = (AVERAGING_FACTOR * LN2) ** 2
-    unit1 = np.linspace(0.0, 1.0, (1 << phi.depth[0]) + 1)
-    unit2 = np.linspace(0.0, 1.0, (1 << phi.depth[1]) + 1)
-    for g1, g2 in grids:
-        s_sys = _AxisSystem(g1, j_hi)
-        t_sys = _AxisSystem(g2, j_hi)
-        edges_s = _mesh_for_axis(s_sys, unit1)
-        edges_t = _mesh_for_axis(t_sys, unit2)
-        pm = _embed_grid_on_mesh(phi, edges_s, edges_t)
-        bm = _embed_grid_on_mesh(b, edges_s, edges_t)
-        s1 = _MeshShift(s_sys, edges_s)
-        s2 = _MeshShift(t_sys, edges_t)
-        out = double_commutator(s1.apply_axis0, s2.apply_axis1, pm.__mul__, bm)
-        outputs.append((out, edges_s, edges_t))
-        rows.append({"grid_commutator_output_l2": float(
-            ((out ** 2) * np.outer(np.diff(edges_s), np.diff(edges_t))).sum())})
-
-    # sampled BMO of the scaled MC average, evaluated in each sampled grid
-    best = 0.0
-    for g1, g2 in grids:
-        sys1 = _AxisSystem(g1, phi.depth[0])
-        sys2 = _AxisSystem(g2, phi.depth[1])
-        coef_sum = sum(_mesh_coefficients(sys1, sys2, *out) for out in outputs)
-        best = max(best, _system_bmo_sq(sys1, sys2, coef_sum * (scale / n_grids)))
-
-    control = lmo_d_norm(haar_forward_2d(phi)) * bmo_norm_of_grid(b)
-    return rows, best, control

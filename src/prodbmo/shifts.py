@@ -24,6 +24,7 @@ from .core import (
     mean_pyramid,
 )
 from .errors import InsufficientHeadroomError, NonConvergenceError, ValidationError
+from .linop import assemble
 from .norms import (
     bmo_d_norm_sq,
     bmo_rect_norm_sq,
@@ -127,8 +128,6 @@ def _grid_double_commutator(m, x: GridFunction2D) -> GridFunction2D:
 
 def shift_matrix(depth, axis: int):
     """Dense matrix of the (truncated) shift over the tensor basis."""
-    from .linop import assemble
-
     return assemble(lambda c: truncating_shift(c, axis), depth, space="spectrum")
 
 

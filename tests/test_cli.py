@@ -74,6 +74,20 @@ def test_haar_roundtrip_files(tmp_path, capsys):
     assert np.abs(values - f.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("direction, kind", [
+    ("--forward", "spectrum"), ("--inverse", "grid"), ("--inverse", None),
+], ids=["forward-spectrum", "inverse-grid", "inverse-no-kind"])
+def test_haar_refuses_a_file_of_the_other_kind(tmp_path, capsys, direction, kind):
+    """A file with no kind is a grid; each direction reads only its own kind."""
+    src, out = tmp_path / "f.json", tmp_path / "out.json"
+    payload = {"depth": [1, 1], "values": [1.0, 0.0, 0.0, 2.0]}
+    src.write_text(json.dumps(payload if kind is None else {**payload, "kind": kind}))
+    assert cli_dispatch(["haar", direction, "--input", str(src), "--output", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and direction in err and repr(kind or "grid") in err
+    assert not out.exists()
+
+
 def test_function_file_bit_exact_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     values = rng.standard_normal((4, 4))

@@ -1,0 +1,32 @@
+"""The package's import graph, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import prodbmo
+
+
+def _package_imports():
+    """module -> [(imported package module, imported at module level)], from every
+    ``from .x import ...`` and ``from . import x`` at any nesting level."""
+    graph = {}
+    for path in sorted(Path(prodbmo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        graph[path.stem] = [
+            (name, id(node) in top) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])]
+    return graph
+
+
+def test_import_graph_is_module_level_acyclic_and_hilbert_reads_only_errors():
+    graph = _package_imports()
+    assert [(m, dep) for m, deps in graph.items() for dep, top in deps if not top] == []
+    edges = {m: {dep for dep, _ in deps} for m, deps in graph.items()}
+    done = set()
+    while len(done) < len(edges):  # peel off the modules whose imports are all done
+        ready = {m for m, deps in edges.items() if m not in done and deps <= done}
+        assert ready, f"import cycle among {sorted(set(edges) - done)}"
+        done |= ready
+    assert edges["hilbert"] == {"errors"}
