@@ -32,24 +32,21 @@ _MAX_ROUNDS = 1000
 #: relative improvement below which a Dinkelbach round settles the ratio
 _REL_TOL = 1e-13
 #: bytes a solve may hold, estimated as 225 per rect -> cell arc plus 475 per
-#: rectangle or atom (measured with ru_maxrss); best_ratio refuses a network above
-#: it, and it bounds the summed estimates of the cached structures, which over-count
-#: their traced memory
+#: rectangle or atom, 2-9% over a solve's traced peak (of which the cached structure,
+#: adjacency tuples included, keeps 185-220 per arc); best_ratio refuses a network
+#: above it, and it bounds the summed estimates of the cached structures
 _MAX_BYTES = 2.2e9
 
 
 class _FlowNetwork:
     """Dinic max-flow on real capacities ``cap``, set before each solve, over
-    fixed arcs read from arrays into lists: arc e runs into to[e], arc e ^ 1
-    is its reverse, and node u leaves by arcs order[ends[u - 1]:ends[u]].
-    ``phases`` and ``paths`` count the blocking-flow phases and augmenting
-    paths of every max_flow call on the network."""
+    fixed arcs, which it only reads: arc e runs into to[e], arc e ^ 1 is its
+    reverse, and node u leaves by the arcs head[u].  ``phases`` and ``paths``
+    count the blocking-flow phases and augmenting paths of every max_flow
+    call on the network."""
 
-    def __init__(self, order, ends, to):
-        order, ends = order.tolist(), ends.tolist()
-        self.n = len(ends)
-        self.head = [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        self.to = to.tolist()
+    def __init__(self, head, to):
+        self.head, self.to, self.n = head, to, len(head)
         self.phases = self.paths = 0
 
     def max_flow(self, s, t, eps):
@@ -245,9 +242,10 @@ def _structure(inst: ClosureInstance, active):
     heads = np.concatenate((np.arange(1, 1 + nr), 1 + nr + s.cells, np.full(nc, 1 + nr + nc)))
     # arc 2k: tails[k] -> heads[k]; a stable sort by the node left keeps arcs in id order
     starts = np.column_stack((tails, heads)).ravel()
-    s.order = np.argsort(starts, kind="stable")
-    s.ends = np.cumsum(np.bincount(starts, minlength=2 + nr + nc))
-    s.to = np.column_stack((heads, tails)).ravel()
+    order = np.argsort(starts, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(starts, minlength=2 + nr + nc)).tolist()
+    head = tuple(tuple(order[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    to = tuple(np.column_stack((heads, tails)).ravel().tolist())
     # best box tables: per axis the distinct range intervals, their containments and cells
     index, s.inside, s.sides = [], [], []
     for w, r in zip(s.widths, s.ranges):
@@ -264,6 +262,7 @@ def _structure(inst: ClosureInstance, active):
         for a in v if isinstance(v, (list, tuple)) else (v,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+    s.head, s.to = head, to  # immutable tuples, set after the loop so that it skips them
     _STRUCTURES[key] = s
     _STRUCTURES.bytes += s.bytes
     while _STRUCTURES.bytes > _MAX_BYTES:
@@ -298,7 +297,7 @@ def best_ratio(inst: ClosureInstance):
     best = np.unravel_index(np.argmax(grid / s.box_area), s.box_area.shape)
     best_mask = reduce(np.logical_and.outer, [side[u] for side, u in zip(s.sides, best)]).ravel()
     lam = ratio(best_mask)
-    net = _FlowNetwork(s.order, s.ends, s.to)
+    net = _FlowNetwork(s.head, s.to)
     for _ in range(_MAX_ROUNDS):
         # only the last arcs, cell -> sink, depend on lam; the cut's source side is closed
         net.cap = list(base_cap)

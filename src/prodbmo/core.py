@@ -370,15 +370,13 @@ def _dyadic_cells(rect: DyadicRect, depth):
             for side, j in zip(sides, depth)]
 
 
-def _subtree_reduce(x: np.ndarray, ufunc, axis: int) -> np.ndarray:
-    """x with each slot b >= 1 along ``axis`` replaced by ufunc over slot b
-    and its descendants 2b, 2b + 1, 4b, ...; slot 0 is kept."""
-    x = np.moveaxis(x, axis, 0).copy()
+def _subtree_reduce(x: np.ndarray, ufunc):
+    """Replace, in place, each slot b >= 1 along x's first axis (another's: a transposed
+    view) by ufunc over slot b and its descendants 2b, 2b + 1, 4b, ...; slot 0 is kept."""
     lo = len(x) >> 2  # the first slot with children
     while lo:
-        x[lo:2 * lo] = ufunc(x[lo:2 * lo], ufunc(x[2 * lo:4 * lo:2], x[2 * lo + 1:4 * lo:2]))
+        ufunc(x[lo:2 * lo], ufunc(x[2 * lo:4 * lo:2], x[2 * lo + 1:4 * lo:2]), out=x[lo:2 * lo])
         lo >>= 1
-    return np.moveaxis(x, 0, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,9 @@ def _draw_grids(pools, k_coarse: int, k_fine: int):
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    """``SeedSequence(seed)``, refusing what it refuses with ``ValidationError``."""
+    """``SeedSequence(seed)``, refusing with ``ValidationError`` what it refuses and None."""
+    if seed is None:  # SeedSequence(None) draws fresh OS entropy
+        raise ValidationError("bad seed: None draws OS entropy; pass an explicit seed")
     try:
         return np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,29 +88,43 @@ def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None
     return best_ratio_bruteforce(grid_closure_instance(phi, restrict_to))
 
 
+@lru_cache(maxsize=32)
+def _depth_tables(shape):
+    """Read-only (scale, t_mask, starts) of one spectrum shape: 1 / |R| of every basis-index
+    pair, the t-generation mask of _generation_bound, and per axis the reduceat starts of the
+    generation blocks, the first basis index of each generation."""
+    lv = [level_of_basis_index(n) for n in shape]
+    tables = (2.0 ** np.add.outer(*lv), np.equal.outer(np.arange(lv[1][-1] + 1), lv[1])[:, None],
+              *(1 << np.arange(v[-1] + 1) for v in lv))
+    for a in tables:
+        a.flags.writeable = False
+    return tables[0], tables[1], tables[2:]
+
+
 def _energy_levels(phi: HaarSpectrum2D):
-    """(phi_R^2 / |R|, E, levels) over the basis-index pairs (b1, b2) >= 1,
-    each the dyadic rectangle R = I x J: E the hh energy of the rectangles
-    inside R and levels the level sum of R itself (|R| = 2^-levels)."""
-    sq = np.square(phi.hh_only().coeffs)
-    energy, levels = sq, np.add.outer(*(level_of_basis_index(n) for n in sq.shape))
-    for axis in (0, 1):
-        energy = _subtree_reduce(energy, np.add, axis)
-    return sq * 2.0 ** levels, energy, levels
+    """(phi_R^2 / |R|, E, scale) over the basis-index pairs (b1, b2) >= 1, each
+    the dyadic rectangle R = I x J: E the hh energy of the rectangles inside R
+    and scale = 1 / |R|.  Only the hh block is squared: no other can overflow."""
+    scale = _depth_tables(phi.coeffs.shape)[0]
+    sq = np.zeros(phi.coeffs.shape)
+    np.square(phi.coeffs[1:, 1:], out=sq[1:, 1:])
+    energy = sq.copy()
+    _subtree_reduce(energy, np.add)
+    _subtree_reduce(energy.T, np.add)
+    return sq * scale, energy, scale
 
 
-def _generation_bound(ratio, t_depth: int):
+def _generation_bound(ratio):
     """U[b1, b2]: the sum over generations g of the largest ratio
     phi_Q^2 / |Q| of a generation-g rectangle Q inside R.  The rectangles
     of one generation are disjoint, so those inside an Omega weigh at most
     that largest ratio times |Omega|, and E / |R| <= ||phi restricted to
     R||^2 <= U.  The peaks are stacked by one generation axis at a time:
     t_depth * n1 * n2 floats at most."""
-    lv2 = level_of_basis_index(ratio.shape[1])
     upper = np.zeros_like(ratio)
     # by t-generation g2: the largest ratio of generation g2 below each column
-    peak = _subtree_reduce(np.where(np.equal.outer(np.arange(t_depth), lv2)[:, None],
-                                    ratio, 0.0), np.maximum, 2)
+    peak = np.where(_depth_tables(ratio.shape)[1], ratio, 0.0)
+    _subtree_reduce(peak.T, np.maximum)
     stack, lo = np.empty((0, *peak.shape)), len(ratio) >> 1
     while lo:  # by s-generation g1 >= the level of rows [lo, 2 lo): the peaks below each row
         stack = np.concatenate((peak[None, :, lo:2 * lo],
@@ -122,8 +137,8 @@ def _generation_bound(ratio, t_depth: int):
 def bmo_rect_norm_sq(phi: HaarSpectrum2D) -> float:
     """Rectangle-restricted variant: Omega ranges over single dyadic
     rectangles only.  Always <= the open-set norm."""
-    _, energy, levels = _energy_levels(phi)
-    return float((energy * 2.0 ** levels).max())
+    _, energy, scale = _energy_levels(phi)
+    return float((energy * scale).max())
 
 
 def bmo_norm_of_grid(f: GridFunction2D) -> float:
@@ -157,14 +172,18 @@ def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
     they tile the square, and each holds the tail's rectangles inside it."""
     phi, e = _unit_scaled(phi)
     ratio, energy, _ = _energy_levels(phi)
-    upper = _generation_bound(ratio, phi.depth[1])
+    starts = _depth_tables(ratio.shape)[2]
+    # the largest ratio and U of each generation (j1, j2); the ratio's then over all j' >= j
+    ratio_max, upper_max = (np.maximum.reduceat(np.maximum.reduceat(x, starts[0]), starts[1], 1)
+                            for x in (ratio, _generation_bound(ratio)))
+    ratio_max = np.maximum.accumulate(np.maximum.accumulate(ratio_max[::-1, ::-1]), 1)[::-1, ::-1]
     tails, bounds = [], []
     for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
         gen = np.s_[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]  # the rectangles of (j1, j2)
         w = (j1 + 1) * (j2 + 1)
-        lower = max(float(energy[gen].sum()), float(ratio[(1 << j1):, (1 << j2):].max()))
+        lower = max(float(energy[gen].sum()), float(ratio_max[j1, j2]))
         tails.append((w, (j1, j2)))
-        bounds.append((w * math.sqrt(lower), w * math.sqrt(upper[gen].max())))
+        bounds.append((w * math.sqrt(lower), w * math.sqrt(upper_max[j1, j2])))
     best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
         best_ratio(grid_closure_instance(phi, tail=tails[n][1]))[0]))
     try:
@@ -210,6 +229,21 @@ def lmo_char_details(phi: HaarSpectrum2D):
     return _lmo_char_search(phi, (0, 0))
 
 
+@lru_cache(maxsize=64)
+def _char_candidates(shape, beta):
+    """Read-only (s, t, w, scale) of the beta candidates on one shape, the s-axis outer: per
+    axis the basis index of every interval, weighted (log(4 * 2^j))^2, or of the unit interval
+    alone, weighted 1; scale is 1 / |R|."""
+    sides = [np.arange(1, 2 if b else n) for b, n in zip(beta, shape)]
+    weights = [np.where(b, 1.0, ((level_of_basis_index(n)[side] + 2) * LN2) ** 2)
+               for b, n, side in zip(beta, shape, sides)]
+    s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
+    out = s, t, np.multiply.outer(*weights).ravel(), _depth_tables(shape)[0][s, t]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _lmo_char_search(phi: HaarSpectrum2D, beta):
     """(value, first rectangle attaining it) of the beta characterisation;
     the unit square when every weighted value is 0.  A restricted norm
@@ -217,18 +251,10 @@ def _lmo_char_search(phi: HaarSpectrum2D, beta):
     beta = tuple(beta)
     if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    ratio, energy, levels = _energy_levels(phi)
-    upper = _generation_bound(ratio, phi.depth[1])
-    n1, n2 = energy.shape
-    # per axis: the basis index of every interval, weighted (log(4 * 2^j))^2, or of the
-    # unit interval alone, weighted 1; the candidates run with the s-axis outer
-    sides = [np.arange(1, 2 if b else n) for b, n in zip(beta, (n1, n2))]
-    weights = [np.where(b, 1.0, ((level_of_basis_index(n)[side] + 2) * LN2) ** 2)
-               for b, n, side in zip(beta, (n1, n2), sides)]
-    s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
-    w = np.multiply.outer(*weights).ravel()
-    e = w * energy[s, t]
-    bounds = np.column_stack((e * 2.0 ** levels[s, t], w * upper[s, t])).tolist()
+    ratio, energy, _ = _energy_levels(phi)
+    upper = _generation_bound(ratio)
+    s, t, w, scale = _char_candidates(phi.coeffs.shape, beta)
+    bounds = np.column_stack((w * energy[s, t] * scale, w * upper[s, t])).tolist()
 
     def rect(n):
         return DyadicRect(DyadicInterval.from_basis_index(int(s[n])),

@@ -1,19 +1,25 @@
 """Shared test utilities: random inputs and naive reference computations."""
 
+import itertools
+import math
+
 import numpy as np
 
-from prodbmo.closure import ClosureInstance
+from prodbmo.closure import ClosureInstance, best_ratio
 from prodbmo.core import (
     DyadicInterval,
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
     _analysis,
+    _unit_scaled,
     block_means,
     haar_inverse_2d,
+    level_of_basis_index,
 )
 from prodbmo.errors import ValidationError
 from prodbmo.hilbert import StepFunction1D, _check_window, _left_ends, _shift_values
+from prodbmo.norms import LN2, _pruned_max, grid_closure_instance
 from prodbmo.paraproducts import nine_part_apply
 from prodbmo.shifts import AmbientEmbedding, shift_grid
 
@@ -203,20 +209,106 @@ def reference_crop(inst, cells, tail):
 
 
 # ---------------------------------------------------------------------------
+# reference LMO search bounds: every table rebuilt on each call
+# ---------------------------------------------------------------------------
+
+def _reference_subtree_reduce(x, ufunc, axis):
+    """x with each slot b >= 1 along ``axis`` replaced by ufunc over slot b
+    and its descendants 2b, 2b + 1, 4b, ...; slot 0 is kept."""
+    x = np.moveaxis(x, axis, 0).copy()
+    lo = len(x) >> 2  # the first slot with children
+    while lo:
+        x[lo:2 * lo] = ufunc(x[lo:2 * lo], ufunc(x[2 * lo:4 * lo:2], x[2 * lo + 1:4 * lo:2]))
+        lo >>= 1
+    return np.moveaxis(x, 0, axis)
+
+
+def _reference_energy_levels(phi):
+    sq = np.square(phi.hh_only().coeffs)
+    energy, levels = sq, np.add.outer(*(level_of_basis_index(n) for n in sq.shape))
+    for axis in (0, 1):
+        energy = _reference_subtree_reduce(energy, np.add, axis)
+    return sq * 2.0 ** levels, energy, levels
+
+
+def _reference_generation_bound(ratio, t_depth):
+    lv2 = level_of_basis_index(ratio.shape[1])
+    upper = np.zeros_like(ratio)
+    peak = _reference_subtree_reduce(np.where(np.equal.outer(np.arange(t_depth), lv2)[:, None],
+                                              ratio, 0.0), np.maximum, 2)
+    stack, lo = np.empty((0, *peak.shape)), len(ratio) >> 1
+    while lo:
+        stack = np.concatenate((peak[None, :, lo:2 * lo],
+                                np.maximum(stack[:, :, 0::2], stack[:, :, 1::2])))
+        upper[lo:2 * lo] = stack.sum(axis=(0, 1))
+        lo >>= 1
+    return upper
+
+
+def reference_bmo_rect_norm_sq(phi):
+    """``norms.bmo_rect_norm_sq`` on the reference energy table."""
+    _, energy, levels = _reference_energy_levels(phi)
+    return float((energy * 2.0 ** levels).max())
+
+
+def reference_lmo_bounds(phi, pinned=None, beta=None):
+    """(bounds, value, at) of an LMO search as the norms module ran it
+    before its per-depth tables, unchanged: the (lower, upper) bounds handed
+    to ``_pruned_max``, the search's value and the candidate attaining it.
+    With ``pinned``, the tail search of ``lmo_d_norm`` and
+    ``lmo_directional_norm`` (at is the tail (j1, j2)); with ``beta``, the
+    characterisation search (at is the dyadic rectangle)."""
+    if beta is None:
+        phi, e = _unit_scaled(phi)
+        ratio, energy, _ = _reference_energy_levels(phi)
+        upper = _reference_generation_bound(ratio, phi.depth[1])
+        tails, bounds = [], []
+        depths = (range(1 if p else d) for p, d in zip(pinned, phi.depth))
+        for j1, j2 in itertools.product(*depths):
+            gen = np.s_[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]
+            w = (j1 + 1) * (j2 + 1)
+            lower = max(float(energy[gen].sum()), float(ratio[(1 << j1):, (1 << j2):].max()))
+            tails.append((w, (j1, j2)))
+            bounds.append((w * math.sqrt(lower), w * math.sqrt(upper[gen].max())))
+        best, n = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
+            best_ratio(grid_closure_instance(phi, tail=tails[n][1]))[0]))
+        try:
+            best = math.ldexp(best, e)
+        except OverflowError:
+            best = math.inf
+        return bounds, best, tails[n][1]
+    ratio, energy, levels = _reference_energy_levels(phi)
+    upper = _reference_generation_bound(ratio, phi.depth[1])
+    n1, n2 = energy.shape
+    sides = [np.arange(1, 2 if b else n) for b, n in zip(beta, (n1, n2))]
+    weights = [np.where(b, 1.0, ((level_of_basis_index(n)[side] + 2) * LN2) ** 2)
+               for b, n, side in zip(beta, (n1, n2), sides)]
+    s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
+    w = np.multiply.outer(*weights).ravel()
+    e = w * energy[s, t]
+    bounds = np.column_stack((e * 2.0 ** levels[s, t], w * upper[s, t])).tolist()
+
+    def rect(n):
+        return DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
+                          DyadicInterval.from_basis_index(int(t[n])))
+    best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
+        grid_closure_instance(phi, rect(n)))[0])
+    return bounds, best, rect(n)
+
+
+# ---------------------------------------------------------------------------
 # reference max-flow kernel: the closure solver's earlier Dinic loops
 # ---------------------------------------------------------------------------
 
 class ReferenceFlowNetwork:
     """The closure solver's Dinic loops as they were before their rewrite for
-    speed, unchanged but for the phase and path counters: every BFS runs in
-    full and every bottleneck is taken by ``min``.  Same constructor and
-    ``cap`` contract as ``prodbmo.closure._FlowNetwork``."""
+    speed, unchanged but for the phase and path counters and the
+    constructor: every BFS runs in full and every bottleneck is taken by
+    ``min``.  Same constructor (the per-node arc lists ``head`` and the arc
+    ends ``to``) and ``cap`` contract as ``prodbmo.closure._FlowNetwork``."""
 
-    def __init__(self, order, ends, to):
-        order, ends = order.tolist(), ends.tolist()
-        self.n = len(ends)
-        self.head = [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        self.to = to.tolist()
+    def __init__(self, head, to):
+        self.head, self.to, self.n = head, to, len(head)
         self.phases = self.paths = 0
 
     def max_flow(self, s, t, eps):

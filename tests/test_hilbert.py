@@ -165,7 +165,9 @@ def test_non_integer_level_and_sample_counts_are_refused(call):
     lambda f: mc_hilbert(f, [2.0], 4, -1),
     lambda f: sample_grid(-1, 2, 3),
     lambda f: mc_hilbert(f, [2.0], 4, 1.5),
-], ids=["mc-negative", "sample_grid-negative", "mc-float"])
+    lambda f: mc_hilbert(f, [2.0], 4, None),
+    lambda f: sample_grid(None, 2, 3),
+], ids=["mc-negative", "sample_grid-negative", "mc-float", "mc-none", "sample_grid-none"])
 def test_bad_seeds_are_refused(call):
     with pytest.raises(ValidationError, match="seed"):
         call(StepFunction1D.indicator(0.0, 1.0))

@@ -16,7 +16,9 @@ from helpers import (
     indicator_values_1d,
     random_grid,
     random_hh_spectrum,
+    reference_bmo_rect_norm_sq,
     reference_crop,
+    reference_lmo_bounds,
 )
 from prodbmo import closure, norms
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
@@ -198,14 +200,16 @@ def test_closure_ratio_matches_per_rectangle_loop():
             assert inst.ratio(mask) == total / areas.ravel()[mask].sum()
 
 
+#: nodes s, a, b, t; arcs 0 s->a, 2 s->b, 4 a->b, 6 a->t, 8 b->t and each odd arc the reverse
+HAND_ARCS = (((0, 2), (1, 4, 6), (3, 5, 8), (7, 9)), (1, 0, 2, 0, 2, 1, 3, 1, 3, 2))
+
+
 def test_max_flow_is_exact_on_fraction_capacities():
     """The flow total starts at an exact 0, so exact capacities give an exact
     max flow: s -> a 1/2, s -> b 1/3, a -> b 1/7, a -> t 1/5, b -> t 2/3,
     whose min cut {s, a} costs 1/3 + 1/7 + 1/5 = 71/105."""
     caps = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(2, 3)]
-    # arcs 0 s->a, 2 s->b, 4 a->b, 6 a->t, 8 b->t and each odd arc the reverse
-    net = _FlowNetwork(np.array([0, 2, 1, 4, 6, 3, 5, 8, 7, 9]), np.array([2, 5, 8, 10]),
-                       np.array([1, 0, 2, 0, 2, 1, 3, 1, 3, 2]))
+    net = _FlowNetwork(*HAND_ARCS)
     net.cap = [c for cap in caps for c in (cap, Fraction(0))]
     flow, level = net.max_flow(0, 3, 0)
     assert type(flow) is Fraction and flow == Fraction(71, 105)
@@ -257,9 +261,9 @@ class _CheckedFlowNetwork(_FlowNetwork):
 
     solves = []
 
-    def __init__(self, order, ends, to):
-        super().__init__(order, ends, to)
-        self.reference = ReferenceFlowNetwork(order, ends, to)
+    def __init__(self, head, to):
+        super().__init__(head, to)
+        self.reference = ReferenceFlowNetwork(head, to)
 
     def max_flow(self, s, t, eps):
         self.solves.append(self)
@@ -286,24 +290,22 @@ def test_flow_kernel_matches_the_reference_on_fraction_capacities():
     """Exact capacities take the same paths through both kernels: the
     hand-sized network of the exact max-flow test and a (3,3) grid network
     whose weights, rect -> cell capacities and lam are Fractions."""
-    arcs = (np.array([0, 2, 1, 4, 6, 3, 5, 8, 7, 9]), np.array([2, 5, 8, 10]),
-            np.array([1, 0, 2, 0, 2, 1, 3, 1, 3, 2]))
-    net = _FlowNetwork(*arcs)
+    net = _FlowNetwork(*HAND_ARCS)
     caps = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(2, 3)]
     net.cap = [c for cap in caps for c in (cap, Fraction(0))]
-    assert _same_max_flow(net, ReferenceFlowNetwork(*arcs), 0, 3, 0)[0] == Fraction(71, 105)
+    assert _same_max_flow(net, ReferenceFlowNetwork(*HAND_ARCS), 0, 3, 0)[0] == Fraction(71, 105)
     inst = norms.grid_closure_instance(random_hh_spectrum((3, 3), np.random.default_rng(2202)))
     active = np.flatnonzero(inst.rect_weights > 0.0)
     s = closure._structure(inst, active)
     weights = [Fraction(w) for w in inst.rect_weights[active]]
     nr, nc, n_req = s.first.size, s.cell_areas.size, s.cells.size
     lam = Fraction(best_ratio(inst)[0]) * Fraction(9, 10)
-    net = _FlowNetwork(s.order, s.ends, s.to)
+    net = _FlowNetwork(s.head, s.to)
     net.cap = [Fraction(0)] * (2 * (nr + n_req + nc))
     net.cap[0:2 * nr:2] = weights
     net.cap[2 * nr:-2 * nc:2] = [2 * sum(weights)] * n_req
     net.cap[-2 * nc::2] = [lam * Fraction(a) for a in s.cell_areas]
-    flow, level = _same_max_flow(net, ReferenceFlowNetwork(s.order, s.ends, s.to), 0, net.n - 1, 0)
+    flow, level = _same_max_flow(net, ReferenceFlowNetwork(s.head, s.to), 0, net.n - 1, 0)
     assert type(flow) is Fraction and 0 < flow < sum(weights) and net.paths > nr
 
 
@@ -376,6 +378,43 @@ def test_cached_structures_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def test_cached_tables_are_read_only_and_outlast_a_refused_solve():
+    """The LMO searches' per-depth tables are read-only and the cached flow
+    adjacency is tuples, so no solve can change them: a sequence of solves
+    on one geometry, one of them refused for a NaN weight, returns == to the
+    same solves each run on an empty cache."""
+    phi = random_hh_spectrum((3, 3), np.random.default_rng(2106))
+    scale, t_mask, starts = norms._depth_tables(phi.coeffs.shape)
+    for a in (scale, t_mask, *starts, *norms._char_candidates(phi.coeffs.shape, (0, 0))):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    nan, flipped = phi.coeffs.copy(), phi.coeffs.copy()
+    nan[3, 5] = np.nan
+    flipped[1:, 1:] = phi.coeffs[:0:-1, :0:-1]
+    phis = [HaarSpectrum2D((3, 3), c) for c in (phi.coeffs, 2.0 * phi.coeffs, nan, flipped)]
+    phis.append(phi)
+
+    def solve(p):
+        try:
+            return bmo_d_norm_sq(p)
+        except ValidationError as exc:
+            return str(exc)
+
+    cold = []
+    for p in phis:
+        closure._STRUCTURES.clear()
+        cold.append(solve(p))
+    closure._STRUCTURES.clear()
+    warm = [solve(p) for p in phis]
+    (structure,) = closure._STRUCTURES.values()
+    assert type(structure.head) is tuple and all(type(arcs) is tuple for arcs in structure.head)
+    assert type(structure.to) is tuple and len(structure.to) == sum(map(len, structure.head))
+    assert "non-negative" in cold[2] and warm[2] == cold[2]
+    for (value, mask), (got, got_mask) in zip(cold[:2] + cold[3:], warm[:2] + warm[3:]):
+        assert got == value and np.array_equal(got_mask, mask)
+    closure._STRUCTURES.clear()
 
 
 def test_structure_cache_holds_at_most_the_byte_bound(monkeypatch):
@@ -782,7 +821,7 @@ def test_per_generation_bounds_enclose_every_restricted_and_tail_norm(depth):
     slack = 1.0 + 1e-12
     for c in symbols:
         phi = HaarSpectrum2D(depth, c)
-        upper = _generation_bound(_energy_levels(phi)[0], depth[1])
+        upper = _generation_bound(_energy_levels(phi)[0])
         weighted = [(a1, a2, a1.bit_length() + a2.bit_length() - 2, c[a1, a2] ** 2)
                     for a1, a2 in zip(*map(np.ndarray.tolist, np.nonzero(c)))]
 
@@ -885,6 +924,75 @@ def test_equal_bounds_settle_a_candidate_at_its_solved_value(d1, monkeypatch):
             for beta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
                 lmo_beta_char_norm(phi, beta)
     assert settled and all(lower == solved for lower, solved in settled)
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, RuntimeError, RuntimeWarning) as exc:  # warnings raise in the suite
+        return type(exc), str(exc)
+
+
+def test_lmo_search_bounds_and_values_equal_the_reference(monkeypatch):
+    """The LMO searches, on their per-depth tables, build the same bounds as
+    the reference in tests/helpers.py, which rebuilt every table per call,
+    and return the same values, attaining rectangles and errors: both pinned
+    axes, all four beta and bmo_rect_norm_sq, on Gaussian, 60%-sparse,
+    integer and staircase symbols at amplitudes 1 and 2^+-600."""
+    seen = []
+    pruned_max = norms._pruned_max
+
+    def recorded(bounds, value):
+        seen.append(bounds)
+        return pruned_max(bounds, value)
+
+    monkeypatch.setattr(norms, "_pruned_max", recorded)
+    rng = np.random.default_rng(3001)
+    searches = [(dict(pinned=(False, False)), lmo_d_norm),
+                (dict(pinned=(False, True)), lambda phi: lmo_directional_norm(phi, 1)),
+                (dict(pinned=(True, False)), lambda phi: lmo_directional_norm(phi, 2)),
+                (dict(beta=(0, 0)), lmo_char_details)]
+    searches += [(dict(beta=beta), lambda phi, beta=beta: lmo_beta_char_norm(phi, beta))
+                 for beta in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    compared, raised = 0, 0
+    for depth in [(1, 1), (1, 3), (2, 2), (3, 3), (5, 2), (2, 4), (3, 6)]:
+        gauss = random_hh_spectrum(depth, rng).coeffs
+        tied = rng.integers(-2, 3, gauss.shape) * (gauss != 0.0)
+        stair = haar_forward_2d(extremal_bmo_function(
+            DyadicRect.from_levels(depth[0], 1, depth[1], 1), depth)).hh_only().coeffs
+        for c in (gauss, gauss * (rng.random(gauss.shape) < 0.4), tied, stair):
+            for amplitude in (1.0, 2.0 ** 600, 2.0 ** -600):
+                phi = HaarSpectrum2D(depth, amplitude * c)
+                assert (_outcome(lambda: bmo_rect_norm_sq(phi))
+                        == _outcome(lambda: reference_bmo_rect_norm_sq(phi)))
+                for kind, search in searches:
+                    expected = _outcome(lambda: reference_lmo_bounds(phi, **kind))
+                    seen.clear()
+                    got = _outcome(lambda: search(phi))
+                    if isinstance(expected[0], type):
+                        assert got == expected
+                        raised += 1
+                        continue
+                    bounds, value, at = expected
+                    assert seen == [bounds]
+                    assert got == ((value, at) if search is lmo_char_details else value)
+                    compared += len(bounds)
+    assert compared > 3000 and raised > 10
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (3, 3), (4, 2)])
+def test_lmo_bounds_square_only_the_hh_block(depth):
+    """cc, hc and ch coefficients of 1e200, whose squares overflow, leave
+    the LMO and rectangle norms warning-free (warnings fail the suite) and
+    equal to those of the hh block alone."""
+    phi = random_hh_spectrum(depth, np.random.default_rng(3002))
+    loud = phi.coeffs.copy()
+    loud[0, :] = loud[:, 0] = 1e200
+    loud = HaarSpectrum2D(depth, loud)
+    for norm in (lmo_d_norm, lambda p: lmo_directional_norm(p, 1),
+                 lambda p: lmo_directional_norm(p, 2), lmo_char_norm, bmo_rect_norm_sq):
+        assert norm(loud) == norm(phi)
 
 
 def test_lmo_and_grid_bmo_homogeneous_at_extreme_amplitudes():
