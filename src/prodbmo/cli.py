@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import calibration
 from .core import (
-    DyadicInterval,
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
@@ -58,19 +58,21 @@ from .paraproducts import (
 )
 from .shifts import iterated_commutator_apply, commutator_part_norm_report, shift_matrix
 
-USAGE = """usage: prodbmo <command> [options]
+#: command -> its line in the usage text, in the order listed there
+COMMANDS = {
+    "haar": "forward/inverse Haar transform of a function file",
+    "bmo": "product BMO norm (exact / brute / rect)",
+    "lmo": "logarithmic mean oscillation norms (def / char / dir / beta)",
+    "paraproduct": "apply a paraproduct to a function file",
+    "opnorm": "operator norm of a named operator",
+    "sigma": "coefficient rearrangement sigma_k / one-axis variant",
+    "commutator": "iterated shift commutator (dyadic) or block norm report",
+    "hilbert": "Monte-Carlo averaged-shift transform or analytic oracle",
+    "experiment": "deterministic experiment sweeps emitting CSV tables",
+}
 
-commands:
-  haar         forward/inverse Haar transform of a function file
-  bmo          product BMO norm (exact / brute / rect)
-  lmo          logarithmic mean oscillation norms (def / char / dir / beta)
-  paraproduct  apply a paraproduct to a function file
-  opnorm       operator norm of a named operator
-  sigma        coefficient rearrangement sigma_k / one-axis variant
-  commutator   iterated shift commutator (dyadic) or block norm report
-  hilbert      Monte-Carlo averaged-shift transform or analytic oracle
-  experiment   deterministic experiment sweeps emitting CSV tables
-"""
+USAGE = "usage: prodbmo <command> [options]\n\ncommands:\n" + "".join(
+    f"  {name:12} {text}\n" for name, text in COMMANDS.items())
 
 # ---------------------------------------------------------------------------
 # file I/O
@@ -114,21 +116,26 @@ def save_function_file(path: str, depth, values, kind: str = "grid") -> None:
     atomic_write(path, dump_json(payload))
 
 
-def load_function_file(path: str):
-    """(depth, values, kind); values enter the package here, so NaN and inf stop here."""
+def _read_json(path: str, what: str, read):
+    """read(payload) of the JSON file at path; a payload that does not parse or
+    that read cannot use is a malformed ``what`` file."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
-            depth, values = payload["depth"], np.asarray(payload["values"], dtype=float)
+            return read(json.load(fh))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ValidationError(f"malformed function file {path}: {exc!r}") from exc
+            raise ValidationError(f"malformed {what} file {path}: {exc!r}") from exc
+
+
+def load_function_file(path: str):
+    """(depth, values, kind); values enter the package here, so NaN and inf stop here."""
+    depth, values, kind = _read_json(path, "function", lambda p: (
+        p["depth"], np.asarray(p["values"], dtype=float), p.get("kind", "grid")))
     depth = _check_depth(depth)
     if not np.isfinite(values).all():
         raise ValidationError(f"function file {path} values must be finite")
     n1, n2 = 1 << depth[0], 1 << depth[1]
     if values.size != n1 * n2:
         raise ValidationError(f"function file holds {values.size} values, expected {n1 * n2}")
-    kind = payload.get("kind", "grid")
     if kind not in ("grid", "spectrum"):
         raise ValidationError(f"function file kind must be 'grid' or 'spectrum', got {kind!r}")
     return depth, values.reshape(n1, n2), kind
@@ -205,8 +212,7 @@ def cmd_bmo(args) -> int:
     phi = load_spectrum(args.input)
     restrict = None
     if args.restrict:
-        j1, i1, j2, i2 = parse_ints(args.restrict, 4)
-        restrict = DyadicRect(DyadicInterval(j1, i1), DyadicInterval(j2, i2))
+        restrict = DyadicRect.from_levels(*parse_ints(args.restrict, 4))
     if args.method == "exact":
         value, mask = bmo_d_norm_sq(phi, restrict)
         cells = [[int(r), int(c)] for r, c in zip(*np.nonzero(mask))]
@@ -291,8 +297,7 @@ def cmd_opnorm(args) -> int:
 def cmd_sigma(args) -> int:
     b = load_spectrum(args.input)
     if args.axis is None:
-        k = parse_ints(args.k)
-        out = sigma_k(b, k)
+        out = sigma_k(b, parse_ints(args.k))
     else:
         if args.axis != 1:
             raise ValidationError("the one-axis rearrangement aggregates axis 1")
@@ -324,14 +329,8 @@ def cmd_commutator(args) -> int:
 
 
 def load_step_function(path: str) -> StepFunction1D:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-            breakpoints = np.asarray(payload["breakpoints"], dtype=float)
-            values = np.asarray(payload["values"], dtype=float)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ValidationError(f"malformed step-function file {path}: {exc!r}") from exc
-    return StepFunction1D(breakpoints, values)
+    return StepFunction1D(*_read_json(path, "step-function", lambda p: (
+        np.asarray(p["breakpoints"], dtype=float), np.asarray(p["values"], dtype=float))))
 
 
 def cmd_hilbert(args) -> int:
@@ -382,69 +381,52 @@ def _experiment_growth(depth, trials, seed):
     return header, rows
 
 
-def _experiment_bound(key, ratio, depth, trials, seed):
-    """One row per trial: ratio((depth, depth), rng) against its calibrated bound."""
-    bound = calibration.bound_constant(key, depth)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for t in range(trials):
-        value = ratio((depth, depth), rng)
-        rows.append([t, value, bound, int(value <= bound)])
-    return ["trial", "ratio", "bound", "ok"], rows
+def _seeded_experiment(columns, kernel, limits, depth, trials, seed,
+                       values=lambda value: [[value]]):
+    """Rows [trial t, *value, *limits(depth), ok] for every value of values(draw t),
+    the draws kernel((depth, depth), rng) from one seeded rng; ok when the value's
+    last entry lies within the limits, an optional lower bound and an upper bound."""
+    bounds = limits(depth)
+    lo, hi = (-math.inf, *bounds)[-2:]
+    draws = calibration._sweep_bound([(depth, depth)], kernel, trials, seed)
+    return ["trial", *columns, "ok"], [[t, *v, *bounds, int(lo <= v[-1] <= hi)]
+                                       for t, draw in enumerate(draws) for v in values(draw)]
 
 
-def _experiment_lemma_core(depth, trials, seed):
-    rng = np.random.default_rng(seed)
-    tol = 1e-8
-    rows = []
-    for t in range(trials):
-        b = calibration.random_hh_symbol((depth, depth), rng)
-        for k1 in range(depth + 1):
-            for k2 in range(depth + 1):
-                lhs, rhs = calibration.lemma_core_norms(b, (k1, k2))
-                rows.append(
-                    [t, k1, k2, lhs, rhs, abs(lhs - rhs), tol,
-                     int(abs(lhs - rhs) <= tol)]
-                )
-    header = ["trial", "k1", "k2", "lhs_norm", "rhs_norm", "abs_diff", "tol", "ok"]
-    return header, rows
+def _lemma_core_values(b):
+    """[k1, k2, lhs, rhs, |lhs - rhs|] of calibration.lemma_core_norms at every k."""
+    return [[k1, k2, lhs, rhs, abs(lhs - rhs)]
+            for k1 in range(b.depth[0] + 1) for k2 in range(b.depth[1] + 1)
+            for lhs, rhs in [calibration.lemma_core_norms(b, (k1, k2))]]
 
 
-def _experiment_nine_part(depth, trials, seed):
-    rng = np.random.default_rng(seed)
-    tol = 1e-10
-    d = (depth, depth)
-    rows = []
-    for t in range(trials):
-        phi = calibration.random_hh_symbol(d, rng)
-        f = haar_inverse_2d(calibration.random_hh_symbol(d, rng))
-        total = nine_part_sum(phi, f)
-        product = haar_inverse_2d(phi).multiply(f)
-        err = float(np.abs(total.values - product.values).max())
-        rows.append([t, err, tol, int(err <= tol)])
-    return ["trial", "max_abs_err", "tol", "ok"], rows
+def _nine_part_error(depth, rng) -> float:
+    """max |sum of the nine parts of phi f - phi f| for a fresh (phi, f) draw."""
+    phi = calibration.random_hh_symbol(depth, rng)
+    f = haar_inverse_2d(calibration.random_hh_symbol(depth, rng))
+    product = haar_inverse_2d(phi).multiply(f)
+    return float(np.abs(nine_part_sum(phi, f).values - product.values).max())
 
 
-def _experiment_lmo_equivalence(depth, trials, seed):
-    lo, hi = calibration.lmo_ratio_interval(depth)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for t in range(trials):
-        ratio = calibration.lmo_ratio((depth, depth), rng)
-        rows.append([t, ratio, lo, hi, int(lo <= ratio <= hi)])
-    return ["trial", "ratio", "c1", "c2", "ok"], rows
+def _bound(key):
+    return lambda depth: (calibration.bound_constant(key, depth),)
 
 
 #: experiment name -> runner(depth, trials, seed) returning (header, rows)
 EXPERIMENTS = {
     "growth": _experiment_growth,
-    "paraproduct-bound": partial(_experiment_bound, "pi_bound_constant",
-                                 calibration.pi_bound_ratio),
-    "lemma-core": _experiment_lemma_core,
-    "nine-part": _experiment_nine_part,
-    "commutator-bound": partial(_experiment_bound, "shift_commutator_bound",
-                                calibration.commutator_bound_ratio),
-    "lmo-equivalence": _experiment_lmo_equivalence,
+    "paraproduct-bound": partial(_seeded_experiment, ["ratio", "bound"],
+                                 calibration.pi_bound_ratio, _bound("pi_bound_constant")),
+    "lemma-core": partial(
+        _seeded_experiment, ["k1", "k2", "lhs_norm", "rhs_norm", "abs_diff", "tol"],
+        calibration.random_hh_symbol, lambda depth: (1e-8,), values=_lemma_core_values),
+    "nine-part": partial(_seeded_experiment, ["max_abs_err", "tol"], _nine_part_error,
+                         lambda depth: (1e-10,)),
+    "commutator-bound": partial(_seeded_experiment, ["ratio", "bound"],
+                                calibration.commutator_bound_ratio,
+                                _bound("shift_commutator_bound")),
+    "lmo-equivalence": partial(_seeded_experiment, ["ratio", "c1", "c2"],
+                               calibration.lmo_ratio, calibration.lmo_ratio_interval),
 }
 
 
@@ -555,12 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_dispatch(argv) -> int:
     argv = list(argv)
-    known = {"haar", "bmo", "lmo", "paraproduct", "opnorm", "sigma",
-             "commutator", "hilbert", "experiment"}
     if not argv or argv[0] in ("-h", "--help"):
         sys.stdout.write(USAGE)
         return 0
-    if argv[0] not in known:
+    if argv[0] not in COMMANDS:
         sys.stderr.write(USAGE)
         return 64
     parser = build_parser()

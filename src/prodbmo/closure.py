@@ -32,9 +32,10 @@ _MAX_ROUNDS = 1000
 #: relative improvement below which a Dinkelbach round settles the ratio
 _REL_TOL = 1e-13
 #: bytes a solve may hold, estimated as 225 per rect -> cell arc plus 475 per
-#: rectangle or atom, 2-9% over a solve's traced peak (of which the cached structure,
-#: adjacency tuples included, keeps 185-220 per arc); best_ratio refuses a network
-#: above it, and it bounds the summed estimates of the cached structures
+#: rectangle or atom, 30-32% over a dense solve's traced peak from (4,4) to (8,8)
+#: (of which the cached structure, adjacency tuples included, keeps 124-165 per arc);
+#: best_ratio refuses a network above it, and it bounds the summed estimates of the
+#: cached structures
 _MAX_BYTES = 2.2e9
 
 
@@ -245,7 +246,8 @@ def _structure(inst: ClosureInstance, active):
     order = np.argsort(starts, kind="stable").tolist()
     ends = np.cumsum(np.bincount(starts, minlength=2 + nr + nc)).tolist()
     head = tuple(tuple(order[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    to = tuple(np.column_stack((heads, tails)).ravel().tolist())
+    nodes = list(range(2 + nr + nc))  # the arc ends share one int object per node
+    to = tuple(map(nodes.__getitem__, np.column_stack((heads, tails)).ravel()))
     # best box tables: per axis the distinct range intervals, their containments and cells
     index, s.inside, s.sides = [], [], []
     for w, r in zip(s.widths, s.ranges):

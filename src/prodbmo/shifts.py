@@ -102,16 +102,11 @@ def truncating_shift(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     return HaarSpectrum2D(c.depth, out.swapaxes(0, axis - 3))
 
 
-def double_commutator(s1, s2, m, x):
-    """[s1, [s2, m]] x for any three linear maps supporting + and -."""
-    return s1(s2(m(x))) - s1(m(s2(x))) - s2(m(s1(x))) + m(s2(s1(x)))
-
-
 def _grid_double_commutator(m, x: GridFunction2D) -> GridFunction2D:
-    """:func:`double_commutator` of the grid shifts for m linear on batched
-    grids: two stages of one analysis, two shifts and one synthesis, (S2 M x,
-    S2 x, S1 x) then S1 (S2 M x, M S2 x) and S2 (M S1 x, S1 x); elementwise,
-    so bit-identical to the eight separate grid shifts."""
+    """[S1, [S2, m]] x of the grid shifts for m linear on batched grids: two
+    stages of one analysis, two shifts and one synthesis, (S2 M x, S2 x, S1 x)
+    then S1 (S2 M x, M S2 x) and S2 (M S1 x, S1 x); elementwise, so bit-identical
+    to the eight separate grid shifts of ``tests/helpers.py::reference_double_commutator``."""
     d = x.depth
     c = haar_forward_2d(GridFunction2D(d, np.stack((m(x).values, x.values)))).coeffs
     g = haar_inverse_2d(HaarSpectrum2D(d, np.concatenate((

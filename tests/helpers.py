@@ -386,9 +386,9 @@ def _s2(g):
 
 
 def reference_double_commutator(m, x):
-    """[S1, [S2, m]] x as the shifts module evaluated it before its staged
-    form: ``double_commutator(_s1, _s2, m, x)``, each of the eight shifts a
-    full Haar analysis, coefficient move and synthesis of one grid."""
+    """[S1, [S2, m]] x = S1 S2 m x - S1 m S2 x - S2 m S1 x + m S2 S1 x, as the
+    shifts module evaluated it before its staged form: each of the eight shifts
+    a full Haar analysis, coefficient move and synthesis of one grid."""
     return _s1(_s2(m(x))) - _s1(m(_s2(x))) - _s2(m(_s1(x))) + m(_s2(_s1(x)))
 
 

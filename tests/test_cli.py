@@ -1,5 +1,6 @@
 """CLI surface: file round-trips, exit codes, deterministic experiment runs."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -14,6 +15,8 @@ import prodbmo
 
 from prodbmo import closure
 from prodbmo.cli import (
+    USAGE,
+    build_parser,
     cli_dispatch,
     load_function_file,
     save_function_file,
@@ -56,6 +59,19 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 def test_bad_flags_exit_2(tmp_path, capsys):
     assert cli_dispatch(["haar", "--forward"]) == 2
+
+
+def test_usage_dispatch_and_parser_name_the_same_commands(capsys):
+    """The commands the usage text lists are the ones cli_dispatch passes to the
+    parser (anything else exits 64) and the parser's subcommands."""
+    listed = USAGE.split("commands:\n", 1)[1].splitlines()
+    usage = {line.split()[0] for line in listed if line.strip()}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == usage and len(usage) == 9
+    for name in usage:  # every command has a required option, so parsing alone exits 2
+        assert cli_dispatch([name]) == 2
+        for other in (name.upper(), name[:-1], name + "s", f"-{name}"):
+            assert other in usage or cli_dispatch([other]) == 64
 
 
 def test_haar_roundtrip_files(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The package's import graph, read from the source with ``ast``."""
+"""The package's source: its import graph, read with ``ast``, and its line length."""
 
 import ast
 from pathlib import Path
@@ -30,3 +30,9 @@ def test_import_graph_is_module_level_acyclic_and_hilbert_reads_only_errors():
         assert ready, f"import cycle among {sorted(set(edges) - done)}"
         done |= ready
     assert edges["hilbert"] == {"errors"}
+
+
+def test_no_source_line_is_longer_than_99_columns():
+    long = [f"{path.name}:{i}" for path in sorted(Path(prodbmo.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
+    assert long == []

@@ -368,6 +368,18 @@ def test_structure_cache_reads_the_weights_of_each_solve():
     _assert_same_solves(instances, _solved_cold(instances))
 
 
+def test_cached_adjacency_shares_one_int_per_node():
+    """The arc ends of the cached adjacency refer to one int object per node of
+    the flow network: a dense (5,5) structure, whose 1,219 nodes lie mostly past
+    the ints CPython shares by itself (-5..256), holds 6,400 rect -> cell arcs."""
+    inst = norms.grid_closure_instance(random_hh_spectrum((5, 5), np.random.default_rng(2107)))
+    s = closure._structure(inst, np.flatnonzero(inst.rect_weights > 0.0))
+    n_nodes = len(s.head)
+    assert n_nodes > 257 and s.n_arcs == 6400
+    assert len({id(v) for v in s.to}) <= n_nodes
+    assert sorted(set(s.to)) == list(range(n_nodes))
+
+
 def test_cached_structures_are_read_only():
     closure._STRUCTURES.clear()
     bmo_d_norm_sq(random_hh_spectrum((3, 3), np.random.default_rng(2103)))
