@@ -8,7 +8,6 @@ Monte-Carlo averaged-shift realisation of the Hilbert transform.
 from .core import (
     DyadicInterval,
     DyadicRect,
-    GenerationIndex,
     GridFunction2D,
     HaarSpectrum2D,
     PrefixTable,
@@ -25,7 +24,6 @@ from .paraproducts import (
     PI_01,
     PI_10,
     NinePartTag,
-    Signature,
     nine_part_apply,
     nine_part_sum,
     paraproduct,

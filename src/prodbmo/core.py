@@ -98,8 +98,9 @@ class DyadicRect:
         return self.s_interval.length * self.t_interval.length
 
     @property
-    def generation(self) -> "GenerationIndex":
-        return GenerationIndex(self.s_interval.level, self.t_interval.level)
+    def generation(self) -> tuple:
+        """The generation pair (j1, j2): the levels of the two sides."""
+        return (self.s_interval.level, self.t_interval.level)
 
     def contains(self, other: "DyadicRect") -> bool:
         return self.s_interval.contains(other.s_interval) and self.t_interval.contains(
@@ -109,29 +110,6 @@ class DyadicRect:
     @classmethod
     def from_levels(cls, j1: int, i1: int, j2: int, i2: int) -> "DyadicRect":
         return cls(DyadicInterval(j1, i1), DyadicInterval(j2, i2))
-
-
-@dataclass(frozen=True)
-class GenerationIndex:
-    """Pair of generation levels with the componentwise partial order."""
-
-    j1: int
-    j2: int
-
-    def __post_init__(self):
-        if self.j1 < 0 or self.j2 < 0:
-            raise ValidationError("generation indices must be >= 0")
-
-    def strictly_below(self, other: "GenerationIndex") -> bool:
-        """self < other: strict in BOTH coordinates."""
-        return self.j1 < other.j1 and self.j2 < other.j2
-
-    def below(self, other: "GenerationIndex") -> bool:
-        """self <= other componentwise."""
-        return self.j1 <= other.j1 and self.j2 <= other.j2
-
-    def as_tuple(self):
-        return (self.j1, self.j2)
 
 
 def _check_depth(depth) -> tuple:
@@ -334,30 +312,36 @@ def haar_inverse_2d(c: HaarSpectrum2D) -> GridFunction2D:
 # the basis-index layout of one axis: interval b has children 2b and 2b + 1
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a cached table is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def level_of_basis_index(n: int) -> np.ndarray:
-    """level_of[b] for b in [0, n); entry 0 is -1 (the constant)."""
-    return np.frexp(np.arange(n))[1].astype(np.int64) - 1
+    """Read-only level_of[b] for b in [0, n); entry 0 is -1 (the constant)."""
+    return _read_only(np.frexp(np.arange(n))[1].astype(np.int64) - 1)
 
 
 @lru_cache(maxsize=64)
 def _interval_cells(n: int) -> np.ndarray:
-    """(n, 2) table on an axis of n cells: row b >= 1 is the half-open cell
-    range of interval b, and row 0 spans the axis."""
+    """Read-only (n, 2) table on an axis of n cells: row b >= 1 is the half-open
+    cell range of interval b, and row 0 spans the axis."""
     lv = np.maximum(level_of_basis_index(n), 0)
     lo = (np.arange(n) % (1 << lv)) * (n >> lv)
-    return np.column_stack((lo, lo + (n >> lv)))
+    return _read_only(np.column_stack((lo, lo + (n >> lv))))
 
 
 @lru_cache(maxsize=32)
 def _basis_order(depth):
-    """(rows, cols): the basis-index pairs of the fixed enumeration, cc, then
-    hc and ch by basis index, then hh by (j1, j2, i1, i2)."""
+    """Read-only (rows, cols): the basis-index pairs of the fixed enumeration,
+    cc, then hc and ch by basis index, then hh by (j1, j2, i1, i2)."""
     n1, n2 = 1 << depth[0], 1 << depth[1]
     b1, b2 = (b.ravel() for b in np.meshgrid(np.arange(1, n1), np.arange(1, n2), indexing="ij"))
     hh = np.lexsort((b2, b1, level_of_basis_index(n2)[b2], level_of_basis_index(n1)[b1]))
-    return (np.concatenate((np.arange(n1), np.zeros(n2 - 1, np.int64), b1[hh])),
-            np.concatenate((np.zeros(n1, np.int64), np.arange(1, n2), b2[hh])))
+    return (_read_only(np.concatenate((np.arange(n1), np.zeros(n2 - 1, np.int64), b1[hh]))),
+            _read_only(np.concatenate((np.zeros(n1, np.int64), np.arange(1, n2), b2[hh]))))
 
 
 def _dyadic_cells(rect: DyadicRect, depth):
@@ -441,7 +425,7 @@ def mean_pyramid(values: np.ndarray):
 
 @lru_cache(maxsize=256)
 def _axis_pattern(n: int, j: int, beta: int):
-    """(slots, values) of the level-j outer factor on an axis of n cells:
+    """Read-only (slots, values) of the level-j outer factor on an axis of n cells:
     slots[cell] is the hh-block slot (basis index - 1) of the level-j
     interval holding the cell, and values the factor there.
 
@@ -450,12 +434,12 @@ def _axis_pattern(n: int, j: int, beta: int):
     """
     slots = (1 << j) - 1 + (np.arange(n) >> (n.bit_length() - 1 - j))
     if beta == 1:
-        return slots, np.full(n, float(1 << j))
+        return _read_only(slots), _read_only(np.full(n, float(1 << j)))
     w = n >> j
     tile = np.empty(w)
     tile[: w // 2] = -(2.0 ** (j / 2.0))
     tile[w // 2:] = 2.0 ** (j / 2.0)
-    return slots, np.tile(tile, 1 << j)
+    return _read_only(slots), _read_only(np.tile(tile, 1 << j))
 
 
 def _generation_sum(shape, a, b, beta) -> np.ndarray:

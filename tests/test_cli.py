@@ -553,6 +553,10 @@ def test_malformed_input_file_exit_2(tmp_path, command, text):
                  id="opnorm-projection-negative-depth"),
     pytest.param(["opnorm", "--kind", "paraproduct", "--sig", "pi"],
                  id="opnorm-paraproduct-no-symbol"),
+    pytest.param(["paraproduct", "--sig", "rr", "--symbol", "{grid}", "--input", "{grid}",
+                  "--output", "{out}"], id="paraproduct-non-corner-sig"),
+    pytest.param(["opnorm", "--kind", "paraproduct", "--sig", "r_pi", "--symbol", "{grid}",
+                  "--output", "{out}"], id="opnorm-paraproduct-non-corner-sig"),
     pytest.param(["commutator", "--mode", "dyadic", "--phi", "{grid}", "--b", "{grid}"],
                  id="commutator-dyadic-no-output"),
     pytest.param(["bmo", "--input", "{dir}"], id="bmo-input-directory"),

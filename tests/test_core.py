@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from prodbmo.core import (
+    _axis_pattern,
+    _basis_order,
+    _interval_cells,
     DyadicInterval,
     DyadicRect,
-    GenerationIndex,
     GridFunction2D,
     HaarSpectrum2D,
     PrefixTable,
@@ -16,6 +18,7 @@ from prodbmo.core import (
     dyadic_rect_mean,
     haar_forward_2d,
     haar_inverse_2d,
+    level_of_basis_index,
     rect_mean,
     square_function,
 )
@@ -69,18 +72,20 @@ def test_interval_containment():
     assert not i.contains(DyadicInterval(0, 0))
 
 
-def test_generation_partial_order():
-    a = GenerationIndex(1, 2)
-    assert a.strictly_below(GenerationIndex(2, 3))
-    assert not a.strictly_below(GenerationIndex(1, 3))  # strict in BOTH
-    assert a.below(GenerationIndex(1, 2))
-    assert not a.below(GenerationIndex(0, 5))
-
-
 def test_rect_area():
     r = DyadicRect.from_levels(1, 0, 2, 3)
     assert r.area == 2.0 ** -3
-    assert r.generation == GenerationIndex(1, 2)
+    assert r.generation == (1, 2)
+
+
+def test_cached_layout_tables_are_read_only():
+    """Every caller shares the cached per-axis tables, so none may write into them."""
+    tables = [level_of_basis_index(8), _interval_cells(8), *_basis_order((2, 3)),
+              *_axis_pattern(8, 1, 0), *_axis_pattern(8, 2, 1)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[1] = 0
+    assert level_of_basis_index(8).tolist() == [-1, 0, 1, 1, 2, 2, 2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package's source: its import graph, read with ``ast``, and its line length."""
+"""The package's source: its import graph and raised exception types, read with ``ast``,
+and its line length."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,21 @@ def test_no_source_line_is_longer_than_99_columns():
     long = [f"{path.name}:{i}" for path in sorted(Path(prodbmo.__file__).parent.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
     assert long == []
+
+
+def test_every_raise_names_an_error_class_of_the_package():
+    """A raised exception outside prodbmo.errors and argparse.ArgumentTypeError escapes the
+    CLI's exit-code mapping as a traceback; a bare re-raise keeps the caught type."""
+    src = Path(prodbmo.__file__).parent
+    allowed = {node.name for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in allowed
+                    or ast.unparse(exc) == "argparse.ArgumentTypeError"):
+                stray.append(f"{path.name}:{node.lineno} raise {ast.unparse(exc)}")
+    assert stray == []

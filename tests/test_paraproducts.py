@@ -31,7 +31,7 @@ from prodbmo.core import (
     _unit_scaled,
     square_function,
 )
-from prodbmo.errors import DepthMismatchError, UnsupportedSignatureError
+from prodbmo.errors import DepthMismatchError, UnsupportedSignatureError, ValidationError
 from prodbmo.paraproducts import (
     _AXIS_FACTORS,
     ALL_NINE_TAGS,
@@ -42,13 +42,14 @@ from prodbmo.paraproducts import (
     PI,
     PI_01,
     PI_10,
+    NINE_PART_NAMES,
     NinePartTag,
-    Signature,
     nine_part_apply,
     nine_part_sum,
     paraproduct,
     sigma1_k,
     sigma_k,
+    signature_by_name,
 )
 
 UNIT_SQUARE = DyadicRect.from_levels(0, 0, 0, 0)
@@ -62,13 +63,41 @@ def unit_haar_spectrum(depth):
 # signatures
 # ---------------------------------------------------------------------------
 
-def test_signature_validation():
+CORNERS = (PI, DELTA, PI_01, PI_10)
+
+
+def factor_kinds(tag):
+    """((phi kinds), (f kinds), (output kinds)) of a block, one entry per axis."""
+    return tuple(zip(_AXIS_FACTORS[tag.s_relation], _AXIS_FACTORS[tag.t_relation]))
+
+
+@pytest.mark.parametrize("name,tag", [
+    ("pi", PI), ("PI", PI), ("delta", DELTA), ("Delta", DELTA), ("pi01", PI_01),
+    ("PI_01", PI_01), ("pi10", PI_10), ("pi-10", PI_10), ("P.I. 10", PI_10),
+])
+def test_signature_by_name_reads_the_corner_names_in_any_case(name, tag):
+    assert signature_by_name(name) == tag
+
+
+@pytest.mark.parametrize("name", ["rr", "pi_r", "delta_r", "r_pi", "r_delta", "bogus", "",
+                                  "pi00", "sigma"])
+def test_signature_by_name_refuses_the_other_blocks_and_junk(name):
     with pytest.raises(UnsupportedSignatureError):
-        Signature((1, 0), (1, 1), (0, 0))
+        signature_by_name(name)
+
+
+@pytest.mark.parametrize("tag", [t for t in ALL_NINE_TAGS if t not in CORNERS],
+                         ids=lambda t: NINE_PART_NAMES[t])
+def test_paraproduct_refuses_a_block_with_an_equal_axis(tag):
+    phi = unit_haar_spectrum((1, 1))
     with pytest.raises(UnsupportedSignatureError):
-        Signature((0, 0), (0, 0), (0, 0))  # delta must complement beta
-    sig = Signature.from_beta((0, 1))
-    assert sig.delta == (1, 0)
+        paraproduct(tag, phi, GridFunction2D.constant((1, 1), 1.0))
+
+
+def test_nine_part_tag_refuses_an_unknown_relation():
+    with pytest.raises(UnsupportedSignatureError) as err:
+        NinePartTag("finer", "sideways")
+    assert isinstance(err.value, ValidationError)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +138,7 @@ def test_depth_mismatch_rejected():
 
 def naive_paraproduct(sig, phi, f):
     """Direct evaluation of the defining sum, rectangle by rectangle."""
+    _, f_kind, out_kind = factor_kinds(sig)
     depth = f.depth
     n1, n2 = f.values.shape
     pt = PrefixTable(f)
@@ -121,12 +151,12 @@ def naive_paraproduct(sig, phi, f):
         if w == 0.0:
             continue
         i_int, j_int = rect.s_interval, rect.t_interval
-        if tuple(sig.delta) == (1, 1):
+        if f_kind == (1, 1):
             inner = dyadic_rect_mean(pt, rect)
-        elif tuple(sig.delta) == (0, 0):
+        elif f_kind == (0, 0):
             hr = haar_rect_grid(rect, depth)
             inner = grid_inner(f, hr)
-        elif tuple(sig.delta) == (1, 0):
+        elif f_kind == (1, 0):
             # m_I(f_J): t-Haar coefficient per s-cell, then mean over I
             hj = haar_values_1d(j_int, n2)
             f_j = f.values @ hj * cell_w2
@@ -139,12 +169,12 @@ def naive_paraproduct(sig, phi, f):
             inner = f_i[j_int.index * w2:(j_int.index + 1) * w2].mean()
         s_fac = (
             haar_values_1d(i_int, n1)
-            if sig.beta[0] == 0
+            if out_kind[0] == 0
             else indicator_values_1d(i_int, n1)
         )
         t_fac = (
             haar_values_1d(j_int, n2)
-            if sig.beta[1] == 0
+            if out_kind[1] == 0
             else indicator_values_1d(j_int, n2)
         )
         out += w * inner * np.outer(s_fac, t_fac)
@@ -344,7 +374,8 @@ def test_generation_sum_is_byte_identical_to_the_repeat_reference(depth, leads, 
     paraproducts, the nine blocks and the square function agree bit for bit."""
     phi, f = _generation_sum_inputs(depth, leads, case, np.random.default_rng(61))
     for sig in (PI, DELTA, PI_01, PI_10):
-        ref = reference_bilinear(phi, (0, 0), f, sig.delta, sig.beta)
+        _, f_kind, out_kind = factor_kinds(sig)
+        ref = reference_bilinear(phi, (0, 0), f, f_kind, out_kind)
         assert paraproduct(sig, phi, f).values.tobytes() == ref.tobytes()
     for tag in ALL_NINE_TAGS:
         (p1, f1, o1), (p2, f2, o2) = _AXIS_FACTORS[tag.s_relation], _AXIS_FACTORS[tag.t_relation]
