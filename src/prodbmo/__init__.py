@@ -43,8 +43,9 @@ from .norms import (
     lmo_directional_norm,
 )
 from .shifts import (
-    AmbientEmbedding,
     commutator_part_norm_report,
+    embed_grid,
+    embed_spectrum,
     iterated_commutator_apply,
     rr_commutator_on_basis,
     shift_apply,

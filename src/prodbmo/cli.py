@@ -209,6 +209,8 @@ def cmd_haar(args) -> int:
 
 
 def cmd_bmo(args) -> int:
+    if args.restrict and args.method == "rect":
+        raise ValidationError("--restrict applies to --method exact and brute, not rect")
     phi = load_spectrum(args.input)
     restrict = None
     if args.restrict:

@@ -115,8 +115,8 @@ class DyadicRect:
 def _check_depth(depth) -> tuple:
     """The one depth check: two integers in 1..MAX_LEVEL, as a tuple."""
     depth = tuple(depth) if np.iterable(depth) else (depth,)
-    if len(depth) != 2 or not all(isinstance(j, (int, np.integer)) and 1 <= j <= MAX_LEVEL
-                                  for j in depth):
+    if len(depth) != 2 or not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                                  and 1 <= j <= MAX_LEVEL for j in depth):
         raise ValidationError(f"depth {list(depth)} must be two integers in 1..{MAX_LEVEL}")
     return depth
 
@@ -312,10 +312,11 @@ def haar_inverse_2d(c: HaarSpectrum2D) -> GridFunction2D:
 # the basis-index layout of one axis: interval b has children 2b and 2b + 1
 # ---------------------------------------------------------------------------
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: a cached table is shared by every caller."""
-    a.flags.writeable = False
-    return a
+def _read_only(*arrays):
+    """The arrays, read-only, as one array or a tuple: every caller shares a cached table."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 @lru_cache(maxsize=64)
@@ -340,8 +341,8 @@ def _basis_order(depth):
     n1, n2 = 1 << depth[0], 1 << depth[1]
     b1, b2 = (b.ravel() for b in np.meshgrid(np.arange(1, n1), np.arange(1, n2), indexing="ij"))
     hh = np.lexsort((b2, b1, level_of_basis_index(n2)[b2], level_of_basis_index(n1)[b1]))
-    return (_read_only(np.concatenate((np.arange(n1), np.zeros(n2 - 1, np.int64), b1[hh]))),
-            _read_only(np.concatenate((np.zeros(n1, np.int64), np.arange(1, n2), b2[hh]))))
+    return _read_only(np.concatenate((np.arange(n1), np.zeros(n2 - 1, np.int64), b1[hh])),
+                      np.concatenate((np.zeros(n1, np.int64), np.arange(1, n2), b2[hh])))
 
 
 def _dyadic_cells(rect: DyadicRect, depth):
@@ -419,6 +420,13 @@ def mean_pyramid(values: np.ndarray):
     return [block_means(a, -1) for a in block_means(values, -2)]
 
 
+def _block_mean_layout(v: np.ndarray, axis: int) -> np.ndarray:
+    """v's block means along ``axis`` in the basis-index layout: slot b >= 1
+    holds the mean over interval b, slot 0 the mean over the whole axis."""
+    means = block_means(v, axis)
+    return np.concatenate((means[0], *means[:-1]), axis)
+
+
 # ---------------------------------------------------------------------------
 # sums over the generations of the rectangle block
 # ---------------------------------------------------------------------------
@@ -434,12 +442,12 @@ def _axis_pattern(n: int, j: int, beta: int):
     """
     slots = (1 << j) - 1 + (np.arange(n) >> (n.bit_length() - 1 - j))
     if beta == 1:
-        return _read_only(slots), _read_only(np.full(n, float(1 << j)))
+        return _read_only(slots, np.full(n, float(1 << j)))
     w = n >> j
     tile = np.empty(w)
     tile[: w // 2] = -(2.0 ** (j / 2.0))
     tile[w // 2:] = 2.0 ** (j / 2.0)
-    return _read_only(slots), _read_only(np.tile(tile, 1 << j))
+    return _read_only(slots, np.tile(tile, 1 << j))
 
 
 def _generation_sum(shape, a, b, beta) -> np.ndarray:
@@ -551,16 +559,12 @@ def apply_projection(c: HaarSpectrum2D, sel: ProjectionSelector) -> HaarSpectrum
 
 
 def _open_set_keep(depth, mask: np.ndarray) -> np.ndarray:
-    """keep[b1, b2]: the rectangle of rows b1 and b2 of the interval-cell
-    tables has all its cells in the mask, counted by a prefix sum."""
-    n1, n2 = 1 << depth[0], 1 << depth[1]
-    if mask.shape != (n1, n2):
+    """keep[b1, b2]: the rectangle of basis indices (b1, b2) has all its cells
+    in the mask.  Its mean of the 0/1 mask is a dyadic fraction, exact while
+    J1 + J2 <= 52, so it is 1.0 only on an all-ones rectangle."""
+    if mask.shape != (1 << depth[0], 1 << depth[1]):
         raise ValidationError("open-set mask shape does not match depth")
-    count = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    count[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    (lo1, hi1), (lo2, hi2) = _interval_cells(n1).T[:, :, None], _interval_cells(n2).T[:, None]
-    inside = count[hi1, hi2] - count[lo1, hi2] - count[hi1, lo2] + count[lo1, lo2]
-    return inside == (hi1 - lo1) * (hi2 - lo2)
+    return _block_mean_layout(_block_mean_layout(mask.astype(float), -2), -1) == 1.0
 
 
 def _unit_scaled(c: HaarSpectrum2D):

@@ -122,8 +122,8 @@ def _shift_values(pos, length):
 
 
 def _check_levels(k_coarse: int, k_fine: int):
-    if not (isinstance(k_coarse, (int, np.integer)) and isinstance(k_fine, (int, np.integer))
-            and k_coarse >= 1 and k_fine >= 1 and k_coarse + k_fine <= 53):
+    if not (all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+                for k in (k_coarse, k_fine)) and k_coarse + k_fine <= 53):
         raise ValidationError("need integers k_coarse, k_fine >= 1 and k_coarse + k_fine <= 53")
 
 
@@ -216,7 +216,9 @@ def _pcg_states_map(outputs: int):
             for i in range(8):
                 K[i:, m, v, i] = [const >> 16 * k & 0xFFFF for k in range(8 - i)]
         B[:, m, 0] = [total >> 16 * k & 0xFFFF for k in range(8)]
-    return K.reshape(-1, 16), B.reshape(-1, 1)
+    K, B = K.reshape(-1, 16), B.reshape(-1, 1)
+    K.flags.writeable = B.flags.writeable = False  # shared by every draw
+    return K, B
 
 
 def _draw_grids(pools, k_coarse: int, k_fine: int):

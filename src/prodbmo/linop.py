@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (GridFunction2D, HaarSpectrum2D, _basis_order, _check_depth, _check_same_depth,
-                   haar_forward_2d, haar_inverse_2d)
+                   _read_only, haar_forward_2d, haar_inverse_2d)
 from .errors import ValidationError
 
 MAX_DENSE_DIM = 256  # depth (4,4)
@@ -69,20 +69,9 @@ class DenseOperator:
         _check_same_depth(c, self)
         return vector_to_spectrum(self.matrix @ spectrum_to_vector(c), self.depth)
 
-    def compose(self, other: "DenseOperator") -> "DenseOperator":
-        _check_same_depth(self, other)
-        return DenseOperator(self.depth, self.matrix @ other.matrix)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def __add__(self, other):
         _check_same_depth(self, other)
         return DenseOperator(self.depth, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        _check_same_depth(self, other)
-        return DenseOperator(self.depth, self.matrix - other.matrix)
 
 
 @lru_cache(maxsize=32)
@@ -91,10 +80,7 @@ def _probe(depth, space):
     for two seeded draws, as coefficients or, for space="grid", cell values."""
     x, y = np.random.default_rng(177).standard_normal((2, 1 << (depth[0] + depth[1])))
     spec = vector_to_spectrum(np.vstack((np.eye(len(x)), 2.5 * x - 0.75 * y)), depth)
-    probe = haar_inverse_2d(spec).values if space == "grid" else spec.coeffs
-    for a in (probe, x, y):
-        a.flags.writeable = False
-    return probe, x, y
+    return _read_only(haar_inverse_2d(spec).values if space == "grid" else spec.coeffs, x, y)
 
 
 def assemble(op, depth, space: str = "grid") -> DenseOperator:

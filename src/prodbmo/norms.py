@@ -28,6 +28,7 @@ from .core import (
     _basis_order,
     _dyadic_cells,
     _interval_cells,
+    _read_only,
     _subtree_reduce,
     _unit_scaled,
     haar_forward_2d,
@@ -94,11 +95,10 @@ def _depth_tables(shape):
     pair, the t-generation mask of _generation_bound, and per axis the reduceat starts of the
     generation blocks, the first basis index of each generation."""
     lv = [level_of_basis_index(n) for n in shape]
-    tables = (2.0 ** np.add.outer(*lv), np.equal.outer(np.arange(lv[1][-1] + 1), lv[1])[:, None],
-              *(1 << np.arange(v[-1] + 1) for v in lv))
-    for a in tables:
-        a.flags.writeable = False
-    return tables[0], tables[1], tables[2:]
+    scale, t_mask, *starts = _read_only(
+        2.0 ** np.add.outer(*lv), np.equal.outer(np.arange(lv[1][-1] + 1), lv[1])[:, None],
+        *(1 << np.arange(v[-1] + 1) for v in lv))
+    return scale, t_mask, tuple(starts)
 
 
 def _energy_levels(phi: HaarSpectrum2D):
@@ -238,10 +238,7 @@ def _char_candidates(shape, beta):
     weights = [np.where(b, 1.0, ((level_of_basis_index(n)[side] + 2) * LN2) ** 2)
                for b, n, side in zip(beta, shape, sides)]
     s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
-    out = s, t, np.multiply.outer(*weights).ravel(), _depth_tables(shape)[0][s, t]
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return _read_only(s, t, np.multiply.outer(*weights).ravel(), _depth_tables(shape)[0][s, t])
 
 
 def _lmo_char_search(phi: HaarSpectrum2D, beta):

@@ -23,9 +23,9 @@ from .core import (
     GridFunction2D,
     HaarSpectrum2D,
     _analysis,
+    _block_mean_layout,
     _check_same_depth,
     _generation_sum,
-    block_means,
     haar_inverse_2d,
 )
 from .errors import UnsupportedSignatureError, ValidationError
@@ -120,8 +120,7 @@ def _factor_coeffs(x, kind) -> np.ndarray:
             v = _analysis(v, axis)
     for axis in (-2, -1):
         if kind[axis]:
-            means = block_means(v, axis)
-            v = np.concatenate((means[0], *means[:-1]), axis)
+            v = _block_mean_layout(v, axis)
     return v
 
 

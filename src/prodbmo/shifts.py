@@ -10,7 +10,6 @@ computations embed their inputs in an ambient grid two levels deeper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,33 +33,20 @@ from .norms import (
 from .paraproducts import NINE_PART_NAMES, ALL_NINE_TAGS, nine_part_apply
 
 
-@dataclass(frozen=True)
-class AmbientEmbedding:
-    """Refinement of a source grid into a deeper ambient grid."""
+def embed_grid(f: GridFunction2D, headroom=(2, 2)) -> GridFunction2D:
+    """f on the grid ``headroom`` levels deeper per axis, each cell repeated."""
+    depth = tuple(j + h for j, h in zip(f.depth, headroom))
+    vals = np.repeat(np.repeat(f.values, 1 << headroom[0], axis=0), 1 << headroom[1], axis=1)
+    return GridFunction2D(depth, vals)
 
-    source_depth: tuple
-    ambient_depth: tuple
 
-    @classmethod
-    def for_source(cls, depth, headroom=(2, 2)):
-        j1, j2 = depth
-        return cls(tuple(depth), (j1 + headroom[0], j2 + headroom[1]))
-
-    def embed_grid(self, f: GridFunction2D) -> GridFunction2D:
-        if tuple(f.depth) != self.source_depth:
-            raise ValidationError("grid depth does not match the embedding source")
-        r1 = 1 << (self.ambient_depth[0] - self.source_depth[0])
-        r2 = 1 << (self.ambient_depth[1] - self.source_depth[1])
-        vals = np.repeat(np.repeat(f.values, r1, axis=0), r2, axis=1)
-        return GridFunction2D(self.ambient_depth, vals)
-
-    def embed_spectrum(self, c: HaarSpectrum2D) -> HaarSpectrum2D:
-        if tuple(c.depth) != self.source_depth:
-            raise ValidationError("spectrum depth does not match the embedding source")
-        out = np.zeros((1 << self.ambient_depth[0], 1 << self.ambient_depth[1]))
-        n1, n2 = c.coeffs.shape
-        out[:n1, :n2] = c.coeffs
-        return HaarSpectrum2D(self.ambient_depth, out)
+def embed_spectrum(c: HaarSpectrum2D, headroom=(2, 2)) -> HaarSpectrum2D:
+    """c at ``headroom`` more levels per axis, the finer coefficients zero."""
+    depth = tuple(j + h for j, h in zip(c.depth, headroom))
+    out = np.zeros((1 << depth[0], 1 << depth[1]))
+    n1, n2 = c.coeffs.shape
+    out[:n1, :n2] = c.coeffs
+    return HaarSpectrum2D(depth, out)
 
 
 def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
@@ -133,8 +119,7 @@ def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D) -> GridFun
     depth, two levels deeper in each axis (the double commutator's reach).
     """
     _check_same_depth(phi, b)
-    emb = AmbientEmbedding.for_source(phi.depth)
-    return _grid_double_commutator(emb.embed_grid(phi).multiply, emb.embed_grid(b))
+    return _grid_double_commutator(embed_grid(phi).multiply, embed_grid(b))
 
 
 def rr_commutator_on_basis(phi: GridFunction2D, rect: DyadicRect) -> HaarSpectrum2D:
@@ -196,9 +181,8 @@ def commutator_part_norm_report(phi: GridFunction2D, b: GridFunction2D):
     _check_same_depth(phi, b)
     if phi.depth[0] > 3 or phi.depth[1] > 3:
         raise ValidationError("report supports source depth up to (3,3)")
-    emb = AmbientEmbedding.for_source(phi.depth)
-    phi_amb = haar_forward_2d(emb.embed_grid(phi))
-    b_amb = emb.embed_grid(b)
+    phi_amb = haar_forward_2d(embed_grid(phi))
+    b_amb = embed_grid(b)
 
     phi_spec = haar_forward_2d(phi)
     controls = {

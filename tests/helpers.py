@@ -21,7 +21,7 @@ from prodbmo.errors import ValidationError
 from prodbmo.hilbert import StepFunction1D, _check_window, _left_ends, _shift_values
 from prodbmo.norms import LN2, _pruned_max, grid_closure_instance
 from prodbmo.paraproducts import nine_part_apply
-from prodbmo.shifts import AmbientEmbedding, shift_grid
+from prodbmo.shifts import embed_grid, shift_grid
 
 
 def random_spectrum(depth, rng):
@@ -394,8 +394,7 @@ def reference_double_commutator(m, x):
 
 def reference_iterated_commutator_apply(phi, b):
     """``shifts.iterated_commutator_apply`` by the eight-shift reference."""
-    emb = AmbientEmbedding.for_source(phi.depth)
-    return reference_double_commutator(emb.embed_grid(phi).multiply, emb.embed_grid(b))
+    return reference_double_commutator(embed_grid(phi).multiply, embed_grid(b))
 
 
 def reference_part_commutator_apply(tag, phi_ambient, b_ambient):

@@ -3,6 +3,7 @@ constants."""
 
 from prodbmo.calibration import (
     CALIBRATED,
+    recompute,
     sweep_delta_bounds,
     sweep_extremal,
     sweep_lmo_ratio,
@@ -26,3 +27,18 @@ def test_small_sweeps_respect_frozen_constants():
             assert CALIBRATED[key] <= value, key
         else:
             assert value <= CALIBRATED[key], key
+
+
+def test_recompute_is_pinned_exactly():
+    """Every raw calibration value, compared by repr: a change of the last bit fails."""
+    assert repr(recompute(verbose=False)) == repr({
+        "extremal_norm_bound": 1.43359375,
+        "extremal_growth_bound": 9.0,
+        "extremal_growth_sharpness": 0.6975476839237057,
+        "lmo_ratio_lo_depth3": 0.7295529041638189,
+        "lmo_ratio_hi_depth3": 0.9233403943323335,
+        "pi_bound_constant": 0.18367480580014547,
+        "delta_bound_lo": 0.10309914676686417,
+        "delta_bound_hi": 0.5238963702699564,
+        "shift_commutator_bound": 1.184137728063088,
+    })

@@ -148,6 +148,16 @@ def test_bmo_brute_and_rect(tmp_path, capsys):
         assert json.loads(out.read_text())["norm_sq"] == pytest.approx(4.0)
 
 
+def test_bmo_rect_refuses_a_restriction(tmp_path):
+    """The rectangle norm has no restricted form; --restrict is for exact and brute."""
+    src = tmp_path / "phi.json"
+    write_quarter_haar_grid(src)
+    proc = run_cli_process(["bmo", "--input", str(src), "--method", "rect",
+                            "--restrict", "1,0,1,1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "--restrict" in proc.stderr
+
+
 def test_lmo_methods(tmp_path, capsys):
     src = tmp_path / "phi.json"
     write_quarter_haar_grid(src)
@@ -478,6 +488,8 @@ def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags
     pytest.param("bmo", json.dumps({"depth": [2], "values": [0.0] * 4}), id="one-depth"),
     pytest.param("bmo", json.dumps({"depth": [2, 2, 2], "values": [0.0] * 16}),
                  id="three-depths"),
+    pytest.param("bmo", json.dumps({"depth": [True, 2], "values": [0.0] * 8}), id="bool-depth"),
+    pytest.param("bmo", json.dumps({"depth": [1, 2], "values": [0.0] * 7}), id="value-count"),
     pytest.param("bmo", '{"depth": [1e400, 2], "values": [0.0, 0.0, 0.0, 0.0]}',
                  id="overflowing-depth"),
     pytest.param("bmo", json.dumps({"depth": [1, 1], "kind": "bogus", "values": [0.0] * 4}),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from prodbmo import hilbert, linop, norms
 from prodbmo.core import (
     _axis_pattern,
     _basis_order,
@@ -51,6 +52,13 @@ def test_interval_children_and_parent():
         DyadicInterval(1, 2)
 
 
+def test_bool_depth_is_refused():
+    """bool is an int, but True is no level count."""
+    for depth in ((True, 2), (2, False), (np.True_, 2)):
+        with pytest.raises(ValidationError, match="two integers"):
+            GridFunction2D(depth, np.zeros((2, 4)))
+
+
 def test_interval_halves_orientation():
     # the + half is the right half
     i = DyadicInterval(0, 0)
@@ -79,12 +87,18 @@ def test_rect_area():
 
 
 def test_cached_layout_tables_are_read_only():
-    """Every caller shares the cached per-axis tables, so none may write into them."""
+    """Every caller shares the cached tables, so none may write into them: core's
+    per-axis tables, the LMO searches' tables, the assembly probe and the PCG map."""
+    scale, t_mask, starts = norms._depth_tables((8, 4))
     tables = [level_of_basis_index(8), _interval_cells(8), *_basis_order((2, 3)),
-              *_axis_pattern(8, 1, 0), *_axis_pattern(8, 2, 1)]
+              *_axis_pattern(8, 1, 0), *_axis_pattern(8, 2, 1), scale, t_mask, *starts,
+              *norms._char_candidates((8, 4), (0, 0)), *norms._char_candidates((8, 4), (1, 0)),
+              *linop._probe((2, 1), "grid"), *linop._probe((1, 2), "spectrum"),
+              *hilbert._pcg_states_map(3)]
+    assert len(tables) == 28
     for table in tables:
-        with pytest.raises(ValueError):
-            table[1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
     assert level_of_basis_index(8).tolist() == [-1, 0, 1, 1, 2, 2, 2, 2]
 
 

@@ -149,6 +149,14 @@ def test_grid_rejects_bad_sizes_bits_and_levels():
             g.level_shift(j)
 
 
+def test_bool_level_counts_are_refused():
+    for k_coarse, k_fine in ((True, 3), (3, False)):
+        with pytest.raises(ValidationError, match="integers"):
+            hilbert._check_levels(k_coarse, k_fine)
+    with pytest.raises(ValidationError, match="integers"):
+        standard_grid(True, 3)
+
+
 @pytest.mark.parametrize("call", [
     lambda f: mc_hilbert(f, [2.0], 4.0, 1),
     lambda f: mc_hilbert(f, [2.0], 4, 1, k_coarse=6.0),

@@ -32,8 +32,9 @@ from prodbmo.linop import assemble, commutator, spectrum_to_vector, vector_to_sp
 from prodbmo.norms import bmo_d_norm_sq, bmo_norm_of_grid, lmo_d_norm
 from prodbmo.paraproducts import ALL_NINE_TAGS, nine_part_apply
 from prodbmo.shifts import (
-    AmbientEmbedding,
     commutator_part_norm_report,
+    embed_grid,
+    embed_spectrum,
     iterated_commutator_apply,
     part_commutator_apply,
     rr_commutator_on_basis,
@@ -140,13 +141,12 @@ def test_shift_matrix_columns_are_signed_units():
 def test_embedding_preserves_values_and_coefficients():
     rng = np.random.default_rng(5)
     f = GridFunction2D((2, 2), rng.standard_normal((4, 4)))
-    emb = AmbientEmbedding.for_source((2, 2))
-    big = emb.embed_grid(f)
+    big = embed_grid(f)
     assert big.depth == (4, 4)
     assert big.values[0, 0] == f.values[0, 0]
     assert big.integral() == pytest.approx(f.integral(), rel=1e-14)
     spec_direct = haar_forward_2d(big)
-    spec_padded = emb.embed_spectrum(haar_forward_2d(f))
+    spec_padded = embed_spectrum(haar_forward_2d(f))
     assert np.abs(spec_direct.coeffs - spec_padded.coeffs).max() < 1e-13
 
 
@@ -172,13 +172,12 @@ def test_commutator_matches_matrix_oracle():
     out = iterated_commutator_apply(phi, b)
 
     ambient = (3, 3)
-    emb = AmbientEmbedding.for_source((1, 1))
-    phi_amb = emb.embed_grid(phi)
+    phi_amb = embed_grid(phi)
     m_phi = assemble(lambda g: phi_amb.multiply(g), ambient, space="grid")
     s1 = shift_matrix(ambient, 1)
     s2 = shift_matrix(ambient, 2)
     comm = commutator(s1, commutator(s2, m_phi))
-    vec = spectrum_to_vector(haar_forward_2d(emb.embed_grid(b)))
+    vec = spectrum_to_vector(haar_forward_2d(embed_grid(b)))
     expect = haar_inverse_2d(vector_to_spectrum(comm.matrix @ vec, ambient))
     assert np.abs(out.values - expect.values).max() < 1e-10
 
@@ -211,10 +210,9 @@ def test_commutator_splits_over_nine_parts():
     depth = (2, 2)
     phi = random_hh_grid(depth, rng)
     b = random_hh_grid(depth, rng)
-    emb = AmbientEmbedding.for_source(depth)
-    phi_amb = haar_forward_2d(emb.embed_grid(phi))
-    b_amb = emb.embed_grid(b)
-    total = GridFunction2D.zeros(emb.ambient_depth)
+    phi_amb = haar_forward_2d(embed_grid(phi))
+    b_amb = embed_grid(b)
+    total = GridFunction2D.zeros(b_amb.depth)
     for tag in ALL_NINE_TAGS:
         total = total + part_commutator_apply(tag, phi_amb, b_amb)
     whole = iterated_commutator_apply(phi, b)
@@ -249,14 +247,13 @@ def _assert_same_bytes(got, want):
 @pytest.mark.parametrize("depth", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 4)])
 def test_staged_commutator_is_bit_identical_to_the_eight_shift_reference(depth, kind):
     rng = np.random.default_rng([depth[0], depth[1], len(kind)])
-    emb = AmbientEmbedding.for_source(depth)
     for _ in range(2):
         phi, b = _symbol_grid(kind, depth, rng), _symbol_grid(kind, depth, rng)
         if kind == "negative_zero":
             assert np.signbit(phi.values[phi.values == 0]).any()
         _assert_same_bytes(iterated_commutator_apply(phi, b),
                            reference_iterated_commutator_apply(phi, b))
-        phi_amb, b_amb = haar_forward_2d(emb.embed_grid(phi)), emb.embed_grid(b)
+        phi_amb, b_amb = haar_forward_2d(embed_grid(phi)), embed_grid(b)
         for tag in ALL_NINE_TAGS:
             _assert_same_bytes(part_commutator_apply(tag, phi_amb, b_amb),
                                reference_part_commutator_apply(tag, phi_amb, b_amb))
@@ -290,8 +287,7 @@ _HEADROOM_CASES = {
         _outer(indicator_values_1d(DyadicInterval(1, 0), 8), haar_values_1d(_FINE, 8)),
         _outer(1.0 + haar_values_1d(_UNIT, 8), haar_values_1d(_UNIT, 8))),
     "none": lambda rng: tuple(
-        AmbientEmbedding((2, 2), (3, 3)).embed_grid(
-            GridFunction2D((2, 2), rng.standard_normal((4, 4))))
+        embed_grid(GridFunction2D((2, 2), rng.standard_normal((4, 4))), (1, 1))
         for _ in range(2)),
 }
 
@@ -440,9 +436,8 @@ def test_part_report_reproducible_from_matrices():
     rows = {r["part"]: r for r in commutator_part_norm_report(phi, b)}
     assert all(np.isfinite(r["commutator_bmo"]) for r in rows.values())
     # check one block against assembled matrices at the ambient depth
-    emb = AmbientEmbedding.for_source(depth)
-    ambient = emb.ambient_depth
-    phi_amb = haar_forward_2d(emb.embed_grid(phi))
+    phi_amb = haar_forward_2d(embed_grid(phi))
+    ambient = phi_amb.depth
     from prodbmo.paraproducts import EQUAL, NinePartTag
 
     rr = assemble(
@@ -453,7 +448,7 @@ def test_part_report_reproducible_from_matrices():
     s1 = shift_matrix(ambient, 1)
     s2 = shift_matrix(ambient, 2)
     comm = commutator(s1, commutator(s2, rr))
-    vec = spectrum_to_vector(haar_forward_2d(emb.embed_grid(b)))
+    vec = spectrum_to_vector(haar_forward_2d(embed_grid(b)))
     out = vector_to_spectrum(comm.matrix @ vec, ambient)
     expect = math.sqrt(bmo_d_norm_sq(out)[0])
     assert rows["rr"]["commutator_bmo"] == pytest.approx(expect, rel=1e-9)
@@ -478,8 +473,7 @@ def test_single_shift_block_commutators_match_matrices():
     rng = np.random.default_rng(37)
     depth = (3, 3)
     phi_spec = random_hh_spectrum((2, 2), rng)
-    emb = AmbientEmbedding.for_source((2, 2), headroom=(1, 1))
-    phi_amb = emb.embed_spectrum(phi_spec)
+    phi_amb = embed_spectrum(phi_spec, (1, 1))
     s2 = shift_matrix(depth, 2)
     for tag in (NinePartTag(COARSER, EQUAL), NinePartTag(EQUAL, COARSER)):
         op = assemble(
@@ -488,7 +482,7 @@ def test_single_shift_block_commutators_match_matrices():
         comm = commutator(s2, op)
         for _ in range(5):
             b = random_hh_spectrum((2, 2), rng)
-            b_grid = haar_inverse_2d(emb.embed_spectrum(b))
+            b_grid = haar_inverse_2d(embed_spectrum(b, (1, 1)))
             direct = (
                 shift_grid(nine_part_apply(tag, phi_amb, b_grid), 2)
                 - nine_part_apply(tag, phi_amb, shift_grid(b_grid, 2))
@@ -526,7 +520,6 @@ def test_tilde_transform_identities_report():
 
     src = (2, 2)
     depth = (4, 4)
-    emb = AmbientEmbedding.for_source(src, headroom=(2, 2))
     n1, n2 = 1 << depth[0], 1 << depth[1]
     scale = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -547,8 +540,8 @@ def test_tilde_transform_identities_report():
         rng = np.random.default_rng(seed)
         phi_spec = random_hh_spectrum(src, rng)
         b_spec = random_hh_spectrum(src, rng)
-        phi_amb = emb.embed_spectrum(phi_spec)
-        b_grid = haar_inverse_2d(emb.embed_spectrum(b_spec))
+        phi_amb = embed_spectrum(phi_spec, (2, 2))
+        b_grid = haar_inverse_2d(embed_spectrum(b_spec, (2, 2)))
 
         middle = np.zeros((n1, n2))
         for rect in src_rects():
