@@ -44,7 +44,12 @@ class _FlowNetwork:
     fixed arcs, which it only reads: arc e runs into to[e], arc e ^ 1 is its
     reverse, and node u leaves by the arcs head[u].  ``phases`` and ``paths``
     count the blocking-flow phases and augmenting paths of every max_flow
-    call on the network."""
+    call on the network.  A phase with t at level 3, as is the first of a
+    closure solve (s -> rect -> cell -> t), runs as nested loops over the arcs
+    of s, of a level-1 node and of a level-2 node, each from _dfs's pointer, and
+    sends _dfs's paths: after a push _dfs walks again from s and retraces the
+    path up to the first arc the push left at or below eps, where the loops
+    resume; and the BFS stopped at t, so another level-3 node is a dead end."""
 
     def __init__(self, head, to):
         self.head, self.to, self.n = head, to, len(head)
@@ -59,9 +64,52 @@ class _FlowNetwork:
                 return flow, level
             self.phases += 1
             it = [0] * self.n
+            if level[t] == 3:
+                flow = self._three_arc_phase(s, t, level, it, eps, flow)
+                continue
             while (pushed := self._dfs(s, t, level, it, eps)) > 0.0:
                 flow += pushed
                 self.paths += 1
+
+    def _three_arc_phase(self, s, t, level, it, eps, flow):
+        """flow plus the blocking flow of a phase with t at level 3, added path by path."""
+        head, to, cap = self.head, self.to, self.cap
+        paths = 0
+        for a in head[s]:
+            u = to[a]
+            arcs, i = head[u], it[u]
+            n = len(arcs)
+            while i < n and cap[a] > eps and level[u] == 1:
+                v = to[b := arcs[i]]
+                if level[v] != 2 or cap[b] <= eps:
+                    i += 1
+                    continue
+                out, j = head[v], it[v]
+                m = len(out)
+                while j < m:
+                    if to[c := out[j]] == t and cap[c] > eps:
+                        break
+                    j += 1
+                it[v] = j
+                if j == m:  # v is a dead end
+                    i += 1
+                    continue
+                pushed = cap[a]
+                if cap[b] < pushed:
+                    pushed = cap[b]
+                if cap[c] < pushed:
+                    pushed = cap[c]
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+                cap[b] -= pushed
+                cap[b ^ 1] += pushed
+                cap[c] -= pushed
+                cap[c ^ 1] += pushed
+                flow += pushed
+                paths += 1
+            it[u] = i
+        self.paths += paths
+        return flow
 
     def _bfs(self, s, t, eps):
         """Levels from s over arcs of cap > eps; stops once t is labelled, as

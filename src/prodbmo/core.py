@@ -34,6 +34,9 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.level, self.index)):
+            raise ValidationError("interval level and index must be integers")
         if not (0 <= self.level <= MAX_LEVEL):
             raise ValidationError(f"interval level {self.level} out of range")
         if not (0 <= self.index < (1 << self.level)):

@@ -253,9 +253,11 @@ def _draw_grids(pools, k_coarse: int, k_fine: int):
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    """``SeedSequence(seed)``, refusing with ``ValidationError`` what it refuses and None."""
+    """``SeedSequence(seed)``; None, bools and what it refuses raise ``ValidationError``."""
     if seed is None:  # SeedSequence(None) draws fresh OS entropy
         raise ValidationError("bad seed: None draws OS entropy; pass an explicit seed")
+    if any(isinstance(v, bool) for v in (seed if isinstance(seed, (list, tuple)) else [seed])):
+        raise ValidationError(f"bad seed: {seed!r} holds a bool, not an integer")
     try:
         return np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:

@@ -44,6 +44,12 @@ LN2 = math.log(2.0)
 # closure instances from spectra
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _cell_widths(m, n):
+    """Read-only widths of m cells of an axis of n."""
+    return _read_only(np.full(m, 1.0 / n))
+
+
 def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None, tail=(0, 0)):
     """Cells and weighted rectangles of the hh block, in the enumeration order;
     restricted to a dyadic rectangle, only the rectangles inside it, on its cells;
@@ -57,12 +63,13 @@ def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None, t
     sub = [hi - lo for lo, hi in cells]
     rows, cols = (b[sub[0] + sub[1] - 1:] for b in
                   _basis_order(tuple(m.bit_length() - 1 for m in sub)))
-    keep = np.logical_and(*(level_of_basis_index(m)[b] >= j
-                            for b, m, j in zip((rows, cols), sub, tail)))
-    rows, cols = rows[keep], cols[keep]
+    if any(tail):  # tail (0, 0) keeps every rectangle
+        keep = np.logical_and(*(level_of_basis_index(m)[b] >= j
+                                for b, m, j in zip((rows, cols), sub, tail)))
+        rows, cols = rows[keep], cols[keep]
     b1, b2 = (b + (((n + lo) // m - 1) << level_of_basis_index(m)[b]) if m < n else b
               for b, (lo, _), m, n in zip((rows, cols), cells, sub, shape))  # B = (n + lo) / m
-    return ClosureInstance(tuple(np.full(m, 1.0 / n) for m, n in zip(sub, shape)),
+    return ClosureInstance(tuple(_cell_widths(m, n) for m, n in zip(sub, shape)),
                            (_interval_cells(sub[0])[rows], _interval_cells(sub[1])[cols]),
                            np.square(phi.coeffs[b1, b2]))
 

@@ -59,6 +59,17 @@ def test_bool_depth_is_refused():
             GridFunction2D(depth, np.zeros((2, 4)))
 
 
+def test_bool_and_non_integer_interval_values_are_refused():
+    """True builds no level-1 interval and 1.0 no index: both are refused like
+    1.5, with ValidationError; numpy integers stay accepted."""
+    for call in (lambda: DyadicInterval(True, 1), lambda: DyadicInterval(2, 1.0),
+                 lambda: DyadicInterval(1.5, 0), lambda: DyadicInterval(np.True_, 0),
+                 lambda: DyadicRect.from_levels(True, 0, 1, 1)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            call()
+    assert DyadicInterval(np.int64(2), np.int32(1)) == DyadicInterval(2, 1)
+
+
 def test_interval_halves_orientation():
     # the + half is the right half
     i = DyadicInterval(0, 0)

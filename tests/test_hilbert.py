@@ -175,7 +175,11 @@ def test_non_integer_level_and_sample_counts_are_refused(call):
     lambda f: mc_hilbert(f, [2.0], 4, 1.5),
     lambda f: mc_hilbert(f, [2.0], 4, None),
     lambda f: sample_grid(None, 2, 3),
-], ids=["mc-negative", "sample_grid-negative", "mc-float", "mc-none", "sample_grid-none"])
+    lambda f: mc_hilbert(f, [2.0], 4, True),
+    lambda f: sample_grid(True, 1, 3),
+    lambda f: sample_grid([1, True], 1, 3),
+], ids=["mc-negative", "sample_grid-negative", "mc-float", "mc-none", "sample_grid-none",
+        "mc-bool", "sample_grid-bool", "sample_grid-bool-word"])
 def test_bad_seeds_are_refused(call):
     with pytest.raises(ValidationError, match="seed"):
         call(StepFunction1D.indicator(0.0, 1.0))

@@ -15,12 +15,13 @@ from helpers import (
     ReferenceFlowNetwork,
     indicator_values_1d,
     random_grid,
+    random_hh_grid,
     random_hh_spectrum,
     reference_bmo_rect_norm_sq,
     reference_crop,
     reference_lmo_bounds,
 )
-from prodbmo import closure, norms
+from prodbmo import closure, norms, shifts
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
 from prodbmo.core import (
     DyadicInterval,
@@ -220,7 +221,9 @@ def _kernel_sweep():
     """Closure instances on which the flow kernel is compared with the
     reference: Gaussian, 30%-sparse, integer-tied and staircase symbols at
     depths 2-6, each whole, restricted to a tail and to a dyadic rectangle,
-    and one random 3-axis instance."""
+    one random 3-axis instance, and the spectra of [S1, [S2, M_phi]] b for two
+    (2,2) and two (3,3) Gaussian pairs (phi, b), whose 49 and 225 non-zero
+    rectangles cut the grid into 4 x 4 and 8 x 8 atoms."""
     rng = np.random.default_rng(2201)
     instances = []
     for depth in [(2, 2), (3, 2), (2, 4), (3, 3), (4, 4), (5, 3), (6, 6)]:
@@ -240,6 +243,10 @@ def _kernel_sweep():
         ranges.append(np.column_stack((lo, rng.integers(lo + 1, n + 1))))
     instances.append(ClosureInstance(tuple(rng.random(n) + 0.1 for n in (3, 4, 3)),
                                      tuple(ranges), rng.random(12) * (rng.random(12) < 0.8)))
+    for depth in [(2, 2), (2, 2), (3, 3), (3, 3)]:
+        phi, b = random_hh_grid(depth, rng), random_hh_grid(depth, rng)
+        instances.append(norms.grid_closure_instance(
+            haar_forward_2d(shifts.iterated_commutator_apply(phi, b))))
     return instances
 
 
@@ -307,6 +314,61 @@ def test_flow_kernel_matches_the_reference_on_fraction_capacities():
     net.cap[-2 * nc::2] = [lam * Fraction(a) for a in s.cell_areas]
     flow, level = _same_max_flow(net, ReferenceFlowNetwork(s.head, s.to), 0, net.n - 1, 0)
     assert type(flow) is Fraction and 0 < flow < sum(weights) and net.paths > nr
+
+
+class _PhaseLevelNetwork(_FlowNetwork):
+    """The package kernel, recording for every phase the sink's level and how
+    many other nodes its BFS put at that level."""
+
+    def __init__(self, head, to, seen):
+        super().__init__(head, to)
+        self.seen = seen
+
+    def _bfs(self, s, t, eps):
+        level = super()._bfs(s, t, eps)
+        if level[t] >= 0:
+            self.seen.append((level[t], level.count(level[t]) - 1))
+        return level
+
+
+def _random_digraph(rng):
+    """(head, to) of a random digraph on 3-8 nodes, s = 0 and t = the last node,
+    with at least one parallel arc, one arc into s and one out of t."""
+    n = int(rng.integers(3, 9))
+    ends = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2)).tolist()
+    ends += [[int(rng.integers(n)), 0], [n - 1, int(rng.integers(n))], ends[0]]
+    head = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(ends):  # arc 2k: u -> v, arc 2k + 1 its reverse
+        head[u].append(2 * k)
+        head[v].append(2 * k + 1)
+    return tuple(map(tuple, head)), tuple(x for u, v in ends for x in (v, u))
+
+
+def test_flow_kernel_matches_the_reference_on_random_digraphs():
+    """Both kernels push the same paths on seeded random digraphs with parallel
+    arcs, arcs into s and out of t and residual capacity on some reverse arcs:
+    float capacities with some at or just below eps, and Fraction capacities
+    with eps = 0.  The sweep reaches the three-arc phase, with and without
+    another node at the sink's level 3, and the path walk with the sink at
+    level 2 and at level 4 or more."""
+    rng = np.random.default_rng(2204)
+    eps = 1e-3
+    for exact in (False, True):
+        phases = []
+        for _ in range(300):
+            head, to = _random_digraph(rng)
+            net = _PhaseLevelNetwork(head, to, phases)
+            if exact:
+                net.cap = [Fraction(int(a), int(b)) for a, b in zip(
+                    rng.integers(-4, 9, len(to)).clip(0), rng.integers(1, 8, len(to)))]
+            else:
+                low = rng.choice([0.0, eps / 2, eps], len(to))
+                net.cap = np.where(rng.random(len(to)) < 0.4, low, rng.random(len(to))).tolist()
+            reference = ReferenceFlowNetwork(head, to)
+            _same_max_flow(net, reference, 0, len(head) - 1, 0 if exact else eps)
+        sink_levels = [lv for lv, _ in phases]
+        assert sink_levels.count(3) > 20 and sum(lv == 3 and others for lv, others in phases) > 5
+        assert sink_levels.count(2) > 20 and sum(lv >= 4 for lv in sink_levels) > 10
 
 
 def _solved_cold(instances):
