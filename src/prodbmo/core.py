@@ -34,8 +34,7 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.level, self.index)):
+        if not (_is_int(self.level) and _is_int(self.index)):
             raise ValidationError("interval level and index must be integers")
         if not (0 <= self.level <= MAX_LEVEL):
             raise ValidationError(f"interval level {self.level} out of range")
@@ -83,9 +82,11 @@ class DyadicInterval:
 
     @classmethod
     def from_basis_index(cls, b: int) -> "DyadicInterval":
+        if not _is_int(b):
+            raise ValidationError(f"basis index {b!r} must be an integer")
         if b < 1:
             raise ValidationError("basis index of an interval must be >= 1")
-        level = b.bit_length() - 1
+        level = int(b).bit_length() - 1
         return cls(level, b - (1 << level))
 
 
@@ -115,13 +116,23 @@ class DyadicRect:
         return cls(DyadicInterval(j1, i1), DyadicInterval(j2, i2))
 
 
-def _check_depth(depth) -> tuple:
-    """The one depth check: two integers in 1..MAX_LEVEL, as a tuple."""
-    depth = tuple(depth) if np.iterable(depth) else (depth,)
-    if len(depth) != 2 or not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-                                  and 1 <= j <= MAX_LEVEL for j in depth):
-        raise ValidationError(f"depth {list(depth)} must be two integers in 1..{MAX_LEVEL}")
-    return depth
+def _is_int(v) -> bool:
+    """Whether v is an integer, numpy's included; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_depth(levels, name="depth", lo=1) -> tuple:
+    """The one level-pair check, a depth by default: two integers in lo..MAX_LEVEL, as a tuple."""
+    levels = tuple(levels) if np.iterable(levels) else (levels,)
+    if len(levels) != 2 or not all(_is_int(j) and lo <= j <= MAX_LEVEL for j in levels):
+        raise ValidationError(f"{name} {list(levels)} must be two integers in {lo}..{MAX_LEVEL}")
+    return levels
+
+
+def _check_axis(axis):
+    """Refuse an axis other than the integer 1 or 2."""
+    if not (_is_int(axis) and axis in (1, 2)):
+        raise ValidationError("axis must be 1 or 2")
 
 
 def _check_grid_shape(values, depth) -> tuple:

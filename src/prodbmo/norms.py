@@ -5,14 +5,14 @@ fine-grid cells Omega of
 
     sum of |phi_R|^2 over rectangles contained in Omega  /  |Omega|,
 
-computed exactly by the closure solver.  The LMO variants weight restricted
-versions of the same quantity by powers of the scale logarithm, or measure
-the decay of the tail projections Q_j.  Natural logarithms throughout.
+computed exactly by the closure solver.  Every LMO form is one search over
+dyadic rectangles R for the largest weighted restricted quantity, Omega
+inside R, the weight a power of the scale logarithm of R's sides; the tail
+projections Q_j reduce to it.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -26,6 +26,7 @@ from .core import (
     HaarSpectrum2D,
     _analysis,
     _basis_order,
+    _check_axis,
     _dyadic_cells,
     _interval_cells,
     _read_only,
@@ -50,10 +51,9 @@ def _cell_widths(m, n):
     return _read_only(np.full(m, 1.0 / n))
 
 
-def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None, tail=(0, 0)):
+def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     """Cells and weighted rectangles of the hh block, in the enumeration order;
-    restricted to a dyadic rectangle, only the rectangles inside it, on its cells;
-    and only those of generation >= tail, the levels counted inside the rectangle.
+    restricted to a dyadic rectangle, only the rectangles inside it, on its cells.
 
     Those are the enumeration at the rectangle's depth below the grid: on a side
     of basis index B, basis index b at level j below it is b + (B - 1) * 2^j.
@@ -63,10 +63,6 @@ def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None, t
     sub = [hi - lo for lo, hi in cells]
     rows, cols = (b[sub[0] + sub[1] - 1:] for b in
                   _basis_order(tuple(m.bit_length() - 1 for m in sub)))
-    if any(tail):  # tail (0, 0) keeps every rectangle
-        keep = np.logical_and(*(level_of_basis_index(m)[b] >= j
-                                for b, m, j in zip((rows, cols), sub, tail)))
-        rows, cols = rows[keep], cols[keep]
     b1, b2 = (b + (((n + lo) // m - 1) << level_of_basis_index(m)[b]) if m < n else b
               for b, (lo, _), m, n in zip((rows, cols), cells, sub, shape))  # B = (n + lo) / m
     return ClosureInstance(tuple(_cell_widths(m, n) for m, n in zip(sub, shape)),
@@ -98,14 +94,11 @@ def bmo_d_norm_sq_bruteforce(phi: HaarSpectrum2D, restrict_to: DyadicRect = None
 
 @lru_cache(maxsize=32)
 def _depth_tables(shape):
-    """Read-only (scale, t_mask, starts) of one spectrum shape: 1 / |R| of every basis-index
-    pair, the t-generation mask of _generation_bound, and per axis the reduceat starts of the
-    generation blocks, the first basis index of each generation."""
+    """Read-only (scale, t_mask) of one spectrum shape: 1 / |R| of every basis-index pair and
+    the t-generation mask of _generation_bound."""
     lv = [level_of_basis_index(n) for n in shape]
-    scale, t_mask, *starts = _read_only(
-        2.0 ** np.add.outer(*lv), np.equal.outer(np.arange(lv[1][-1] + 1), lv[1])[:, None],
-        *(1 << np.arange(v[-1] + 1) for v in lv))
-    return scale, t_mask, tuple(starts)
+    return _read_only(2.0 ** np.add.outer(*lv),
+                      np.equal.outer(np.arange(lv[1][-1] + 1), lv[1])[:, None])
 
 
 def _energy_levels(phi: HaarSpectrum2D):
@@ -160,41 +153,23 @@ def bmo_norm_of_grid(f: GridFunction2D) -> float:
 
 def lmo_d_norm(phi: HaarSpectrum2D) -> float:
     """max over generations j of (j1+1)(j2+1) * ||Q_j phi||_BMO."""
-    return _lmo_tail_search(phi, (False, False))
+    return _lmo_tail_form(phi, (False, False))
 
 
 def lmo_directional_norm(phi: HaarSpectrum2D, axis: int) -> float:
     """max over i of (i+1) * ||Q^(axis)_i phi||_BMO for one axis."""
-    if axis not in (1, 2):
-        raise ValidationError("axis must be 1 or 2")
-    return _lmo_tail_search(phi, (axis == 2, axis == 1))
+    _check_axis(axis)
+    return _lmo_tail_form(phi, (axis == 2, axis == 1))
 
 
-def _lmo_tail_search(phi: HaarSpectrum2D, pinned) -> float:
-    """max over tail generations (j1, j2) of (j1+1)(j2+1) * ||Q_(j1,j2) phi||_BMO;
-    a pinned axis stays at level 0 (weight 1, no projection in that axis).
-    A tail's squared norm is at least its hh energy (Omega the square) and
-    the largest phi_Q^2 / |Q| of its rectangles (Omega = Q), and at most
-    the largest upper bound U of the dyadic rectangles of its generation:
-    they tile the square, and each holds the tail's rectangles inside it."""
+def _lmo_tail_form(phi: HaarSpectrum2D, pinned) -> float:
+    """max over tail generations j of (j1+1)(j2+1) * ||Q_j phi||_BMO, a pinned
+    axis kept at level 0.  The generation-j rectangles tile the square and
+    each holds exactly the tail's rectangles inside it, so ||Q_j phi||^2 is
+    the largest squared norm of phi restricted to one of them."""
     phi, e = _unit_scaled(phi)
-    ratio, energy, _ = _energy_levels(phi)
-    starts = _depth_tables(ratio.shape)[2]
-    # the largest ratio and U of each generation (j1, j2); the ratio's then over all j' >= j
-    ratio_max, upper_max = (np.maximum.reduceat(np.maximum.reduceat(x, starts[0]), starts[1], 1)
-                            for x in (ratio, _generation_bound(ratio)))
-    ratio_max = np.maximum.accumulate(np.maximum.accumulate(ratio_max[::-1, ::-1]), 1)[::-1, ::-1]
-    tails, bounds = [], []
-    for j1, j2 in itertools.product(*(range(1 if p else d) for p, d in zip(pinned, phi.depth))):
-        gen = np.s_[(1 << j1):(2 << j1), (1 << j2):(2 << j2)]  # the rectangles of (j1, j2)
-        w = (j1 + 1) * (j2 + 1)
-        lower = max(float(energy[gen].sum()), float(ratio_max[j1, j2]))
-        tails.append((w, (j1, j2)))
-        bounds.append((w * math.sqrt(lower), w * math.sqrt(upper_max[j1, j2])))
-    best, _ = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
-        best_ratio(grid_closure_instance(phi, tail=tails[n][1]))[0]))
     try:
-        return math.ldexp(best, e)
+        return math.ldexp(_lmo_search(phi, pinned, False)[0], e)
     except OverflowError:  # past float range, as the other norms
         return math.inf
 
@@ -204,14 +179,19 @@ def _pruned_max(bounds, value):
     given bounds lower <= value(n) <= upper on each: tried by decreasing
     lower bound, evaluated only when the upper bound can reach the best so
     far, and settled at the bound, with no evaluation, when the two are
-    equal."""
-    best, best_n = 0.0, 0
-    for n in sorted(range(len(bounds)), key=lambda n: (-bounds[n][0], n)):
-        lower, upper = bounds[n]
-        if not upper * (1.0 + 1e-12) <= best:  # slack for rounding; a NaN bound is solved
-            val = lower if lower == upper else value(n)
-            if val > best or (val == best and n < best_n):
-                best, best_n = val, n
+    equal.  Each rise of the best drops at once, in one array operation,
+    every queued candidate whose upper bound it has reached."""
+    lower, upper = np.asarray(bounds, dtype=float).T
+    reach = upper * (1.0 + 1e-12)  # slack for rounding; a NaN bound is solved
+    best, best_n, todo = 0.0, 0, np.argsort(-lower, kind="stable")
+    todo = todo[~(reach[todo] <= best)]
+    while todo.size:  # every queued candidate can still reach the best
+        n, todo = int(todo[0]), todo[1:]
+        val = float(lower[n]) if lower[n] == upper[n] else value(n)
+        if val > best:
+            best, best_n, todo = val, n, todo[~(reach[todo] <= val)]
+        elif val == best and n < best_n:
+            best_n = n
     return best, best_n
 
 
@@ -222,7 +202,10 @@ def lmo_beta_char_norm(phi: HaarSpectrum2D, beta) -> float:
     beta == (1,1) reproduces the squared BMO norm; beta == (0,0) is the full
     log-weighted characterisation.
     """
-    return _lmo_char_search(phi, beta)[0]
+    beta = tuple(beta)
+    if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
+        raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
+    return _lmo_search(phi, tuple(map(bool, beta)), True)[0]
 
 
 def lmo_char_norm(phi: HaarSpectrum2D) -> float:
@@ -233,38 +216,41 @@ def lmo_char_norm(phi: HaarSpectrum2D) -> float:
 
 def lmo_char_details(phi: HaarSpectrum2D):
     """(value, attaining rectangle) of the log-weighted characterisation."""
-    return _lmo_char_search(phi, (0, 0))
+    return _lmo_search(phi, (False, False), True)
 
 
 @lru_cache(maxsize=64)
-def _char_candidates(shape, beta):
-    """Read-only (s, t, w, scale) of the beta candidates on one shape, the s-axis outer: per
-    axis the basis index of every interval, weighted (log(4 * 2^j))^2, or of the unit interval
-    alone, weighted 1; scale is 1 / |R|."""
-    sides = [np.arange(1, 2 if b else n) for b, n in zip(beta, shape)]
-    weights = [np.where(b, 1.0, ((level_of_basis_index(n)[side] + 2) * LN2) ** 2)
-               for b, n, side in zip(beta, shape, sides)]
-    s, t = (b.ravel() for b in np.meshgrid(*sides, indexing="ij"))
-    return _read_only(s, t, np.multiply.outer(*weights).ravel(), _depth_tables(shape)[0][s, t])
+def _lmo_weights(shape, pinned, char):
+    """Read-only weights w(R) of the LMO candidates R on one shape, over the basis indices
+    [1, n) of each axis, or [1, 2), the unit interval alone, of a pinned one: per side of
+    level j, (log(4 * 2^j))^2 for the char forms and j + 1 for the tail forms; 1 if pinned."""
+    return _read_only(np.multiply.outer(*(
+        np.ones(1) if p else ((lv + 2) * LN2) ** 2 if char else lv + 1.0
+        for p, lv in zip(pinned, (level_of_basis_index(n)[1:] for n in shape)))))
 
 
-def _lmo_char_search(phi: HaarSpectrum2D, beta):
-    """(value, first rectangle attaining it) of the beta characterisation;
-    the unit square when every weighted value is 0.  A restricted norm
-    lies between E/|R| and the per-generation bound U of R."""
-    beta = tuple(beta)
-    if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
-        raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
-    ratio, energy, _ = _energy_levels(phi)
-    upper = _generation_bound(ratio)
-    s, t, w, scale = _char_candidates(phi.coeffs.shape, beta)
-    bounds = np.column_stack((w * energy[s, t] * scale, w * upper[s, t])).tolist()
+def _lmo_search(phi: HaarSpectrum2D, pinned, char):
+    """(value, first dyadic rectangle R attaining it) of the max over R, the s-axis outer and
+    a pinned axis at the unit interval, of w(R) * rho(R) for the char forms and
+    w(R) * sqrt(rho(R)) for the tail forms, rho(R) the squared norm of phi restricted
+    to R; the unit square when every weighted value is 0.  E/|R| <= rho(R) <= U(R)."""
+    ratio, energy, scale = _energy_levels(phi)
+    box = tuple(slice(1, 2 if p else None) for p in pinned)
+    w = _lmo_weights(phi.coeffs.shape, pinned, char)
+    lower, upper = energy[box], _generation_bound(ratio)[box]
+    if char:
+        lower, upper, form = w * lower * scale[box], w * upper, float
+    else:
+        lower, upper, form = w * np.sqrt(lower * scale[box]), w * np.sqrt(upper), math.sqrt
+    w, cols = w.ravel().tolist(), w.shape[1]
 
     def rect(n):
-        return DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
-                          DyadicInterval.from_basis_index(int(t[n])))
-    best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
-        grid_closure_instance(phi, rect(n)))[0])
+        s, t = divmod(n, cols)
+        return DyadicRect(DyadicInterval.from_basis_index(s + 1),
+                          DyadicInterval.from_basis_index(t + 1))
+    bounds = np.column_stack((lower.ravel(), upper.ravel()))
+    best, n = _pruned_max(bounds, lambda n: w[n] * form(
+        best_ratio(grid_closure_instance(phi, rect(n)))[0]))
     return best, rect(n)
 
 

@@ -24,11 +24,12 @@ from .core import (
     HaarSpectrum2D,
     _analysis,
     _block_mean_layout,
+    _check_depth,
     _check_same_depth,
     _generation_sum,
     haar_inverse_2d,
 )
-from .errors import UnsupportedSignatureError, ValidationError
+from .errors import UnsupportedSignatureError
 
 FINER = "finer"
 EQUAL = "equal"
@@ -179,9 +180,7 @@ def sigma_k(b: HaarSpectrum2D, k) -> HaarSpectrum2D:
     generation (j1, j2) is l2-aggregated onto its ancestors at generation
     (min(j1, k1), min(j2, k2)).  Non-hh blocks are zeroed.  Preserves the l2 norm of the hh block.
     """
-    k1, k2 = k
-    if k1 < 0 or k2 < 0:
-        raise ValidationError("generation indices must be >= 0")
+    k1, k2 = _check_depth(k, "generation pair", 0)
     j1d, j2d = b.depth
     out = np.zeros_like(b.coeffs)
     acc = np.zeros_like(b.coeffs)  # squared mass routed to boundary slots
@@ -206,6 +205,4 @@ def sigma1_k(b: HaarSpectrum2D, k: int) -> HaarSpectrum2D:
     The t-structure is untouched (the t-boundary sits at the depth);
     non-hh blocks are zeroed.
     """
-    if k < 0:
-        raise ValidationError("level must be >= 0")
     return sigma_k(b, (k, b.depth[1]))

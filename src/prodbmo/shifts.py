@@ -17,6 +17,8 @@ from .core import (
     DyadicRect,
     GridFunction2D,
     HaarSpectrum2D,
+    _check_axis,
+    _check_depth,
     _check_same_depth,
     haar_forward_2d,
     haar_inverse_2d,
@@ -35,14 +37,14 @@ from .paraproducts import NINE_PART_NAMES, ALL_NINE_TAGS, nine_part_apply
 
 def embed_grid(f: GridFunction2D, headroom=(2, 2)) -> GridFunction2D:
     """f on the grid ``headroom`` levels deeper per axis, each cell repeated."""
-    depth = tuple(j + h for j, h in zip(f.depth, headroom))
+    depth = _check_depth([j + h for j, h in zip(f.depth, _check_depth(headroom, "headroom", 0))])
     vals = np.repeat(np.repeat(f.values, 1 << headroom[0], axis=0), 1 << headroom[1], axis=1)
     return GridFunction2D(depth, vals)
 
 
 def embed_spectrum(c: HaarSpectrum2D, headroom=(2, 2)) -> HaarSpectrum2D:
     """c at ``headroom`` more levels per axis, the finer coefficients zero."""
-    depth = tuple(j + h for j, h in zip(c.depth, headroom))
+    depth = _check_depth([j + h for j, h in zip(c.depth, _check_depth(headroom, "headroom", 0))])
     out = np.zeros((1 << depth[0], 1 << depth[1]))
     n1, n2 = c.coeffs.shape
     out[:n1, :n2] = c.coeffs
@@ -78,8 +80,7 @@ def truncating_shift(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
     Basis index b has the children 2b (left, -) and 2b + 1 (right, +), which
     fit for 1 <= b < n/2; the slice drops the constant and the deepest level.
     """
-    if axis not in (1, 2):
-        raise ValidationError("axis must be 1 or 2")
+    _check_axis(axis)
     w = c.coeffs.swapaxes(0, axis - 3)
     parents = w[1:w.shape[0] // 2]
     out = np.zeros_like(w)

@@ -19,7 +19,7 @@ from prodbmo.core import (
 )
 from prodbmo.errors import ValidationError
 from prodbmo.hilbert import StepFunction1D, _check_window, _left_ends, _shift_values
-from prodbmo.norms import LN2, _pruned_max, grid_closure_instance
+from prodbmo.norms import LN2, grid_closure_instance
 from prodbmo.paraproducts import nine_part_apply
 from prodbmo.shifts import embed_grid, shift_grid
 
@@ -251,12 +251,27 @@ def reference_bmo_rect_norm_sq(phi):
     return float((energy * 2.0 ** levels).max())
 
 
+def reference_pruned_max(bounds, value):
+    """``norms._pruned_max`` as it ran before it dropped the candidates a
+    rise of the best rules out in one array operation: one Python test per
+    candidate, in the same order, evaluating the same candidates."""
+    best, best_n = 0.0, 0
+    for n in sorted(range(len(bounds)), key=lambda n: (-bounds[n][0], n)):
+        lower, upper = bounds[n]
+        if not upper * (1.0 + 1e-12) <= best:  # slack for rounding; a NaN bound is solved
+            val = lower if lower == upper else value(n)
+            if val > best or (val == best and n < best_n):
+                best, best_n = val, n
+    return best, best_n
+
+
 def reference_lmo_bounds(phi, pinned=None, beta=None):
     """(bounds, value, at) of an LMO search as the norms module ran it
     before its per-depth tables, unchanged: the (lower, upper) bounds handed
-    to ``_pruned_max``, the search's value and the candidate attaining it.
-    With ``pinned``, the tail search of ``lmo_d_norm`` and
-    ``lmo_directional_norm`` (at is the tail (j1, j2)); with ``beta``, the
+    to the pruned maximum, the search's value and the candidate attaining it.
+    With ``pinned``, the search over whole tails that ``lmo_d_norm`` and
+    ``lmo_directional_norm`` ran before they searched the dyadic rectangles
+    tiling each tail (at is the tail (j1, j2)); with ``beta``, the
     characterisation search (at is the dyadic rectangle)."""
     if beta is None:
         phi, e = _unit_scaled(phi)
@@ -270,8 +285,9 @@ def reference_lmo_bounds(phi, pinned=None, beta=None):
             lower = max(float(energy[gen].sum()), float(ratio[(1 << j1):, (1 << j2):].max()))
             tails.append((w, (j1, j2)))
             bounds.append((w * math.sqrt(lower), w * math.sqrt(upper[gen].max())))
-        best, n = _pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
-            best_ratio(grid_closure_instance(phi, tail=tails[n][1]))[0]))
+        full, cells = grid_closure_instance(phi), [(0, m) for m in phi.coeffs.shape]
+        best, n = reference_pruned_max(bounds, lambda n: tails[n][0] * math.sqrt(
+            best_ratio(reference_crop(full, cells, tails[n][1]))[0]))
         try:
             best = math.ldexp(best, e)
         except OverflowError:
@@ -291,7 +307,7 @@ def reference_lmo_bounds(phi, pinned=None, beta=None):
     def rect(n):
         return DyadicRect(DyadicInterval.from_basis_index(int(s[n])),
                           DyadicInterval.from_basis_index(int(t[n])))
-    best, n = _pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
+    best, n = reference_pruned_max(bounds, lambda n: float(w[n]) * best_ratio(
         grid_closure_instance(phi, rect(n)))[0])
     return bounds, best, rect(n)
 

@@ -1,8 +1,13 @@
 """Haar analysis, projections, rectangle means: exact identities."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prodbmo
 from prodbmo import hilbert, linop, norms
 from prodbmo.core import (
     _axis_pattern,
@@ -60,14 +65,19 @@ def test_bool_depth_is_refused():
 
 
 def test_bool_and_non_integer_interval_values_are_refused():
-    """True builds no level-1 interval and 1.0 no index: both are refused like
-    1.5, with ValidationError; numpy integers stay accepted."""
+    """True builds no level-1 interval and 1.0 no index, nor True or 2.0 a basis
+    index: all are refused like 1.5, with ValidationError; numpy integers stay
+    accepted."""
     for call in (lambda: DyadicInterval(True, 1), lambda: DyadicInterval(2, 1.0),
                  lambda: DyadicInterval(1.5, 0), lambda: DyadicInterval(np.True_, 0),
-                 lambda: DyadicRect.from_levels(True, 0, 1, 1)):
-        with pytest.raises(ValidationError, match="must be integers"):
+                 lambda: DyadicRect.from_levels(True, 0, 1, 1),
+                 lambda: DyadicInterval.from_basis_index(True),
+                 lambda: DyadicInterval.from_basis_index(2.0),
+                 lambda: DyadicInterval.from_basis_index(np.True_)):
+        with pytest.raises(ValidationError, match="must be (an integer|integers)"):
             call()
     assert DyadicInterval(np.int64(2), np.int32(1)) == DyadicInterval(2, 1)
+    assert DyadicInterval.from_basis_index(np.int64(5)) == DyadicInterval(2, 1)
 
 
 def test_interval_halves_orientation():
@@ -97,17 +107,36 @@ def test_rect_area():
     assert r.generation == (1, 2)
 
 
+def _cached_functions():
+    """module.name of every lru_cache'd function of the package, read from its source."""
+    found = set()
+    for path in Path(prodbmo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(d).split("(")[0].split(".")[-1] in ("lru_cache", "cache")
+                    for d in node.decorator_list):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
 def test_cached_layout_tables_are_read_only():
     """Every caller shares the cached tables, so none may write into them: core's
-    per-axis tables, the LMO searches' tables, the assembly probe and the PCG map."""
-    scale, t_mask, starts = norms._depth_tables((8, 4))
-    tables = [level_of_basis_index(8), _interval_cells(8), *_basis_order((2, 3)),
-              *_axis_pattern(8, 1, 0), *_axis_pattern(8, 2, 1), scale, t_mask, *starts,
-              *norms._char_candidates((8, 4), (0, 0)), *norms._char_candidates((8, 4), (1, 0)),
-              *linop._probe((2, 1), "grid"), *linop._probe((1, 2), "spectrum"),
-              *hilbert._pcg_states_map(3)]
-    assert len(tables) == 28
-    for table in tables:
+    per-axis tables, the closure cell widths and LMO searches' tables, the
+    assembly probe and the PCG map.  Every cached function is listed."""
+    tables = {
+        "core.level_of_basis_index": [level_of_basis_index(8)],
+        "core._interval_cells": [_interval_cells(8)],
+        "core._basis_order": _basis_order((2, 3)),
+        "core._axis_pattern": [*_axis_pattern(8, 1, 0), *_axis_pattern(8, 2, 1)],
+        "norms._cell_widths": [norms._cell_widths(2, 8)],
+        "norms._depth_tables": norms._depth_tables((8, 4)),
+        "norms._lmo_weights": [norms._lmo_weights((8, 4), (False, False), True),
+                               norms._lmo_weights((8, 4), (True, False), False)],
+        "linop._probe": [*linop._probe((2, 1), "grid"), *linop._probe((1, 2), "spectrum")],
+        "hilbert._pcg_states_map": hilbert._pcg_states_map(3),
+    }
+    assert tables.keys() == _cached_functions()
+    for table in itertools.chain(*tables.values()):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
     assert level_of_basis_index(8).tolist() == [-1, 0, 1, 1, 2, 2, 2, 2]

@@ -20,6 +20,7 @@ from helpers import (
     reference_bmo_rect_norm_sq,
     reference_crop,
     reference_lmo_bounds,
+    reference_pruned_max,
 )
 from prodbmo import closure, norms, shifts
 from prodbmo.closure import ClosureInstance, _FlowNetwork, best_ratio, best_ratio_bruteforce
@@ -234,8 +235,8 @@ def _kernel_sweep():
             stair, gauss, gauss * (rng.random(gauss.shape) < 0.3), np.rint(2.0 * gauss)]
         for coeffs in symbols:
             phi = HaarSpectrum2D(depth, coeffs)
-            instances += [norms.grid_closure_instance(phi),
-                          norms.grid_closure_instance(phi, tail=(1, 1)),
+            full = norms.grid_closure_instance(phi)
+            instances += [full, reference_crop(full, [(0, n) for n in phi.coeffs.shape], (1, 1)),
                           norms.grid_closure_instance(phi, DyadicRect.from_levels(1, 0, 1, 1))]
     ranges = []
     for n in (3, 4, 3):
@@ -398,8 +399,8 @@ def test_structure_cache_is_transparent():
         for keep in (1.0, 0.3):
             coeffs = random_hh_spectrum(depth, rng).coeffs
             phi = HaarSpectrum2D(depth, coeffs * (rng.random(coeffs.shape) < keep))
-            instances += [norms.grid_closure_instance(phi),
-                          norms.grid_closure_instance(phi, tail=(1, 1)),
+            full = norms.grid_closure_instance(phi)
+            instances += [full, reference_crop(full, [(0, n) for n in phi.coeffs.shape], (1, 1)),
                           norms.grid_closure_instance(phi, DyadicRect.from_levels(1, 0, 1, 1))]
     for shape in [(7,), (3, 4), (2, 3, 2)]:
         ranges = []
@@ -460,8 +461,8 @@ def test_cached_tables_are_read_only_and_outlast_a_refused_solve():
     on one geometry, one of them refused for a NaN weight, returns == to the
     same solves each run on an empty cache."""
     phi = random_hh_spectrum((3, 3), np.random.default_rng(2106))
-    scale, t_mask, starts = norms._depth_tables(phi.coeffs.shape)
-    for a in (scale, t_mask, *starts, *norms._char_candidates(phi.coeffs.shape, (0, 0))):
+    for a in (*norms._depth_tables(phi.coeffs.shape),
+              norms._lmo_weights(phi.coeffs.shape, (False, False), True)):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     nan, flipped = phi.coeffs.copy(), phi.coeffs.copy()
@@ -700,21 +701,20 @@ def test_restricted_norm_equals_norm_of_open_set_projection(depth):
 
 
 def test_restricted_instance_equals_the_crop_of_the_full_instance():
-    """A restricted grid_closure_instance builds only the rectangles inside R
-    of generation >= tail, yet its widths, ranges and weights are
-    tobytes()-equal to the reference crop of the full instance, in the same
-    order, for every tail in {0,1,2}^2 and every dyadic R at depths up to (3,4)."""
+    """A restricted grid_closure_instance builds only the rectangles inside R,
+    yet its widths, ranges and weights are tobytes()-equal to the reference
+    crop of the full instance, in the same order, for every dyadic R at
+    depths up to (3,4)."""
     rng = np.random.default_rng(2203)
     for depth in itertools.product(range(1, 4), range(1, 5)):
         c = random_hh_spectrum(depth, rng).coeffs
         phi = HaarSpectrum2D(depth, c * (rng.random(c.shape) < 0.7))
         full = norms.grid_closure_instance(phi)
         for l1, l2 in itertools.product(range(depth[0] + 1), range(depth[1] + 1)):
-            for i1, i2, *tail in itertools.product(range(1 << l1), range(1 << l2),
-                                                   range(3), range(3)):
+            for i1, i2 in itertools.product(range(1 << l1), range(1 << l2)):
                 r = DyadicRect.from_levels(l1, i1, l2, i2)
-                got = norms.grid_closure_instance(phi, r, tuple(tail))
-                want = reference_crop(full, _dyadic_cells(r, depth), tail)
+                got = norms.grid_closure_instance(phi, r)
+                want = reference_crop(full, _dyadic_cells(r, depth), (0, 0))
                 for a, b in zip((*got.widths, *got.ranges, got.rect_weights),
                                 (*want.widths, *want.ranges, want.rect_weights)):
                     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -878,9 +878,11 @@ def _descends(a, b):
 def test_per_generation_bounds_enclose_every_restricted_and_tail_norm(depth):
     """For every dyadic R, E/|R| <= ||phi restricted to R||^2 <= U(R), and
     for every tail j (the pinned, directional tails are (0, j2) and (j1, 0))
-    its energy <= its squared norm <= the largest U of generation j.  Each
-    U is also at most E 2^deep, the energy times 2 to the deepest level sum
-    of a weighted rectangle, recomputed here from the coefficients."""
+    its energy <= its squared norm <= the largest U of generation j; that
+    squared norm == the largest restricted one over the generation-j
+    rectangles, the identity the LMO search rests on.  Each U is also at
+    most E 2^deep, the energy times 2 to the deepest level sum of a weighted
+    rectangle, recomputed here from the coefficients."""
     rng = np.random.default_rng(1800 + 10 * depth[0] + depth[1])
     n1, n2 = 1 << depth[0], 1 << depth[1]
     symbols = []
@@ -906,16 +908,19 @@ def test_per_generation_bounds_enclose_every_restricted_and_tail_norm(depth):
             assert value <= up * slack
             assert up <= energy * 2.0 ** deep * slack
 
+        restricted = np.zeros((n1, n2))
         for b1, b2 in itertools.product(range(1, n1), range(1, n2)):
             rect = DyadicRect(DyadicInterval.from_basis_index(b1), DyadicInterval.from_basis_index(b2))
             members = [m for m in weighted if _descends(m[0], b1) and _descends(m[1], b2)]
-            check(members, bmo_d_norm_sq(phi, rect)[0], upper[b1, b2],
+            restricted[b1, b2] = bmo_d_norm_sq(phi, rect)[0]
+            check(members, restricted[b1, b2], upper[b1, b2],
                   2.0 ** (2 - b1.bit_length() - b2.bit_length()))
         for j1, j2 in itertools.product(range(depth[0]), range(depth[1])):
             members = [m for m in weighted if m[0] >> j1 and m[1] >> j2]
             tail = apply_projection(phi, ProjectionSelector.tail(j1, j2))
-            check(members, bmo_d_norm_sq(tail)[0] if members else 0.0,
-                  upper[1 << j1:2 << j1, 1 << j2:2 << j2].max(), 1.0)
+            value = bmo_d_norm_sq(tail)[0] if members else 0.0
+            check(members, value, upper[1 << j1:2 << j1, 1 << j2:2 << j2].max(), 1.0)
+            assert value == restricted[1 << j1:2 << j1, 1 << j2:2 << j2].max()
 
 
 @pytest.mark.parametrize("depth, tail_solves, rect_solves", [((3, 3), 23, 22), ((4, 4), 22, 20)])
@@ -945,7 +950,9 @@ def test_lmo_searches_solve_about_one_closure_per_symbol(depth, tail_solves, rec
 def test_pruned_max_keeps_the_first_index_among_ties():
     """Candidates run by decreasing lower bound; equal bounds settle a
     candidate without evaluating it, an upper bound below the best skips
-    one, and an equal value at a lower index wins."""
+    one, and an equal value at a lower index wins.  On seeded tied bounds
+    the result and the candidates evaluated, in order, are those of the
+    one-candidate-at-a-time reference loop."""
     values = [5.0, 5.0, 2.0, 0.0]
     seen = []
 
@@ -958,6 +965,18 @@ def test_pruned_max_keeps_the_first_index_among_ties():
     seen.clear()  # a lower bound below the upper one, if only by one ulp, is evaluated
     assert _pruned_max([(4.0, 4.0), (math.nextafter(5.0, 0.0), 5.0)], value) == (5.0, 1)
     assert seen == [1]
+    rng = np.random.default_rng(1950)  # small integers: many tied bounds and values
+    for size in range(1, 40):
+        for _ in range(10):
+            lower = rng.integers(0, 6, size).astype(float)
+            upper = lower + rng.integers(0, 3, size) * (rng.random(size) < 0.7)
+            values = lower + np.floor(rng.random(size) * (upper - lower + 1))
+            bounds = np.column_stack((lower, upper))
+            runs = []
+            for search in (_pruned_max, reference_pruned_max):
+                seen.clear()
+                runs.append((search(bounds, value), list(seen)))
+            assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("d1", range(1, 7))
@@ -1009,11 +1028,13 @@ def _outcome(call):
 
 
 def test_lmo_search_bounds_and_values_equal_the_reference(monkeypatch):
-    """The LMO searches, on their per-depth tables, build the same bounds as
-    the reference in tests/helpers.py, which rebuilt every table per call,
-    and return the same values, attaining rectangles and errors: both pinned
-    axes, all four beta and bmo_rect_norm_sq, on Gaussian, 60%-sparse,
-    integer and staircase symbols at amplitudes 1 and 2^+-600."""
+    """The LMO searches, on their per-depth tables, return the same values,
+    attaining rectangles and errors as the reference in tests/helpers.py,
+    which rebuilt every table per call, and the char forms build the same
+    bounds: both pinned axes, all four beta and bmo_rect_norm_sq, on
+    Gaussian, 60%-sparse, integer and staircase symbols at amplitudes 1 and
+    2^+-600.  The tail forms are compared by value: the reference searches
+    whole tails, the package the dyadic rectangles that tile them."""
     seen = []
     pruned_max = norms._pruned_max
 
@@ -1049,9 +1070,10 @@ def test_lmo_search_bounds_and_values_equal_the_reference(monkeypatch):
                         raised += 1
                         continue
                     bounds, value, at = expected
-                    assert seen == [bounds]
                     assert got == ((value, at) if search is lmo_char_details else value)
-                    compared += len(bounds)
+                    if "beta" in kind:
+                        assert [s.tolist() for s in seen] == [bounds]
+                        compared += len(bounds)
     assert compared > 3000 and raised > 10
 
 

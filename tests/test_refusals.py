@@ -14,7 +14,8 @@ from prodbmo.errors import ValidationError
 from prodbmo.hilbert import RandomDyadicGrid, StepFunction1D
 from prodbmo.linop import DenseOperator, assemble, operator_norm
 from prodbmo.norms import lmo_directional_norm
-from prodbmo.shifts import truncating_shift
+from prodbmo.paraproducts import sigma1_k, sigma_k
+from prodbmo.shifts import embed_grid, embed_spectrum, truncating_shift
 
 
 def _nan_grid(g):
@@ -52,6 +53,25 @@ REFUSALS = {
                    lambda _: lmo_directional_norm(HaarSpectrum2D.zeros((2, 2)), 3)),
     "shift-axis-3": ("axis must be 1 or 2",
                      lambda _: truncating_shift(HaarSpectrum2D.zeros((2, 2)), 3)),
+    "lmo-axis-true": ("axis must be 1 or 2",
+                      lambda _: lmo_directional_norm(HaarSpectrum2D.zeros((2, 2)), True)),
+    "shift-axis-true": ("axis must be 1 or 2",
+                        lambda _: truncating_shift(HaarSpectrum2D.zeros((2, 2)), True)),
+    "sigma-level-1.5": ("generation pair", lambda _: sigma_k(HaarSpectrum2D.zeros((2, 2)),
+                                                             (1.5, 1))),
+    "sigma-one-level": ("generation pair",
+                        lambda _: sigma_k(HaarSpectrum2D.zeros((2, 2)), (1,))),
+    "sigma-level-true": ("generation pair",
+                         lambda _: sigma_k(HaarSpectrum2D.zeros((2, 2)), (True, 1))),
+    "sigma1-level-1.5": ("generation pair",
+                         lambda _: sigma1_k(HaarSpectrum2D.zeros((2, 2)), 1.5)),
+    "headroom-negative": ("headroom", lambda _: embed_grid(GridFunction2D.zeros((2, 2)),
+                                                           (-1, 1))),
+    "headroom-1.5": ("headroom", lambda _: embed_spectrum(HaarSpectrum2D.zeros((2, 2)),
+                                                          (1.5, 1))),
+    "headroom-40": ("headroom", lambda _: embed_grid(GridFunction2D.zeros((2, 2)), (40, 40))),
+    "embedded-depth-31": (r"depth \[31, 3\]", lambda _: embed_spectrum(
+        HaarSpectrum2D.zeros((2, 2)), (29, 1))),
     "ratio-of-empty-set": ("empty cell set", lambda _: ClosureInstance(
         (np.ones(2), np.ones(2)), (np.array([[0, 2]]), np.array([[0, 1]])), np.ones(1),
     ).ratio(np.zeros(4, bool))),
