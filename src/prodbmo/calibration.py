@@ -12,6 +12,7 @@ solvers or generators change.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -199,25 +200,13 @@ def staircase_growth(rect: DyadicRect, depth):
 # ---------------------------------------------------------------------------
 
 def sweep_extremal(max_depth=(4, 4)):
-    worst_norm = 0.0
-    worst_growth = 0.0
-    sharpness = None
-    for d in range(2, max_depth[0] + 1):
-        for j1 in range(d + 1):
-            for j2 in range(d + 1):
-                for i1 in range(1 << j1):
-                    for i2 in range(1 << j2):
-                        r = DyadicRect.from_levels(j1, i1, j2, i2)
-                        bnorm, ratios, att = staircase_growth(r, (d, d))
-                        worst_norm = max(worst_norm, bnorm)
-                        if bnorm == 0.0:
-                            continue
-                        worst_growth = max(worst_growth, *ratios.values())
-                        sharpness = att if sharpness is None else min(sharpness, att)
+    runs = [staircase_growth(DyadicRect(*map(DyadicInterval.from_basis_index, b)), (d, d))
+            for d in range(2, max_depth[0] + 1) for b in product(range(1, 2 << d), repeat=2)]
+    live = [(ratios, att) for bnorm, ratios, att in runs if bnorm]  # the constant has no growth
     return {
-        "extremal_norm_bound": worst_norm,
-        "extremal_growth_bound": worst_growth,
-        "extremal_growth_sharpness": sharpness,
+        "extremal_norm_bound": max(bnorm for bnorm, _, _ in runs),
+        "extremal_growth_bound": max(max(ratios.values()) for ratios, _ in live),
+        "extremal_growth_sharpness": min(att for _, att in live),
     }
 
 

@@ -323,11 +323,10 @@ def _structure(inst: ClosureInstance, active):
 def best_ratio(inst: ClosureInstance):
     """Maximise g over non-empty cell unions, solving on the atoms of the
     weighted rectangles; returns (ratio, cell mask), the mask the union of
-    all optimal sets.  All-zero weights return (0.0, None) as the empty-set
-    sentinel."""
+    all optimal sets.  All-zero weights return (0.0, the empty mask)."""
     active = np.flatnonzero(inst.rect_weights > 0.0)
     if active.size == 0:
-        return 0.0, None
+        return 0.0, np.zeros(inst.n_cells, bool)
     s = _structure(inst, active)
     weights = inst.rect_weights[active]
     ratio = partial(_ratio, s.cell_areas, s.first, s.cells, weights)

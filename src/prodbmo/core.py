@@ -169,12 +169,11 @@ class GridFunction2D:
 
     @classmethod
     def zeros(cls, depth) -> "GridFunction2D":
-        j1, j2 = depth
-        return cls(depth, np.zeros((1 << j1, 1 << j2)))
+        return cls.constant(depth, 0.0)
 
     @classmethod
     def constant(cls, depth, value) -> "GridFunction2D":
-        j1, j2 = depth
+        j1, j2 = _check_depth(depth)
         return cls(depth, np.full((1 << j1, 1 << j2), float(value)))
 
     @property
@@ -225,8 +224,7 @@ class HaarSpectrum2D:
 
     @classmethod
     def zeros(cls, depth) -> "HaarSpectrum2D":
-        j1, j2 = depth
-        return cls(depth, np.zeros((1 << j1, 1 << j2)))
+        return cls(depth, GridFunction2D.zeros(depth).values)
 
     @property
     def cc(self) -> float:

@@ -29,6 +29,7 @@ from .core import (
     _check_axis,
     _dyadic_cells,
     _interval_cells,
+    _is_int,
     _read_only,
     _subtree_reduce,
     _unit_scaled,
@@ -45,6 +46,14 @@ LN2 = math.log(2.0)
 # closure instances from spectra
 # ---------------------------------------------------------------------------
 
+_UNIT_SQUARE = DyadicRect.from_levels(0, 0, 0, 0)
+
+
+def _cells(phi: HaarSpectrum2D, restrict_to):
+    """Per axis the cell range (lo, hi) of a dyadic rectangle, None the unit square."""
+    return _dyadic_cells(restrict_to or _UNIT_SQUARE, phi.depth)
+
+
 @lru_cache(maxsize=64)
 def _cell_widths(m, n):
     """Read-only widths of m cells of an axis of n."""
@@ -58,8 +67,7 @@ def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     Those are the enumeration at the rectangle's depth below the grid: on a side
     of basis index B, basis index b at level j below it is b + (B - 1) * 2^j.
     """
-    shape = phi.coeffs.shape
-    cells = _dyadic_cells(restrict_to, phi.depth) if restrict_to else [(0, n) for n in shape]
+    shape, cells = phi.coeffs.shape, _cells(phi, restrict_to)
     sub = [hi - lo for lo, hi in cells]
     rows, cols = (b[sub[0] + sub[1] - 1:] for b in
                   _basis_order(tuple(m.bit_length() - 1 for m in sub)))
@@ -81,9 +89,7 @@ def bmo_d_norm_sq(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     inst = grid_closure_instance(phi, restrict_to)
     value, local_mask = best_ratio(inst)
     grid_mask = np.zeros(phi.coeffs.shape, dtype=bool)
-    if local_mask is not None:
-        cells = _dyadic_cells(restrict_to, phi.depth) if restrict_to else [(0, None)] * 2
-        grid_mask[tuple(slice(*c) for c in cells)] = local_mask.reshape(inst.shape)
+    grid_mask[tuple(slice(*c) for c in _cells(phi, restrict_to))] = local_mask.reshape(inst.shape)
     return value, grid_mask
 
 
@@ -202,8 +208,8 @@ def lmo_beta_char_norm(phi: HaarSpectrum2D, beta) -> float:
     beta == (1,1) reproduces the squared BMO norm; beta == (0,0) is the full
     log-weighted characterisation.
     """
-    beta = tuple(beta)
-    if beta not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
+    beta = tuple(beta) if np.iterable(beta) else (beta,)
+    if len(beta) != 2 or not all(_is_int(b) and b in (0, 1) for b in beta):
         raise ValidationError(f"beta must be a 0/1 pair, got {beta}")
     return _lmo_search(phi, tuple(map(bool, beta)), True)[0]
 
@@ -249,8 +255,7 @@ def _lmo_search(phi: HaarSpectrum2D, pinned, char):
         return DyadicRect(DyadicInterval.from_basis_index(s + 1),
                           DyadicInterval.from_basis_index(t + 1))
     bounds = np.column_stack((lower.ravel(), upper.ravel()))
-    best, n = _pruned_max(bounds, lambda n: w[n] * form(
-        best_ratio(grid_closure_instance(phi, rect(n)))[0]))
+    best, n = _pruned_max(bounds, lambda n: w[n] * form(bmo_d_norm_sq(phi, rect(n))[0]))
     return best, rect(n)
 
 

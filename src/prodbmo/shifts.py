@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import closure
 from .core import (
     DyadicRect,
     GridFunction2D,
@@ -35,20 +36,27 @@ from .norms import (
 from .paraproducts import NINE_PART_NAMES, ALL_NINE_TAGS, nine_part_apply
 
 
+def _embedded_depth(depth, headroom) -> tuple:
+    """The checked depth ``headroom`` levels deeper, whose float64 array fits the budget."""
+    depth = _check_depth([j + h for j, h in zip(depth, _check_depth(headroom, "headroom", 0))])
+    if (size := 8 << depth[0] + depth[1]) > closure._MAX_BYTES:  # the package's one budget
+        raise ValidationError(f"embedded depth {list(depth)} needs {size} bytes, over budget")
+    return depth
+
+
 def embed_grid(f: GridFunction2D, headroom=(2, 2)) -> GridFunction2D:
     """f on the grid ``headroom`` levels deeper per axis, each cell repeated."""
-    depth = _check_depth([j + h for j, h in zip(f.depth, _check_depth(headroom, "headroom", 0))])
+    depth = _embedded_depth(f.depth, headroom)
     vals = np.repeat(np.repeat(f.values, 1 << headroom[0], axis=0), 1 << headroom[1], axis=1)
     return GridFunction2D(depth, vals)
 
 
 def embed_spectrum(c: HaarSpectrum2D, headroom=(2, 2)) -> HaarSpectrum2D:
     """c at ``headroom`` more levels per axis, the finer coefficients zero."""
-    depth = _check_depth([j + h for j, h in zip(c.depth, _check_depth(headroom, "headroom", 0))])
-    out = np.zeros((1 << depth[0], 1 << depth[1]))
+    out = HaarSpectrum2D.zeros(_embedded_depth(c.depth, headroom))
     n1, n2 = c.coeffs.shape
-    out[:n1, :n2] = c.coeffs
-    return HaarSpectrum2D(depth, out)
+    out.coeffs[:n1, :n2] = c.coeffs
+    return out
 
 
 def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:

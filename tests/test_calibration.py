@@ -29,9 +29,15 @@ def test_small_sweeps_respect_frozen_constants():
             assert value <= CALIBRATED[key], key
 
 
-def test_recompute_is_pinned_exactly():
-    """Every raw calibration value, compared by repr: a change of the last bit fails."""
-    assert repr(recompute(verbose=False)) == repr({
+def test_recompute_is_pinned_exactly(capsys):
+    """Every raw calibration value, compared by repr: a change of the last bit fails.
+    The report prints one raw and frozen line per value."""
+    out = recompute(verbose=True)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(out)
+    assert all(f"raw={v:.6f} frozen={CALIBRATED.get(k)}" in line
+               for (k, v), line in zip(out.items(), lines))
+    assert repr(out) == repr({
         "extremal_norm_bound": 1.43359375,
         "extremal_growth_bound": 9.0,
         "extremal_growth_sharpness": 0.6975476839237057,

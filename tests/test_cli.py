@@ -21,7 +21,10 @@ from prodbmo.cli import (
     load_function_file,
     save_function_file,
 )
-from prodbmo.core import DyadicRect, GridFunction2D, HaarSpectrum2D, haar_inverse_2d
+from prodbmo.core import (DyadicRect, GridFunction2D, HaarSpectrum2D, haar_forward_2d,
+                          haar_inverse_2d)
+from prodbmo.errors import NonConvergenceError
+from prodbmo.norms import grid_closure_instance
 
 QUARTER = DyadicRect.from_levels(1, 0, 1, 0)
 
@@ -136,6 +139,24 @@ def test_bmo_above_the_memory_estimate_exit_2(tmp_path, capsys, monkeypatch):
     assert cli_dispatch(["bmo", "--input", str(src), "--method", "exact"]) == 2
     err = capsys.readouterr().err
     assert "1024 arcs" in err and "Traceback" not in err
+
+
+def test_unsettled_ratio_iteration_exit_3(tmp_path, capsys, monkeypatch):
+    """With no ratio round allowed, best_ratio gives up at its starting set, the best
+    box: its last estimate is a feasible ratio, at most the optimum, and the CLI
+    reports a numerical failure (exit 3)."""
+    values = np.random.default_rng(5).standard_normal((8, 8))
+    inst = grid_closure_instance(haar_forward_2d(GridFunction2D((3, 3), values)))
+    optimum = closure.best_ratio(inst)[0]
+    monkeypatch.setattr(closure, "_MAX_ROUNDS", 0)
+    with pytest.raises(NonConvergenceError) as exc:
+        closure.best_ratio(inst)
+    assert 0.0 < exc.value.last_estimate <= optimum
+    src = tmp_path / "phi.json"
+    save_function_file(str(src), (3, 3), values, kind="grid")
+    assert cli_dispatch(["bmo", "--input", str(src), "--method", "exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "numerical failure" in captured.err
 
 
 def test_bmo_brute_and_rect(tmp_path, capsys):
@@ -466,6 +487,9 @@ def test_experiments_all_pass(tmp_path, capsys, name, flags):
     ("paraproduct-bound", ["--depth", "-1"]),
     ("commutator-bound", ["--depth", "-1"]),
     ("lemma-core", ["--depth", "-1"]),
+    ("paraproduct-bound", ["--depth", "5"]),  # depths without a calibrated constant
+    ("commutator-bound", ["--depth", "4"]),
+    ("lmo-equivalence", ["--depth", "4"]),
 ])
 def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags):
     # an empty table must not be reported as all_ok

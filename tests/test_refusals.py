@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from prodbmo import calibration
+from prodbmo import calibration, closure
 from prodbmo.cli import load_function_file
 from prodbmo.closure import ClosureInstance
 from prodbmo.core import (DyadicInterval, GridFunction2D, HaarSpectrum2D, ProjectionSelector,
@@ -13,7 +13,7 @@ from prodbmo.core import (DyadicInterval, GridFunction2D, HaarSpectrum2D, Projec
 from prodbmo.errors import ValidationError
 from prodbmo.hilbert import RandomDyadicGrid, StepFunction1D
 from prodbmo.linop import DenseOperator, assemble, operator_norm
-from prodbmo.norms import lmo_directional_norm
+from prodbmo.norms import lmo_beta_char_norm, lmo_directional_norm
 from prodbmo.paraproducts import sigma1_k, sigma_k
 from prodbmo.shifts import embed_grid, embed_spectrum, truncating_shift
 
@@ -77,6 +77,15 @@ REFUSALS = {
     ).ratio(np.zeros(4, bool))),
     "no-ratio-interval-at-depth-4": ("depth 4", lambda _: calibration.lmo_ratio_interval(4)),
     "function-file-value-count": ("7 values, expected 8", _function_file_one_value_short),
+    **{f"beta-{name}": ("beta must be a 0/1 pair", lambda _, beta=beta: lmo_beta_char_norm(
+        HaarSpectrum2D.zeros((2, 2)), beta))
+       for name, beta in [("bool", (True, 0)), ("numpy-bool", (np.True_, 0)),
+                          ("float", (1.0, 0.0)), ("scalar", 1)]},
+    **{f"{name}-depth-{depth}": ("must be two integers", lambda _, make=make, depth=depth: make(
+        depth)) for name, make in [("grid-zeros", GridFunction2D.zeros),
+                                   ("grid-constant", lambda d: GridFunction2D.constant(d, 1.0)),
+                                   ("spectrum-zeros", HaarSpectrum2D.zeros)]
+       for depth in [3, (1.5, 2), (40, 40)]},
 }
 
 
@@ -85,3 +94,15 @@ def test_input_is_refused(tmp_path, message, call):
     with pytest.raises(ValidationError, match=message) as exc:
         call(tmp_path)
     assert type(exc.value) is ValidationError
+
+
+@pytest.mark.parametrize("embed, f", [(embed_grid, GridFunction2D.zeros((2, 2))),
+                                      (embed_spectrum, HaarSpectrum2D.zeros((2, 2)))])
+def test_embedding_above_the_memory_budget_is_refused(monkeypatch, embed, f):
+    """An embedded array above the package's memory budget is refused before it is
+    allocated: (2,2) with headroom (2,2) is 256 float64 values, 2,048 bytes."""
+    monkeypatch.setattr(closure, "_MAX_BYTES", 2047)
+    with pytest.raises(ValidationError, match="needs 2048 bytes"):
+        embed(f, (2, 2))
+    monkeypatch.setattr(closure, "_MAX_BYTES", 2048)
+    assert embed(f, (2, 2)).depth == (4, 4)
