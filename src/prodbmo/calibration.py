@@ -2,10 +2,10 @@
 
 The boundedness statements realised here are norm equivalences with
 unquantified constants; the frozen values below pin them numerically.
-Each was produced by the sweep in :func:`recompute` (run
-``python -m prodbmo.calibration``) and widened by a safety margin so that
-fresh random draws from the same generators stay inside.  Tests treat the
-frozen values as the contract; regenerate and widen them only when the
+:func:`recompute` (``python -m prodbmo.calibration``), one fixed run of
+literal draw counts, seeds and depths, reproduces the raw value of each, which
+was widened by a safety margin so that fresh draws stay inside.  Tests treat
+the frozen values as the contract; regenerate and widen them only when the
 solvers or generators change.
 """
 
@@ -21,6 +21,7 @@ from .core import (
     DyadicRect,
     HaarSpectrum2D,
     ProjectionSelector,
+    _is_int,
     apply_projection,
     haar_forward_2d,
     haar_inverse_2d,
@@ -74,8 +75,10 @@ CALIBRATED = {
     "shift_commutator_bound": 2.00,
 }
 
-#: the square depths (d, d) each bound constant's sweep covers, and the only ones it is checked at
+#: the square depths (d, d) each calibrated bound's sweep covers, and the only ones it is
+#: checked at; "lmo_ratio" is the interval lmo_ratio_lo_depth{d}, lmo_ratio_hi_depth{d}
 CALIBRATED_DEPTHS = {
+    "lmo_ratio": (2, 3),
     "pi_bound_constant": (2, 3, 4),
     "shift_commutator_bound": (2, 3),
 }
@@ -199,9 +202,9 @@ def staircase_growth(rect: DyadicRect, depth):
 # sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_extremal(max_depth=(4, 4)):
+def sweep_extremal():
     runs = [staircase_growth(DyadicRect(*map(DyadicInterval.from_basis_index, b)), (d, d))
-            for d in range(2, max_depth[0] + 1) for b in product(range(1, 2 << d), repeat=2)]
+            for d in range(2, 5) for b in product(range(1, 2 << d), repeat=2)]
     live = [(ratios, att) for bnorm, ratios, att in runs if bnorm]  # the constant has no growth
     return {
         "extremal_norm_bound": max(bnorm for bnorm, _, _ in runs),
@@ -210,76 +213,71 @@ def sweep_extremal(max_depth=(4, 4)):
     }
 
 
+def _check_calibrated(name, depth):
+    """Refuse a square depth (depth, depth) that the sweep of ``name`` does not cover."""
+    if not (_is_int(depth) and depth in CALIBRATED_DEPTHS[name]):
+        raise ValidationError(
+            f"{name} is calibrated at depths {CALIBRATED_DEPTHS[name]} only, not depth {depth!r}")
+
+
 def lmo_ratio_interval(depth: int):
     """Pinned (c1, c2) for the lmo_char / lmo_d^2 ratio at the given depth."""
-    try:
-        return (
-            CALIBRATED[f"lmo_ratio_lo_depth{depth}"],
-            CALIBRATED[f"lmo_ratio_hi_depth{depth}"],
-        )
-    except KeyError:
-        raise ValidationError(f"no calibrated ratio interval for depth {depth}")
+    _check_calibrated("lmo_ratio", depth)
+    return CALIBRATED[f"lmo_ratio_lo_depth{depth}"], CALIBRATED[f"lmo_ratio_hi_depth{depth}"]
 
 
 def bound_constant(key: str, depth: int) -> float:
     """CALIBRATED[key] for a bound checked at square depth (depth, depth)."""
-    if depth not in CALIBRATED_DEPTHS[key]:
-        raise ValidationError(
-            f"{key} is calibrated at depths {CALIBRATED_DEPTHS[key]} only, got {depth}")
+    _check_calibrated(key, depth)
     return CALIBRATED[key]
 
 
-def sweep_lmo_ratio(n=200, depth=(3, 3), seed=20240501):
-    ratios = _sweep_bound([depth], lmo_ratio, n, seed)
-    key = depth[0]
-    return {
-        f"lmo_ratio_lo_depth{key}": min(ratios),
-        f"lmo_ratio_hi_depth{key}": max(ratios),
-    }
+def sweep_lmo_ratio():
+    out = {}
+    for d in CALIBRATED_DEPTHS["lmo_ratio"]:
+        ratios = _sweep_bound([(d, d)], lmo_ratio, 200, 20240501)
+        out[f"lmo_ratio_lo_depth{d}"], out[f"lmo_ratio_hi_depth{d}"] = min(ratios), max(ratios)
+    return out
 
 
 def _sweep_bound(depths, ratio, n, seed):
-    """ratio(depth, rng) over n draws per depth, in order, from one seeded rng;
-    a draw of None (nothing to bound) is left out."""
+    """ratio(depth, rng) over n draws per depth, in order, from one seeded rng."""
     rng = np.random.default_rng(seed)
-    draws = [ratio(d, rng) for d in depths for _ in range(n)]
-    return [r for r in draws if r is not None]
+    return [ratio(d, rng) for d in depths for _ in range(n)]
 
 
-def sweep_pi_bound(n=100, seed=20240502):
+def sweep_pi_bound():
     depths = [(d, d) for d in CALIBRATED_DEPTHS["pi_bound_constant"]]
-    return {"pi_bound_constant": max(_sweep_bound(depths, pi_bound_ratio, n, seed))}
+    return {"pi_bound_constant": max(_sweep_bound(depths, pi_bound_ratio, 100, 20240502))}
 
 
-def sweep_delta_bounds(n=50, depth=(2, 2), seed=20240503):
-    probes = delta_probe_set(depth)
+def sweep_delta_bounds():
+    probes = delta_probe_set((2, 2))
 
     def ratio(d, rng):
         phi = random_hh_symbol(d, rng)
-        norm = math.sqrt(bmo_d_norm_sq(phi)[0])
-        return delta_operator_ratio(phi, probes) / norm if norm else None
+        return delta_operator_ratio(phi, probes) / math.sqrt(bmo_d_norm_sq(phi)[0])
 
-    ratios = _sweep_bound([depth], ratio, n, seed)
+    ratios = _sweep_bound([(2, 2)], ratio, 50, 20240503)
     return {"delta_bound_lo": min(ratios), "delta_bound_hi": max(ratios)}
 
 
-def sweep_shift_commutator(n=100, seed=20240504):
+def sweep_shift_commutator():
     depths = [(d, d) for d in CALIBRATED_DEPTHS["shift_commutator_bound"]]
-    return {"shift_commutator_bound": max(_sweep_bound(depths, commutator_bound_ratio, n, seed))}
+    draws = _sweep_bound(depths, commutator_bound_ratio, 100, 20240504)
+    return {"shift_commutator_bound": max(draws)}
 
 
-def recompute(verbose=True):
-    """Re-run every sweep and report raw values (no margins applied)."""
+def recompute():
+    """Re-run every sweep; print and return the raw values (no margins), one per key."""
     out = {}
     out.update(sweep_extremal())
     out.update(sweep_lmo_ratio())
     out.update(sweep_pi_bound())
     out.update(sweep_delta_bounds())
     out.update(sweep_shift_commutator())
-    if verbose:
-        for k, v in out.items():
-            frozen = CALIBRATED.get(k)
-            print(f"{k:32s} raw={v:.6f} frozen={frozen}")
+    for k, v in out.items():
+        print(f"{k:32s} raw={v:.6f} frozen={CALIBRATED[k]}")
     return out
 
 

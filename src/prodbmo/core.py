@@ -600,9 +600,8 @@ def conditional_expectation_grid(f: GridFunction2D, j1: int, j2: int) -> GridFun
 
     Generations at or beyond the depth leave the grid unchanged.
     """
+    j1, j2 = map(min, _check_depth((j1, j2), "generation pair", 0), f.depth)
     J1, J2 = f.depth
-    j1 = min(j1, J1)
-    j2 = min(j2, J2)
     means = mean_pyramid(f.values)[j1][j2]
     vals = np.repeat(np.repeat(means, 1 << (J1 - j1), axis=0), 1 << (J2 - j2), axis=1)
     return GridFunction2D(f.depth, vals)

@@ -96,9 +96,8 @@ def assemble(op, depth, space: str = "grid") -> DenseOperator:
     depth = _check_depth(depth)
     dim = 1 << (depth[0] + depth[1])
     if dim > MAX_DENSE_DIM:
-        raise ValidationError(
-            f"dense assembly supports dimension <= {MAX_DENSE_DIM}, got {dim}"
-        )
+        raise ValidationError(f"dense assembly supports depths with J1 + J2 <= "
+                              f"{MAX_DENSE_DIM.bit_length() - 1}, got depth {list(depth)}")
     if space not in ("grid", "spectrum"):
         raise ValidationError("space must be 'grid' or 'spectrum'")
 

@@ -27,6 +27,7 @@ from .core import (
     _analysis,
     _basis_order,
     _check_axis,
+    _check_depth,
     _dyadic_cells,
     _interval_cells,
     _is_int,
@@ -284,7 +285,7 @@ def extremal_bmo_function(rect: DyadicRect, depth) -> GridFunction2D:
     """Product staircase b with b == (k+1)(l+1) on the rectangle, where
     (k, l) are the generation levels of its sides; the BMO norm is bounded
     uniformly in the rectangle (validated by the calibration sweep)."""
-    cells = _dyadic_cells(rect, depth)
+    cells = _dyadic_cells(rect, depth := _check_depth(depth))
     b1 = _staircase_1d(rect.s_interval, depth[0])
     b2 = _staircase_1d(rect.t_interval, depth[1])
     out = GridFunction2D(depth, np.outer(b1, b2))

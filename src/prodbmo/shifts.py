@@ -21,6 +21,7 @@ from .core import (
     _check_axis,
     _check_depth,
     _check_same_depth,
+    _unit_scaled,
     haar_forward_2d,
     haar_inverse_2d,
     mean_pyramid,
@@ -28,7 +29,7 @@ from .core import (
 from .errors import InsufficientHeadroomError, NonConvergenceError, ValidationError
 from .linop import assemble
 from .norms import (
-    bmo_d_norm_sq,
+    bmo_norm_of_grid,
     bmo_rect_norm_sq,
     lmo_d_norm,
     lmo_directional_norm,
@@ -194,18 +195,18 @@ def commutator_part_norm_report(phi: GridFunction2D, b: GridFunction2D):
     b_amb = embed_grid(b)
 
     phi_spec = haar_forward_2d(phi)
+    unit, e = _unit_scaled(phi_spec)  # squared only after scaling, as the other norms
     controls = {
         "lmo": lmo_d_norm(phi_spec),
         "lmo_1": lmo_directional_norm(phi_spec, 1),
         "lmo_2": lmo_directional_norm(phi_spec, 2),
-        "bmo": math.sqrt(bmo_d_norm_sq(phi_spec)[0]),
-        "bmo_rect": math.sqrt(bmo_rect_norm_sq(phi_spec)),
+        "bmo": bmo_norm_of_grid(phi),
+        "bmo_rect": math.ldexp(math.sqrt(bmo_rect_norm_sq(unit)), e),
     }
     rows = []
     for tag in ALL_NINE_TAGS:
         name = NINE_PART_NAMES[tag]
-        out = part_commutator_apply(tag, phi_amb, b_amb)
-        val = math.sqrt(bmo_d_norm_sq(haar_forward_2d(out))[0])
+        val = bmo_norm_of_grid(part_commutator_apply(tag, phi_amb, b_amb))
         ctrl_name = PART_CONTROL[name]
         ctrl = controls[ctrl_name]
         rows.append(

@@ -3,7 +3,10 @@
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -393,6 +396,21 @@ def test_commutator_commands(tmp_path, capsys):
     assert len(rows) == 9
 
 
+def test_commutator_report_of_a_large_finite_symbol(tmp_path, capsys):
+    """The report squares only after scaling: Gaussian (2,2) phi and b at 1e90, whose
+    squares overflow, give finite rows and exit 0."""
+    rng = np.random.default_rng(4)
+    paths = [tmp_path / "phi.json", tmp_path / "b.json"]
+    for path in paths:
+        save_function_file(str(path), (2, 2), 1e90 * rng.standard_normal((4, 4)), kind="grid")
+    rep = tmp_path / "report.json"
+    assert cli_dispatch(["commutator", "--mode", "report", "--phi", str(paths[0]),
+                         "--b", str(paths[1]), "--output", str(rep)]) == 0
+    rows = json.loads(rep.read_text())["rows"]
+    assert all(math.isfinite(row[key]) for row in rows
+               for key in ("commutator_bmo", "control_value", "ratio"))
+
+
 def test_hilbert_oracle_and_mc(tmp_path, capsys):
     f = tmp_path / "step.json"
     write_step_function(f)
@@ -446,6 +464,24 @@ README_EXPERIMENT_DIGESTS = {
 }
 
 
+def test_readme_commands_parse():
+    """Every prodbmo command of the README's sh blocks parses, unrun, and its seeded
+    experiment commands, --output dropped, are the pinned ones."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("prodbmo ")]
+    assert len(commands) == 15
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    experiments = [" ".join(argv[1:argv.index("--output")] + argv[argv.index("--output") + 2:])
+                   for argv in commands if argv[0] == "experiment"]
+    assert experiments == list(README_EXPERIMENT_DIGESTS)
+
+
 @pytest.mark.parametrize("command", README_EXPERIMENT_DIGESTS)
 def test_readme_experiment_csvs_are_byte_identical(tmp_path, capsys, command):
     """Seeded commands stay byte-identical: each README experiment writes the
@@ -490,6 +526,7 @@ def test_experiments_all_pass(tmp_path, capsys, name, flags):
     ("paraproduct-bound", ["--depth", "5"]),  # depths without a calibrated constant
     ("commutator-bound", ["--depth", "4"]),
     ("lmo-equivalence", ["--depth", "4"]),
+    ("lemma-core", ["--depth", "5"]),  # a dense operator of dimension 1024
 ])
 def test_experiment_rejects_empty_or_invalid_sizes(tmp_path, capsys, name, flags):
     # an empty table must not be reported as all_ok

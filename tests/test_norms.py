@@ -1268,6 +1268,20 @@ def test_warm_start_solves_a_staircase_in_two_flows(n, flow_count):
     assert flow_count[0] == 2
 
 
+def test_dinkelbach_settles_at_the_certified_value(monkeypatch):
+    """With a negative tolerance the flow certificate cannot fire, so a solve that
+    returns left by the settle exit, when a round no longer raises the ratio: each
+    value is the certified one, and the ratio of the returned mask."""
+    rng = np.random.default_rng(37)
+    phis = [random_hh_spectrum((3, 3), rng) for _ in range(10)]
+    certified = [bmo_d_norm_sq(phi)[0] for phi in phis]
+    monkeypatch.setattr(closure, "_REL_TOL", -1e-9)
+    for phi, expected in zip(phis, certified):
+        value, mask = bmo_d_norm_sq(phi)
+        assert value == expected
+        assert norms.grid_closure_instance(phi).ratio(mask.ravel()) == value
+
+
 @pytest.mark.parametrize("depth", [(3, 3), (3, 2)])
 def test_closure_returns_the_largest_optimal_set(depth):
     """Two disjoint squares of equal weight are each optimal, and so is

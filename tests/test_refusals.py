@@ -8,12 +8,13 @@ import pytest
 from prodbmo import calibration, closure
 from prodbmo.cli import load_function_file
 from prodbmo.closure import ClosureInstance
-from prodbmo.core import (DyadicInterval, GridFunction2D, HaarSpectrum2D, ProjectionSelector,
-                          apply_projection, haar_forward_2d)
+from prodbmo.core import (DyadicInterval, DyadicRect, GridFunction2D, HaarSpectrum2D,
+                          ProjectionSelector, apply_projection, conditional_expectation_grid,
+                          haar_forward_2d)
 from prodbmo.errors import ValidationError
 from prodbmo.hilbert import RandomDyadicGrid, StepFunction1D
 from prodbmo.linop import DenseOperator, assemble, operator_norm
-from prodbmo.norms import lmo_beta_char_norm, lmo_directional_norm
+from prodbmo.norms import extremal_bmo_function, lmo_beta_char_norm, lmo_directional_norm
 from prodbmo.paraproducts import sigma1_k, sigma_k
 from prodbmo.shifts import embed_grid, embed_spectrum, truncating_shift
 
@@ -44,6 +45,8 @@ REFUSALS = {
     "assemble-wrong-type": ("must return a GridFunction2D",
                             lambda _: assemble(haar_forward_2d, (1, 1), space="grid")),
     "assemble-non-finite": ("finite values", lambda _: assemble(_nan_grid, (1, 1))),
+    "assemble-depth-5-5": (r"J1 \+ J2 <= 8, got depth \[5, 5\]",
+                           lambda _: assemble(lambda f: f, (5, 5))),
     "norm-of-non-square": ("square matrix", lambda _: operator_norm(np.zeros((2, 3)))),
     "step-nan-breakpoint": ("must be finite", lambda _: StepFunction1D([0.0, np.nan], [1.0])),
     "grid-dilation-2": ("dilation", lambda _: RandomDyadicGrid(1, 1, 2.0, [0, 0])),
@@ -76,6 +79,8 @@ REFUSALS = {
         (np.ones(2), np.ones(2)), (np.array([[0, 2]]), np.array([[0, 1]])), np.ones(1),
     ).ratio(np.zeros(4, bool))),
     "no-ratio-interval-at-depth-4": ("depth 4", lambda _: calibration.lmo_ratio_interval(4)),
+    "no-pi-bound-at-depth-5": ("not depth 5", lambda _: calibration.bound_constant(
+        "pi_bound_constant", 5)),
     "function-file-value-count": ("7 values, expected 8", _function_file_one_value_short),
     **{f"beta-{name}": ("beta must be a 0/1 pair", lambda _, beta=beta: lmo_beta_char_norm(
         HaarSpectrum2D.zeros((2, 2)), beta))
@@ -86,6 +91,15 @@ REFUSALS = {
                                    ("grid-constant", lambda d: GridFunction2D.constant(d, 1.0)),
                                    ("spectrum-zeros", HaarSpectrum2D.zeros)]
        for depth in [3, (1.5, 2), (40, 40)]},
+    **{f"{name}-depth-{depth}": ("must be two integers", lambda _, make=make, depth=depth: make(
+        DyadicRect.from_levels(1, 0, 1, 0), depth))
+       for name, make in [("staircase", extremal_bmo_function),
+                          ("staircase-growth", calibration.staircase_growth)]
+       for depth in [3, (1.5, 2), (2,)]},
+    **{f"expectation-generation-{pair}": ("generation pair", lambda _, pair=pair:
+                                          conditional_expectation_grid(
+                                              GridFunction2D.zeros((2, 2)), *pair))
+       for pair in [(1.5, 1), (-1, 0)]},
 }
 
 

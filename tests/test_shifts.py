@@ -29,7 +29,7 @@ from prodbmo.core import (
 )
 from prodbmo.errors import InsufficientHeadroomError
 from prodbmo.linop import assemble, commutator, spectrum_to_vector, vector_to_spectrum
-from prodbmo.norms import bmo_d_norm_sq, bmo_norm_of_grid, lmo_d_norm
+from prodbmo.norms import bmo_d_norm_sq, bmo_norm_of_grid, bmo_rect_norm_sq, lmo_d_norm
 from prodbmo.paraproducts import ALL_NINE_TAGS, nine_part_apply
 from prodbmo.shifts import (
     commutator_part_norm_report,
@@ -452,6 +452,27 @@ def test_part_report_reproducible_from_matrices():
     out = vector_to_spectrum(comm.matrix @ vec, ambient)
     expect = math.sqrt(bmo_d_norm_sq(out)[0])
     assert rows["rr"]["commutator_bmo"] == pytest.approx(expect, rel=1e-9)
+
+
+def test_part_report_squares_only_after_scaling():
+    """At amplitude 1 every row is the one of the unscaled squares; at phi * 2^520,
+    whose squares overflow, every commutator norm and control value is exactly
+    2^520 times its unit value and every ratio is unchanged."""
+    rng = np.random.default_rng(31)
+    phi, b = random_hh_grid((2, 2), rng), random_hh_grid((2, 2), rng)
+    rows = commutator_part_norm_report(phi, b)
+    phi_amb, b_amb = haar_forward_2d(embed_grid(phi)), embed_grid(b)
+    unscaled = {"bmo": math.sqrt(bmo_d_norm_sq(haar_forward_2d(phi))[0]),
+                "bmo_rect": math.sqrt(bmo_rect_norm_sq(haar_forward_2d(phi)))}
+    for row, tag in zip(rows, ALL_NINE_TAGS):
+        out = haar_forward_2d(part_commutator_apply(tag, phi_amb, b_amb))
+        assert row["commutator_bmo"] == math.sqrt(bmo_d_norm_sq(out)[0])
+        assert row["control_value"] == unscaled.get(row["control"], row["control_value"])
+    big = commutator_part_norm_report(GridFunction2D((2, 2), np.ldexp(phi.values, 520)), b)
+    for row, scaled in zip(rows, big):
+        assert scaled["commutator_bmo"] == math.ldexp(row["commutator_bmo"], 520)
+        assert scaled["control_value"] == math.ldexp(row["control_value"], 520)
+        assert scaled["ratio"] == row["ratio"]
 
 
 def test_part_report_ratios_bounded():
