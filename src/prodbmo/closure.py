@@ -49,7 +49,8 @@ class _FlowNetwork:
     of s, of a level-1 node and of a level-2 node, each from _dfs's pointer, and
     sends _dfs's paths: after a push _dfs walks again from s and retraces the
     path up to the first arc the push left at or below eps, where the loops
-    resume; and the BFS stopped at t, so another level-3 node is a dead end."""
+    resume; and the BFS stopped at t, so another level-3 node is a dead end.  A
+    closure's s visits its finest rectangles first, so later phases seldom reroute."""
 
     def __init__(self, head, to):
         self.head, self.to, self.n = head, to, len(head)
@@ -204,6 +205,8 @@ class ClosureInstance:
         self.ranges = tuple(np.asarray(r, dtype=np.int64) for r in self.ranges)
         self.rect_weights = np.asarray(self.rect_weights, dtype=float)
         self.shape = tuple(len(w) for w in self.widths)
+        if not self.shape or not all(self.shape):
+            raise ValidationError("need at least one axis, each of at least one cell")
         if any((w <= 0).any() for w in self.widths):
             raise ValidationError("cell widths must be positive")
         if not (self.rect_weights >= 0).all():
@@ -294,6 +297,9 @@ def _structure(inst: ClosureInstance, active):
     order = np.argsort(starts, kind="stable").tolist()
     ends = np.cumsum(np.bincount(starts, minlength=2 + nr + nc)).tolist()
     head = tuple(tuple(order[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    # but the source's arcs go finest rectangle first (fewest rect -> cell arcs, ties in id
+    # order), so the greedy first phase fills fine rectangles' cells before coarse ones do
+    head = (tuple((2 * np.argsort(out_arcs[1:1 + nr], kind="stable")).tolist()), *head[1:])
     nodes = list(range(2 + nr + nc))  # the arc ends share one int object per node
     to = tuple(map(nodes.__getitem__, np.column_stack((heads, tails)).ravel()))
     # best box tables: per axis the distinct range intervals, their containments and cells

@@ -78,6 +78,9 @@ REFUSALS = {
     "ratio-of-empty-set": ("empty cell set", lambda _: ClosureInstance(
         (np.ones(2), np.ones(2)), (np.array([[0, 2]]), np.array([[0, 1]])), np.ones(1),
     ).ratio(np.zeros(4, bool))),
+    "closure-no-axis": ("at least one axis", lambda _: ClosureInstance((), (), [])),
+    "closure-axis-of-no-cells": ("each of at least one cell", lambda _: ClosureInstance(
+        (np.ones(2), np.ones(0)), (np.zeros((0, 2)), np.zeros((0, 2))), [])),
     "no-ratio-interval-at-depth-4": ("depth 4", lambda _: calibration.lmo_ratio_interval(4)),
     "no-pi-bound-at-depth-5": ("not depth 5", lambda _: calibration.bound_constant(
         "pi_bound_constant", 5)),
