@@ -396,6 +396,29 @@ def test_commutator_commands(tmp_path, capsys):
     assert len(rows) == 9
 
 
+#: source depth -> sha256 of ``commutator --mode report`` stdout on seeded files
+REPORT_DIGESTS = {
+    (2, 2): "2d44ee5c0e06a0e9489776d5c20db6905533c674d9328e5d12a17f7bbfe9e1e2",
+    (3, 3): "37d24d5f439c2b2e2db7767d88161a0549cb45d9bc5a074ab5235b125662fc82",
+}
+
+
+@pytest.mark.parametrize("depth", REPORT_DIGESTS)
+def test_commutator_report_stdout_is_pinned(tmp_path, capsys, monkeypatch, depth):
+    """The nine-block report of seeded Gaussian phi and b prints the bytes it
+    printed when the digests were pinned; the files are named relative to the
+    working directory, so the config echo does not depend on where it runs."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng([7, *depth])
+    for name in ("phi.json", "b.json"):
+        save_function_file(name, depth, rng.standard_normal((1 << depth[0], 1 << depth[1])))
+    capsys.readouterr()
+    assert cli_dispatch(["commutator", "--mode", "report", "--phi", "phi.json",
+                         "--b", "b.json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[depth]
+
+
 def test_commutator_report_of_a_large_finite_symbol(tmp_path, capsys):
     """The report squares only after scaling: Gaussian (2,2) phi and b at 1e90, whose
     squares overflow, give finite rows and exit 0."""
