@@ -2,9 +2,10 @@
 
 The shift in one axis sends the Haar function of an interval to the
 difference of its children's Haar functions (right minus left), kills the
-constant, and acts as the identity tensor factor in the other axis.  Two
-nested commutators raise the occupied generation by one in each axis, so
-computations embed their inputs in an ambient grid two levels deeper.
+constant, and acts as the identity tensor factor in the other axis.  Each
+term of the double commutator [S1, [S2, M]] shifts each axis once, and a
+product of two functions on one grid stays on that grid, so computations
+embed their inputs in an ambient grid one level deeper per axis.
 """
 
 from __future__ import annotations
@@ -37,27 +38,25 @@ from .norms import (
 from .paraproducts import NINE_PART_NAMES, ALL_NINE_TAGS, nine_part_apply
 
 
-def _embedded_depth(depth, headroom) -> tuple:
-    """The checked depth ``headroom`` levels deeper, whose float64 array fits the budget."""
-    depth = _check_depth([j + h for j, h in zip(depth, _check_depth(headroom, "headroom", 0))])
+def _embedded_depth(depth) -> tuple:
+    """The checked depth one level deeper per axis, whose float64 array fits the budget."""
+    depth = _check_depth([j + 1 for j in depth])
     if (size := 8 << depth[0] + depth[1]) > closure._MAX_BYTES:  # the package's one budget
         raise ValidationError(f"embedded depth {list(depth)} needs {size} bytes, over budget")
     return depth
 
 
-def embed_grid(f: GridFunction2D, headroom=(2, 2)) -> GridFunction2D:
-    """f on the grid ``headroom`` levels deeper per axis, each cell repeated."""
-    depth = _embedded_depth(f.depth, headroom)
-    vals = np.repeat(np.repeat(f.values, 1 << headroom[0], axis=0), 1 << headroom[1], axis=1)
-    return GridFunction2D(depth, vals)
+def embed_grid(f: GridFunction2D) -> GridFunction2D:
+    """f on the grid one level deeper per axis, each cell repeated."""
+    depth = _embedded_depth(f.depth)
+    return GridFunction2D(depth, np.repeat(np.repeat(f.values, 2, axis=-2), 2, axis=-1))
 
 
-def embed_spectrum(c: HaarSpectrum2D, headroom=(2, 2)) -> HaarSpectrum2D:
-    """c at ``headroom`` more levels per axis, the finer coefficients zero."""
-    out = HaarSpectrum2D.zeros(_embedded_depth(c.depth, headroom))
-    n1, n2 = c.coeffs.shape
-    out.coeffs[:n1, :n2] = c.coeffs
-    return out
+def embed_spectrum(c: HaarSpectrum2D) -> HaarSpectrum2D:
+    """c at one more level per axis, the finer coefficients zero."""
+    depth = _embedded_depth(c.depth)
+    pad = [(0, 0)] * (c.coeffs.ndim - 2) + [(0, n) for n in c.coeffs.shape[-2:]]
+    return HaarSpectrum2D(depth, np.pad(c.coeffs, pad))
 
 
 def shift_apply(c: HaarSpectrum2D, axis: int) -> HaarSpectrum2D:
@@ -126,7 +125,8 @@ def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D) -> GridFun
     """[S1, [S2, M_phi]] b computed on the ambient grid.
 
     phi and b share the source depth; the result lives at the ambient
-    depth, two levels deeper in each axis (the double commutator's reach).
+    depth, one level deeper in each axis: each of the four terms shifts each
+    axis once, and multiplying by phi keeps the grid (the double commutator's reach).
     """
     _check_same_depth(phi, b)
     return _grid_double_commutator(embed_grid(phi).multiply, embed_grid(b))
@@ -191,10 +191,8 @@ def commutator_part_norm_report(phi: GridFunction2D, b: GridFunction2D):
     _check_same_depth(phi, b)
     if phi.depth[0] > 3 or phi.depth[1] > 3:
         raise ValidationError("report supports source depth up to (3,3)")
-    phi_amb = haar_forward_2d(embed_grid(phi))
-    b_amb = embed_grid(b)
-
     phi_spec = haar_forward_2d(phi)
+    phi_amb, b_amb = embed_spectrum(phi_spec), embed_grid(b)
     unit, e = _unit_scaled(phi_spec)  # squared only after scaling, as the other norms
     controls = {
         "lmo": lmo_d_norm(phi_spec),

@@ -388,7 +388,7 @@ def test_commutator_commands(tmp_path, capsys):
     assert cli_dispatch(["commutator", "--mode", "dyadic", "--phi", str(phi),
                          "--b", str(b), "--output", str(out)]) == 0
     depth, _, _ = load_function_file(str(out))
-    assert depth == (4, 4)
+    assert depth == (3, 3)
     rep = tmp_path / "report.json"
     assert cli_dispatch(["commutator", "--mode", "report", "--phi", str(phi),
                          "--b", str(b), "--output", str(rep)]) == 0

@@ -68,13 +68,8 @@ REFUSALS = {
                          lambda _: sigma_k(HaarSpectrum2D.zeros((2, 2)), (True, 1))),
     "sigma1-level-1.5": ("generation pair",
                          lambda _: sigma1_k(HaarSpectrum2D.zeros((2, 2)), 1.5)),
-    "headroom-negative": ("headroom", lambda _: embed_grid(GridFunction2D.zeros((2, 2)),
-                                                           (-1, 1))),
-    "headroom-1.5": ("headroom", lambda _: embed_spectrum(HaarSpectrum2D.zeros((2, 2)),
-                                                          (1.5, 1))),
-    "headroom-40": ("headroom", lambda _: embed_grid(GridFunction2D.zeros((2, 2)), (40, 40))),
-    "embedded-depth-31": (r"depth \[31, 3\]", lambda _: embed_spectrum(
-        HaarSpectrum2D.zeros((2, 2)), (29, 1))),
+    "embedded-depth-31": (r"depth \[31, 2\]", lambda _: embed_spectrum(  # allocates nothing
+        HaarSpectrum2D((30, 1), np.broadcast_to(0.0, (1 << 30, 2))))),
     "ratio-of-empty-set": ("empty cell set", lambda _: ClosureInstance(
         (np.ones(2), np.ones(2)), (np.array([[0, 2]]), np.array([[0, 1]])), np.ones(1),
     ).ratio(np.zeros(4, bool))),
@@ -117,9 +112,9 @@ def test_input_is_refused(tmp_path, message, call):
                                       (embed_spectrum, HaarSpectrum2D.zeros((2, 2)))])
 def test_embedding_above_the_memory_budget_is_refused(monkeypatch, embed, f):
     """An embedded array above the package's memory budget is refused before it is
-    allocated: (2,2) with headroom (2,2) is 256 float64 values, 2,048 bytes."""
-    monkeypatch.setattr(closure, "_MAX_BYTES", 2047)
-    with pytest.raises(ValidationError, match="needs 2048 bytes"):
-        embed(f, (2, 2))
-    monkeypatch.setattr(closure, "_MAX_BYTES", 2048)
-    assert embed(f, (2, 2)).depth == (4, 4)
+    allocated: (2,2) embedded one level deeper is 64 float64 values, 512 bytes."""
+    monkeypatch.setattr(closure, "_MAX_BYTES", 511)
+    with pytest.raises(ValidationError, match="needs 512 bytes"):
+        embed(f)
+    monkeypatch.setattr(closure, "_MAX_BYTES", 512)
+    assert embed(f).depth == (3, 3)

@@ -142,7 +142,7 @@ def test_embedding_preserves_values_and_coefficients():
     rng = np.random.default_rng(5)
     f = GridFunction2D((2, 2), rng.standard_normal((4, 4)))
     big = embed_grid(f)
-    assert big.depth == (4, 4)
+    assert big.depth == (3, 3)
     assert big.values[0, 0] == f.values[0, 0]
     assert big.integral() == pytest.approx(f.integral(), rel=1e-14)
     spec_direct = haar_forward_2d(big)
@@ -171,7 +171,7 @@ def test_commutator_matches_matrix_oracle():
     )
     out = iterated_commutator_apply(phi, b)
 
-    ambient = (3, 3)
+    ambient = out.depth
     phi_amb = embed_grid(phi)
     m_phi = assemble(lambda g: phi_amb.multiply(g), ambient, space="grid")
     s1 = shift_matrix(ambient, 1)
@@ -287,7 +287,7 @@ _HEADROOM_CASES = {
         _outer(indicator_values_1d(DyadicInterval(1, 0), 8), haar_values_1d(_FINE, 8)),
         _outer(1.0 + haar_values_1d(_UNIT, 8), haar_values_1d(_UNIT, 8))),
     "none": lambda rng: tuple(
-        embed_grid(GridFunction2D((2, 2), rng.standard_normal((4, 4))), (1, 1))
+        embed_grid(GridFunction2D((2, 2), rng.standard_normal((4, 4))))
         for _ in range(2)),
 }
 
@@ -494,7 +494,7 @@ def test_single_shift_block_commutators_match_matrices():
     rng = np.random.default_rng(37)
     depth = (3, 3)
     phi_spec = random_hh_spectrum((2, 2), rng)
-    phi_amb = embed_spectrum(phi_spec, (1, 1))
+    phi_amb = embed_spectrum(phi_spec)
     s2 = shift_matrix(depth, 2)
     for tag in (NinePartTag(COARSER, EQUAL), NinePartTag(EQUAL, COARSER)):
         op = assemble(
@@ -503,7 +503,7 @@ def test_single_shift_block_commutators_match_matrices():
         comm = commutator(s2, op)
         for _ in range(5):
             b = random_hh_spectrum((2, 2), rng)
-            b_grid = haar_inverse_2d(embed_spectrum(b, (1, 1)))
+            b_grid = haar_inverse_2d(embed_spectrum(b))
             direct = (
                 shift_grid(nine_part_apply(tag, phi_amb, b_grid), 2)
                 - nine_part_apply(tag, phi_amb, shift_grid(b_grid, 2))
@@ -561,8 +561,8 @@ def test_tilde_transform_identities_report():
         rng = np.random.default_rng(seed)
         phi_spec = random_hh_spectrum(src, rng)
         b_spec = random_hh_spectrum(src, rng)
-        phi_amb = embed_spectrum(phi_spec, (2, 2))
-        b_grid = haar_inverse_2d(embed_spectrum(b_spec, (2, 2)))
+        phi_amb = embed_spectrum(embed_spectrum(phi_spec))
+        b_grid = haar_inverse_2d(embed_spectrum(embed_spectrum(b_spec)))
 
         middle = np.zeros((n1, n2))
         for rect in src_rects():
