@@ -61,6 +61,13 @@ def _cell_widths(m, n):
     return _read_only(np.full(m, 1.0 / n))
 
 
+def _single_shape(values) -> tuple:
+    """The shape of values, refused with leading batch axes: a norm is of one function."""
+    if values.ndim != 2:
+        raise ValidationError(f"a norm takes a single function, got shape {values.shape}")
+    return values.shape
+
+
 def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     """Cells and weighted rectangles of the hh block, in the enumeration order;
     restricted to a dyadic rectangle, only the rectangles inside it, on its cells.
@@ -68,7 +75,7 @@ def grid_closure_instance(phi: HaarSpectrum2D, restrict_to: DyadicRect = None):
     Those are the enumeration at the rectangle's depth below the grid: on a side
     of basis index B, basis index b at level j below it is b + (B - 1) * 2^j.
     """
-    shape, cells = phi.coeffs.shape, _cells(phi, restrict_to)
+    shape, cells = _single_shape(phi.coeffs), _cells(phi, restrict_to)
     sub = [hi - lo for lo, hi in cells]
     rows, cols = (b[sub[0] + sub[1] - 1:] for b in
                   _basis_order(tuple(m.bit_length() - 1 for m in sub)))
@@ -112,7 +119,7 @@ def _energy_levels(phi: HaarSpectrum2D):
     """(phi_R^2 / |R|, E, scale) over the basis-index pairs (b1, b2) >= 1, each
     the dyadic rectangle R = I x J: E the hh energy of the rectangles inside R
     and scale = 1 / |R|.  Only the hh block is squared: no other can overflow."""
-    scale = _depth_tables(phi.coeffs.shape)[0]
+    scale = _depth_tables(_single_shape(phi.coeffs))[0]
     sq = np.zeros(phi.coeffs.shape)
     np.square(phi.coeffs[1:, 1:], out=sq[1:, 1:])
     energy = sq.copy()
@@ -262,6 +269,7 @@ def _lmo_search(phi: HaarSpectrum2D, pinned, char):
 
 def h1_norm(f: GridFunction2D) -> float:
     """L1 norm of the square function."""
+    _single_shape(f.values)
     return float(square_function(haar_forward_2d(f)).values.mean())
 
 

@@ -38,23 +38,32 @@ from .norms import (
 from .paraproducts import NINE_PART_NAMES, ALL_NINE_TAGS, nine_part_apply
 
 
-def _embedded_depth(depth) -> tuple:
-    """The checked depth one level deeper per axis, whose float64 array fits the budget."""
-    depth = _check_depth([j + 1 for j in depth])
-    if (size := 8 << depth[0] + depth[1]) > closure._MAX_BYTES:  # the package's one budget
-        raise ValidationError(f"embedded depth {list(depth)} needs {size} bytes, over budget")
+#: ambient-size arrays the double commutator holds at its peak (29-31 under tracemalloc)
+_PEAK_ARRAYS = 32
+
+
+def _check_budget(depth, size) -> tuple:
+    """depth, refused when ``size`` bytes at it are over the package's one budget."""
+    if size > closure._MAX_BYTES:  # read at call time
+        raise ValidationError(f"ambient depth {list(depth)} needs {size} bytes, over budget")
     return depth
+
+
+def _embedded_depth(depth, values, arrays=1) -> tuple:
+    """The checked depth one level deeper per axis, where ``arrays`` arrays of the embedded
+    float64 ``values``, four cells to a cell and batch axes included, fit the budget."""
+    return _check_budget(_check_depth([j + 1 for j in depth]), arrays * 4 * values.nbytes)
 
 
 def embed_grid(f: GridFunction2D) -> GridFunction2D:
     """f on the grid one level deeper per axis, each cell repeated."""
-    depth = _embedded_depth(f.depth)
+    depth = _embedded_depth(f.depth, f.values)
     return GridFunction2D(depth, np.repeat(np.repeat(f.values, 2, axis=-2), 2, axis=-1))
 
 
 def embed_spectrum(c: HaarSpectrum2D) -> HaarSpectrum2D:
     """c at one more level per axis, the finer coefficients zero."""
-    depth = _embedded_depth(c.depth)
+    depth = _embedded_depth(c.depth, c.coeffs)
     pad = [(0, 0)] * (c.coeffs.ndim - 2) + [(0, n) for n in c.coeffs.shape[-2:]]
     return HaarSpectrum2D(depth, np.pad(c.coeffs, pad))
 
@@ -129,6 +138,7 @@ def iterated_commutator_apply(phi: GridFunction2D, b: GridFunction2D) -> GridFun
     axis once, and multiplying by phi keeps the grid (the double commutator's reach).
     """
     _check_same_depth(phi, b)
+    _embedded_depth(b.depth, b.values, _PEAK_ARRAYS)  # refused before anything is embedded
     return _grid_double_commutator(embed_grid(phi).multiply, embed_grid(b))
 
 
@@ -168,6 +178,7 @@ def rr_commutator_on_basis(phi: GridFunction2D, rect: DyadicRect) -> HaarSpectru
 def part_commutator_apply(tag, phi_ambient: HaarSpectrum2D,
                           b_ambient: GridFunction2D) -> GridFunction2D:
     """[S1, [S2, P]] b for one nine-block operator P at ambient depth."""
+    _check_budget(b_ambient.depth, _PEAK_ARRAYS * b_ambient.values.nbytes)
     return _grid_double_commutator(lambda g: nine_part_apply(tag, phi_ambient, g), b_ambient)
 
 

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from prodbmo import calibration, closure
-from prodbmo.cli import load_function_file
+from prodbmo import calibration, closure, norms, shifts
+from prodbmo.cli import cli_dispatch, load_function_file, save_function_file
 from prodbmo.closure import ClosureInstance
 from prodbmo.core import (DyadicInterval, DyadicRect, GridFunction2D, HaarSpectrum2D,
                           ProjectionSelector, apply_projection, conditional_expectation_grid,
@@ -15,12 +15,28 @@ from prodbmo.errors import ValidationError
 from prodbmo.hilbert import RandomDyadicGrid, StepFunction1D
 from prodbmo.linop import DenseOperator, assemble, operator_norm
 from prodbmo.norms import extremal_bmo_function, lmo_beta_char_norm, lmo_directional_norm
-from prodbmo.paraproducts import sigma1_k, sigma_k
-from prodbmo.shifts import embed_grid, embed_spectrum, truncating_shift
+from prodbmo.paraproducts import ALL_NINE_TAGS, sigma1_k, sigma_k
+from prodbmo.shifts import (embed_grid, embed_spectrum, iterated_commutator_apply,
+                            part_commutator_apply, truncating_shift)
 
 
 def _nan_grid(g):
     return GridFunction2D(g.depth, np.full_like(g.values, np.nan))
+
+
+#: each public norm called on a batch of three (2,2) spectra (grids for the grid norms)
+BATCHED_NORMS = {
+    "bmo_d_norm_sq": norms.bmo_d_norm_sq,
+    "bmo_d_norm_sq_bruteforce": norms.bmo_d_norm_sq_bruteforce,
+    "bmo_rect_norm_sq": norms.bmo_rect_norm_sq,
+    "bmo_norm_of_grid": lambda c: norms.bmo_norm_of_grid(GridFunction2D(c.depth, c.coeffs)),
+    "h1_norm": lambda c: norms.h1_norm(GridFunction2D(c.depth, c.coeffs)),
+    "lmo_d_norm": norms.lmo_d_norm,
+    "lmo_directional_norm": lambda c: norms.lmo_directional_norm(c, 1),
+    "lmo_beta_char_norm": lambda c: norms.lmo_beta_char_norm(c, (1, 0)),
+    "lmo_char_norm": norms.lmo_char_norm,
+    "lmo_char_details": norms.lmo_char_details,
+}
 
 
 def _function_file_one_value_short(tmp_path):
@@ -80,6 +96,9 @@ REFUSALS = {
     "no-pi-bound-at-depth-5": ("not depth 5", lambda _: calibration.bound_constant(
         "pi_bound_constant", 5)),
     "function-file-value-count": ("7 values, expected 8", _function_file_one_value_short),
+    **{f"batched-{name}": ("single function", lambda _, norm=norm: norm(HaarSpectrum2D(
+        (2, 2), np.random.default_rng(0).standard_normal((3, 4, 4)))))
+       for name, norm in BATCHED_NORMS.items()},
     **{f"beta-{name}": ("beta must be a 0/1 pair", lambda _, beta=beta: lmo_beta_char_norm(
         HaarSpectrum2D.zeros((2, 2)), beta))
        for name, beta in [("bool", (True, 0)), ("numpy-bool", (np.True_, 0)),
@@ -118,3 +137,34 @@ def test_embedding_above_the_memory_budget_is_refused(monkeypatch, embed, f):
         embed(f)
     monkeypatch.setattr(closure, "_MAX_BYTES", 512)
     assert embed(f).depth == (3, 3)
+
+
+@pytest.mark.parametrize("budget", [512, 16_383])
+def test_double_commutator_above_the_memory_budget_is_refused(tmp_path, capsys, monkeypatch,
+                                                               budget):
+    """The double commutator holds up to 32 ambient-size arrays at its peak, so with 32
+    of them over the budget it is refused before an input is embedded or a stage runs, and
+    the CLI exits 2 and writes no file: a (2,2) source's ambient array is 512 bytes."""
+    rng = np.random.default_rng(3)
+    phi, b = (GridFunction2D((2, 2), rng.standard_normal((4, 4))) for _ in range(2))
+    phi_amb, b_amb = embed_spectrum(haar_forward_2d(phi)), embed_grid(b)
+    monkeypatch.setattr(closure, "_MAX_BYTES", 16_384)
+    assert iterated_commutator_apply(phi, b).depth == (3, 3)
+    assert part_commutator_apply(ALL_NINE_TAGS[0], phi_amb, b_amb).depth == (3, 3)
+    monkeypatch.setattr(closure, "_MAX_BYTES", budget)
+    monkeypatch.setattr(shifts, "embed_grid", None)  # neither may embed nor run a stage
+    monkeypatch.setattr(shifts, "_grid_double_commutator", None)
+    with pytest.raises(ValidationError, match=r"depth \[3, 3\] needs 16384 bytes"):
+        iterated_commutator_apply(phi, b)
+    for tag in ALL_NINE_TAGS:
+        with pytest.raises(ValidationError, match="needs 16384 bytes"):
+            part_commutator_apply(tag, phi_amb, b_amb)
+    paths = [str(tmp_path / name) for name in ("phi.json", "b.json", "out.json")]
+    save_function_file(paths[0], (2, 2), phi.values)
+    save_function_file(paths[1], (2, 2), b.values)
+    capsys.readouterr()
+    assert cli_dispatch(["commutator", "--mode", "dyadic", "--phi", paths[0], "--b", paths[1],
+                         "--output", paths[2]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "16384 bytes" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()

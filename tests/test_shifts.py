@@ -1,6 +1,7 @@
 """Dyadic shifts, iterated commutators, and the nine-block norm table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,70 @@ def test_staged_commutator_is_bit_identical_to_the_eight_shift_reference(depth, 
         for tag in ALL_NINE_TAGS:
             _assert_same_bytes(part_commutator_apply(tag, phi_amb, b_amb),
                                reference_part_commutator_apply(tag, phi_amb, b_amb))
+
+
+@pytest.mark.parametrize("depth", [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_one_level_deeper_is_the_double_commutators_whole_reach(depth):
+    """On inputs embedded two levels deeper, the eight-shift reference gives the
+    one-level result embedded once more, bit for bit: the second level stays zero.
+    The same holds for each of the nine blocks."""
+    rng = np.random.default_rng([19, *depth])
+    for _ in range(2):
+        phi, b = _symbol_grid("gaussian", depth, rng), _symbol_grid("gaussian", depth, rng)
+        _assert_same_bytes(embed_grid(iterated_commutator_apply(phi, b)),
+                           reference_double_commutator(embed_grid(embed_grid(phi)).multiply,
+                                                       embed_grid(embed_grid(b))))
+        phi_amb, b_amb = embed_spectrum(haar_forward_2d(phi)), embed_grid(b)
+        for tag in ALL_NINE_TAGS:
+            _assert_same_bytes(embed_grid(part_commutator_apply(tag, phi_amb, b_amb)),
+                               reference_part_commutator_apply(tag, embed_spectrum(phi_amb),
+                                                               embed_grid(b_amb)))
+
+
+@pytest.mark.parametrize("depth", [(2, 2), (2, 3), (3, 3)])
+def test_batched_commutator_and_embeddings_equal_the_stacked_single_ones(depth):
+    """Stacked (phi, b) pairs give the stacked per-pair commutators, and the batched
+    embeddings the stacked single embeddings, bit for bit."""
+    rng = np.random.default_rng([23, *depth])
+    shape = (3, 1 << depth[0], 1 << depth[1])
+    phi, b = (GridFunction2D(depth, rng.standard_normal(shape)) for _ in range(2))
+    spec = haar_forward_2d(b)
+    pairs = [(GridFunction2D(depth, p), GridFunction2D(depth, x))
+             for p, x in zip(phi.values, b.values)]
+
+    def array(x):
+        return x.values if isinstance(x, GridFunction2D) else x.coeffs
+
+    for got, singles in [
+            (iterated_commutator_apply(phi, b), [iterated_commutator_apply(*p) for p in pairs]),
+            (embed_grid(b), [embed_grid(x) for _, x in pairs]),
+            (embed_spectrum(spec), [embed_spectrum(HaarSpectrum2D(depth, c))
+                                    for c in spec.coeffs])]:
+        assert got.depth == singles[0].depth == (depth[0] + 1, depth[1] + 1)
+        assert array(got).tobytes() == np.stack([array(s) for s in singles]).tobytes()
+
+
+@pytest.mark.parametrize("depth", [(5, 5), (6, 6)])
+def test_double_commutator_peak_is_within_its_budgeted_arrays(depth):
+    """The traced peak of the double commutator, the whole product and each of the
+    nine blocks, stays within the ``_PEAK_ARRAYS`` ambient-size arrays that its memory
+    refusal budgets, and above three quarters of them, so the constant is measured."""
+    rng = np.random.default_rng([29, *depth])
+    phi, b = _symbol_grid("gaussian", depth, rng), _symbol_grid("gaussian", depth, rng)
+    phi_amb, b_amb = embed_spectrum(haar_forward_2d(phi)), embed_grid(b)
+    budget = shifts._PEAK_ARRAYS * b_amb.values.nbytes
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert 0.75 * budget < peak(lambda: iterated_commutator_apply(phi, b)) <= budget
+    for tag in ALL_NINE_TAGS:
+        assert peak(lambda: part_commutator_apply(tag, phi_amb, b_amb)) <= budget
 
 
 def _outer(s_vals, t_vals):
